@@ -9,9 +9,7 @@ number of threads.
 
 from .completion import (
     BorderSpec,
-    CompletionSystem,
     border_positions,
-    build_system,
     complete,
     extract_border,
 )
@@ -68,7 +66,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BiPoly",
     "BorderSpec",
-    "CompletionSystem",
     "ConstructionError",
     "DHBasis",
     "ImpulseSet",
@@ -84,7 +81,6 @@ __all__ = [
     "bilinear",
     "border_positions",
     "build_impulse_set",
-    "build_system",
     "check_conservation",
     "complete",
     "discrete_laplacian_matrix",

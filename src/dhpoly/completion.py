@@ -1,20 +1,23 @@
 """Unique inner-harmonic filling of a fixed rational border.
 
 Forcing the stencil to vanish at every inner site turns the border into the
-data of a discrete Dirichlet problem.  The resulting linear system has the
-block-tridiagonal matrix 4*I - H_hop, where H_hop is the nearest-neighbor
-hopping (adjacency) matrix of the inner sites; it is strictly diagonally
-dominant, hence nonsingular, so the completion always exists and is unique.
+data of a discrete Dirichlet problem.  By the discrete maximum principle an
+inner-harmonic matrix with zero border is zero, so the filling is unique.
+The stencil at an inner site gives the entry above it from the entry itself,
+the entry below and its two side neighbours; so the bottom two rows and the
+side columns determine the matrix.  ``complete`` therefore marches the
+stencil upward from the L - 2 unknown inner values of the second-lowest row
+and solves one (L-2) x (L-2) system against the top row.  Marching loses
+accuracy in floating point, but here every value is an exact rational.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .errors import SizeError
-from .grid import RatMatrix
+from .grid import RatMatrix, _fraction
 
 
 @dataclass(frozen=True)
@@ -29,9 +32,7 @@ class BorderSpec:
     def __post_init__(self):
         if self.size < 3:
             raise SizeError("border completion needs size at least 3")
-        values = tuple(Fraction(v) for v in self.values)
-        if any(isinstance(v, float) for v in self.values):
-            raise TypeError("float border values are not allowed")
+        values = tuple(_fraction(v) for v in self.values)
         if len(values) != 4 * self.size - 4:
             raise SizeError(
                 f"expected {4 * self.size - 4} border values for size {self.size}, "
@@ -67,61 +68,42 @@ def extract_border(H):
     return BorderSpec(H.size, tuple(H.entry(i, j) for i, j in border_positions(H.size)))
 
 
-@dataclass(frozen=True)
-class CompletionSystem:
-    """Coefficient matrix of the inner-site system plus the rule assembling
-    the right-hand side from a border.  Inner sites are enumerated row-major
-    over the inner block, which makes the matrix block-tridiagonal with
-    diagonal blocks 4*I - H_hop and off-diagonal blocks -I."""
-
-    size: int
-    sites: tuple
-    matrix: tuple
-
-    def rhs(self, border):
-        """Right-hand side: at each inner site, the sum of its border
-        neighbors' values (one value at edge sites, two at inner-corner
-        sites, four in the degenerate single-site case)."""
-        if border.size != self.size:
-            raise SizeError("border size does not match the system")
-        values = dict(zip(border_positions(self.size), border.values))
-        out = []
-        for i, j in self.sites:
-            acc = Fraction(0)
-            for ni, nj in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
-                acc += values.get((ni, nj), 0)
-            out.append(acc)
-        return out
-
-
-def build_system(L):
-    """Inner-site system for size L: an (L-2)^2 square matrix with 4 on the
-    diagonal and -1 between display-adjacent inner sites."""
-    if L < 3:
-        raise SizeError("completion needs size at least 3")
-    sites = tuple((i, j) for i in range(2, L) for j in range(2, L))
-    index = {site: k for k, site in enumerate(sites)}
-    rows = []
-    for i, j in sites:
-        row = [Fraction(0)] * len(sites)
-        row[index[(i, j)]] = Fraction(4)
-        for neighbor in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
-            k = index.get(neighbor)
-            if k is not None:
-                row[k] = Fraction(-1)
-        rows.append(tuple(row))
-    return CompletionSystem(size=L, sites=sites, matrix=tuple(rows))
-
-
 def complete(border):
     """The unique matrix with the given border whose stencil vanishes at
-    every inner site."""
-    system = build_system(border.size)
-    interior = linalg.solve(system.matrix, system.rhs(border))
+    every inner site.
+
+    The n = L - 2 inner values of display row L - 1 are the unknowns.  Every
+    entry is carried as an affine form in them: n integer coefficients, then a
+    rational constant.  The stencil at inner site (i, j) gives the entry above
+    it, h[i-1][j] = 4 h[i][j] - h[i+1][j] - h[i][j-1] - h[i][j+1], so the
+    forms march from the bottom of the display to the top, and matching them
+    with the top border is one n x n system.  That system is nonsingular: a
+    kernel vector would march, from a zero border, to a nonzero inner-harmonic
+    matrix with zero border, which uniqueness rules out.
+    """
     L = border.size
-    grid = [[None] * L for _ in range(L)]
-    for (i, j), v in zip(border_positions(L), border.values):
-        grid[i - 1][j - 1] = v
-    for (i, j), v in zip(system.sites, interior):
-        grid[i - 1][j - 1] = v
+    n = L - 2
+    value = dict(zip(border_positions(L), border.values))
+
+    def known(v):
+        return [0] * n + [v]
+
+    def side(i, row):
+        return [known(value[(i, 1)]), *row, known(value[(i, L)])]
+
+    unknowns = [[int(k == m) for m in range(n)] + [0] for k in range(n)]
+    # rows[k] holds display row L - k as forms; the top row is matched, not kept
+    rows = [[known(value[(L, j)]) for j in range(1, L + 1)], side(L - 1, unknowns)]
+    for i in range(L - 1, 1, -1):
+        below, here = rows[-2], rows[-1]
+        above = [
+            [4 * c - b - w - e for c, b, w, e in zip(here[j], below[j], here[j - 1], here[j + 1])]
+            for j in range(1, L - 1)
+        ]
+        rows.append(side(i - 1, above) if i > 2 else above)
+    top = rows.pop()
+    x = linalg.solve([f[:n] for f in top], [value[(1, j)] - f[n] for j, f in enumerate(top, 2)])
+    x = [*x, 1]
+    grid = [[value[(1, j)] for j in range(1, L + 1)]]
+    grid += [[sum(c * v for c, v in zip(f, x)) for f in row] for row in reversed(rows)]
     return RatMatrix(grid)

@@ -16,10 +16,9 @@ from fractions import Fraction
 
 from .completion import BorderSpec, border_positions
 from .errors import ParseError
-from .grid import RatMatrix
+from .grid import _RATIONAL_RE, RatMatrix
 from .poly import BiPoly
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
 _TERM_RE = re.compile(
     r"(?P<c>[+-]?\d+(?:/\d+)?)(?:\*x\^(?P<a>\d+))?(?:\*y\^(?P<b>\d+))?\Z"
 )

@@ -10,15 +10,27 @@ other operations read matrices through this correspondence.
 
 from __future__ import annotations
 
+import numbers
+import re
 from fractions import Fraction
 
 from .errors import SizeError
 
 
+_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
+
+
 def _fraction(value):
-    if isinstance(value, float):
-        raise TypeError("float entries are not allowed; use int, str or Fraction")
-    return Fraction(value)
+    """Exact coercion shared by the value constructors: rationals (not bool)
+    and integer or "p/q" strings.  Floats, Decimals, bools and strings with a
+    decimal point or exponent raise TypeError."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, numbers.Rational) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str) and _RATIONAL_RE.fullmatch(value.strip()):
+        return Fraction(value)
+    raise TypeError(f"{value!r} is not exact; use int, Fraction or a 'p/q' string")
 
 
 class RatMatrix:

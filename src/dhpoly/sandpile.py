@@ -74,6 +74,8 @@ def step(config):
 
 def orbit(config, steps):
     """The configurations config, step(config), ..., step^steps(config)."""
+    if steps < 0:
+        raise PreconditionError(f"step count must be non-negative, got {steps}")
     out = [config]
     for _ in range(steps):
         out.append(step(out[-1]))

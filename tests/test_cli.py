@@ -186,6 +186,15 @@ class TestSandpileVerify:
         )
         assert code == 2
 
+    def test_negative_steps(self, capsys):
+        code = main(
+            ["sandpile-verify", "--size", "5", "--steps", "-5", "--seed", "1", "--gf", "i"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["code"] == "input-error"
+
 
 class TestUsage:
     def test_unknown_command(self, capsys):

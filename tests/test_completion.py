@@ -1,14 +1,15 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from dhpoly import (
     BorderSpec,
     RatMatrix,
     SizeError,
     border_positions,
-    build_system,
     complete,
     extract_border,
     is_inner_harmonic,
@@ -26,6 +27,11 @@ class TestBorderSpec:
     def test_size_enforced(self):
         with pytest.raises(SizeError):
             BorderSpec(2, (1, 2, 3, 4))
+
+    @pytest.mark.parametrize("value", [0.5, "0.5", "1e3", Decimal("0.5"), True], ids=repr)
+    def test_rejects_floats(self, value):
+        with pytest.raises(TypeError):
+            BorderSpec(3, [value] * 8)
 
     def test_positions_walk_clockwise(self):
         assert border_positions(3) == (
@@ -48,40 +54,21 @@ class TestBorderSpec:
         assert complete(border) == SAMPLE_7X7
 
 
-class TestBuildSystem:
-    def test_single_inner_site(self):
-        system = build_system(3)
-        assert system.matrix == ((Fraction(4),),)
-        border = BorderSpec(3, tuple(Fraction(k) for k in range(1, 9)))
-        # neighbors of the single inner site are walk indices 2, 4, 6, 8
-        assert system.rhs(border) == [Fraction(2 + 4 + 6 + 8)]
-
-    def test_size_four_block_structure(self):
-        matrix = build_system(4).matrix
-        expected = (
-            (4, -1, -1, 0),
-            (-1, 4, 0, -1),
-            (-1, 0, 4, -1),
-            (0, -1, -1, 4),
-        )
-        assert matrix == tuple(tuple(Fraction(v) for v in row) for row in expected)
-
-    @pytest.mark.parametrize("L", range(3, 9))
-    def test_diagonal_dominance(self, L):
-        # weak dominance everywhere, strict at sites adjacent to the border
-        # (their border neighbors contribute to the right-hand side instead)
-        system = build_system(L)
-        for (i, j), row in zip(system.sites, system.matrix):
-            k = system.sites.index((i, j))
-            assert row[k] == 4
-            off = sum(abs(v) for v in row) - 4
-            assert off <= 4
-            if i in (2, L - 1) or j in (2, L - 1):
-                assert off < 4
-
-    def test_too_small(self):
-        with pytest.raises(SizeError):
-            build_system(2)
+def dense_sympy_completion(border):
+    """Oracle independent of dhpoly.linalg: one unknown per inner site, the
+    stencil equation at each, solved by sympy."""
+    L = border.size
+    h = {pos: sympy.Rational(v.numerator, v.denominator)
+         for pos, v in zip(border_positions(L), border.values)}
+    inner = [(i, j) for i in range(2, L) for j in range(2, L)]
+    h.update((site, sympy.Symbol(f"h_{site[0]}_{site[1]}")) for site in inner)
+    equations = [
+        4 * h[(i, j)] - h[(i - 1, j)] - h[(i + 1, j)] - h[(i, j - 1)] - h[(i, j + 1)]
+        for i, j in inner
+    ]
+    (solution,) = sympy.linsolve(equations, [h[site] for site in inner])
+    h.update(zip(inner, solution))
+    return RatMatrix([[h[(i, j)] for j in range(1, L + 1)] for i in range(1, L + 1)])
 
 
 class TestComplete:
@@ -97,10 +84,21 @@ class TestComplete:
         assert completed.entry(2, 2) == -2
         assert completed == WORKED_MINOR_3X3
 
-    def test_result_is_inner_harmonic(self):
-        rng = random.Random(55)
-        for L in (3, 4, 5, 7):
-            assert is_inner_harmonic(complete(random_border(rng, L)))
+    @pytest.mark.parametrize("L", range(3, 11))
+    def test_result_is_inner_harmonic(self, L):
+        assert is_inner_harmonic(complete(random_border(random.Random(L), L)))
+
+    @pytest.mark.parametrize("L", range(3, 9))
+    def test_matches_dense_sympy_solve(self, L):
+        rng = random.Random(100 + L)
+        for _ in range(3):
+            border = random_border(rng, L)
+            assert complete(border) == dense_sympy_completion(border)
+
+    def test_single_inner_site(self):
+        # neighbors of the single inner site are walk indices 2, 4, 6, 8
+        border = BorderSpec(3, tuple(range(1, 9)))
+        assert complete(border).entry(2, 2) == Fraction(2 + 4 + 6 + 8, 4)
 
     def test_idempotence(self):
         rng = random.Random(56)

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -75,8 +76,15 @@ class TestRatMatrix:
             RatMatrix([[1, 2, 3], [4, 5, 6]])
 
     def test_rejects_floats(self):
-        with pytest.raises(TypeError):
-            RatMatrix([[0.5]])
+        for value in (0.5, "0.5", "1e3", Decimal("0.5"), True):
+            with pytest.raises(TypeError):
+                RatMatrix([[value]])
+
+    def test_accepts_integer_and_ratio_strings(self):
+        assert RatMatrix([["-3", "1/2"], [" 4 ", 0]]).rows == (
+            (Fraction(-3), Fraction(1, 2)),
+            (Fraction(4), Fraction(0)),
+        )
 
     def test_lattice_access(self):
         H = RatMatrix([[1, 2], [3, 4]])
