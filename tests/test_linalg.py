@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from dhpoly import SingularMatrixError, generate_basis
+from dhpoly import SingularMatrixError, complete, generate_basis, is_inner_harmonic
 from dhpoly.linalg import nullspace, primitive, rank, rref, solve
 
-from helpers import random_rational
+from helpers import random_border, random_rational
 from reference_data import BASE_SYSTEM_MATRIX, BASE_SYSTEM_RHS, MINOR_COEFFS
 
 
@@ -117,6 +117,15 @@ class TestDeterminism:
             return "".join(out)
 
         assert run(rng1) == run(rng2)
+
+
+class TestCompletionSystemConditioning:
+    @pytest.mark.parametrize("L", range(3, 11))
+    def test_never_singular(self, L):
+        # complete() solves its (L-2) x (L-2) marching system with linalg.solve,
+        # which raises SingularMatrixError on a singular system
+        rng = random.Random(L)
+        assert is_inner_harmonic(complete(random_border(rng, L)))
 
 
 class TestPrimitive:
