@@ -32,7 +32,7 @@ from .formats import (
 from .grid import discrete_laplacian_matrix, evaluate_on_lattice, interpolates, is_inner_harmonic
 from .interpolate import bilinear, telescopic
 from .poly import discrete_laplacian_poly, generate_basis, is_discrete_harmonic
-from .sandpile import check_conservation, orbit, phi, random_config, standard_gf
+from .sandpile import orbit, phi, random_config, standard_gf
 
 EXIT_OK = 0
 EXIT_FALSE = 1

@@ -113,7 +113,7 @@ def poly_from_json(text):
         if not isinstance(rec, dict) or set(rec) != {"xexp", "yexp", "num", "den"}:
             raise ParseError(f"malformed term record {rec!r}")
         a, b = rec["xexp"], rec["yexp"]
-        if not (isinstance(a, int) and isinstance(b, int)) or a < 0 or b < 0:
+        if not (type(a) is int and type(b) is int) or a < 0 or b < 0:
             raise ParseError(f"exponents must be nonnegative integers, got {rec!r}")
         try:
             num = int(rec["num"])

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from . import linalg
 from .errors import ConstructionError, InvariantError, PreconditionError, SizeError
-from .grid import RatMatrix, interpolates, is_inner_harmonic
+from .grid import RatMatrix, is_inner_harmonic
 from .poly import BiPoly, generate_basis, is_discrete_harmonic, tabulated_basis
 
 #: Basis used for the 3x3 base case: the tabulated elements of degree <= 3
@@ -52,11 +52,7 @@ def interpolate_3x3(A):
     rows = [[p.evaluate(x, y) for p in basis] for x, y in _BASE_POINTS]
     rhs = [A.at(x, y) for x, y in _BASE_POINTS]
     coeffs = linalg.solve(rows, rhs)
-    result = BiPoly.zero()
-    for c, p in zip(coeffs, basis):
-        if c:
-            result = result + c * p
-    return result
+    return sum((c * p for c, p in zip(coeffs, basis) if c), BiPoly.zero())
 
 
 @dataclass(frozen=True)
@@ -90,6 +86,24 @@ def _canonical(P):
     return P * (prim[0] / coeffs[0])
 
 
+def _block_border_sites(L):
+    """Border sites of the L-lattice, i.e. of the lower-left L x L block."""
+    return tuple(
+        (x, y)
+        for x in range(L)
+        for y in range(L)
+        if x in (0, L - 1) or y in (0, L - 1)
+    )
+
+
+def _matches_on_border(P, H):
+    """True iff P agrees with H on the border of H's lattice.  For discrete
+    harmonic P and inner-harmonic H that is agreement everywhere: P - H is
+    then inner-harmonic on the lattice, and an inner-harmonic function that
+    vanishes on the border vanishes inside (discrete maximum principle)."""
+    return all(P.evaluate(x, y) == H.at(x, y) for x, y in _block_border_sites(H.size))
+
+
 def _verify_impulse(xi, m, k):
     """Value at the designated site if xi has the exact single-impulse (or
     dipole, for k = 3) pattern on the (m+1)-lattice, else None."""
@@ -101,28 +115,12 @@ def _verify_impulse(xi, m, k):
     value = xi.evaluate(*target)
     if value == 0:
         return None
-    mirror = (m, m - 1) if k == 3 else None
-    for x in range(m + 1):
-        for y in range(m + 1):
-            if (x, y) == target:
-                continue
-            v = xi.evaluate(x, y)
-            if (x, y) == mirror:
-                if v != -value:
-                    return None
-            elif v != 0:
-                return None
-    return value
-
-
-def _block_border_sites(L):
-    """Border of the lower-left L x L block of the enlarged lattice."""
-    return tuple(
-        (x, y)
-        for x in range(L)
-        for y in range(L)
-        if x in (0, L - 1) or y in (0, L - 1)
-    )
+    # Expected values in display order (top row y = m).  The pattern is
+    # inner-harmonic: corners lie in no stencil, and the one stencil holding
+    # the dipole (centred at (m-1, m-1)) sums it to zero.
+    pattern = {target: value, (m, m - 1): -value} if k == 3 else {target: value}
+    expected = [[pattern.get((x, y), 0) for x in range(m + 1)] for y in range(m, -1, -1)]
+    return value if _matches_on_border(xi, RatMatrix(expected)) else None
 
 
 def _search_impulse(pool, constraint_sets, m, k):
@@ -131,11 +129,7 @@ def _search_impulse(pool, constraint_sets, m, k):
     for points in constraint_sets:
         rows = [[p.evaluate(x, y) for p in pool] for x, y in points]
         for vec in linalg.nullspace(rows, ncols=len(pool)):
-            xi = BiPoly.zero()
-            for c, p in zip(vec, pool):
-                if c:
-                    xi = xi + c * p
-            xi = _canonical(xi)
+            xi = _canonical(sum((c * p for c, p in zip(vec, pool) if c), BiPoly.zero()))
             value = _verify_impulse(xi, m, k)
             if value is not None:
                 return xi, value
@@ -210,13 +204,20 @@ def extension_coefficients(chi, A, impulses):
     )
 
 
+def _extend(chi, A, impulses):
+    """One enlargement step with no precondition checks (see extend)."""
+    z = extension_coefficients(chi, A, impulses)
+    return sum((c * xi for c, xi in zip(z, impulses.polys) if c), chi)
+
+
 def extend(chi, A, impulses=None):
     """Enlarge a discrete harmonic interpolant of the lower-left
     (L-1) x (L-1) block of A to one interpolating all of A.
 
     Adds a combination of the size-(L-1) impulse polynomials, which vanish on
     the smaller block, so nothing already matched is disturbed.  The result
-    has degree <= max(2(L-1), chi's degree).
+    has degree <= max(2(L-1), chi's degree).  Checks its inputs, matching chi
+    to the block on its border only (enough, see _matches_on_border).
     """
     L = A.size
     if L < 4:
@@ -225,18 +226,13 @@ def extend(chi, A, impulses=None):
         raise PreconditionError("matrix is not inner-harmonic")
     if not is_discrete_harmonic(chi):
         raise PreconditionError("interpolant is not discrete harmonic")
-    if not interpolates(chi, A.lower_left_minor(L - 1)):
+    if not _matches_on_border(chi, A.lower_left_minor(L - 1)):
         raise PreconditionError("interpolant does not match the lower-left block")
     if impulses is None:
         impulses = build_impulse_set(L - 1)
     elif impulses.size != L - 1:
         raise PreconditionError(f"impulse set has size {impulses.size}, need {L - 1}")
-
-    sigma = chi
-    for z, xi in zip(extension_coefficients(chi, A, impulses), impulses.polys):
-        if z:
-            sigma = sigma + z * xi
-    return sigma
+    return _extend(chi, A, impulses)
 
 
 def telescopic(H):
@@ -244,7 +240,10 @@ def telescopic(H):
     inner-harmonic matrix of size L >= 3.
 
     Starts from the 3x3 lower-left block (every intermediate block stays
-    inner-harmonic) and extends one size at a time up to L.
+    inner-harmonic) and extends one size at a time up to L.  Only H is
+    checked; the steps hold by construction and run unchecked.  The result is
+    verified on the border (see _matches_on_border); a failure there is a
+    bug, not bad input, and raises InvariantError.
     """
     L = H.size
     if L < 3:
@@ -253,7 +252,9 @@ def telescopic(H):
         raise PreconditionError("matrix is not inner-harmonic")
     chi = interpolate_3x3(H.lower_left_minor(3))
     for m in range(4, L + 1):
-        chi = extend(chi, H.lower_left_minor(m))
+        chi = _extend(chi, H.lower_left_minor(m), build_impulse_set(m - 1))
+    if not (is_discrete_harmonic(chi) and _matches_on_border(chi, H)):
+        raise InvariantError("telescopic result does not interpolate the matrix")
     return chi
 
 

@@ -13,13 +13,14 @@ import math
 from fractions import Fraction
 
 from .errors import SingularMatrixError
+from .grid import _fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
 def _fraction_rows(A):
-    rows = [[Fraction(v) for v in row] for row in A]
+    rows = [[_fraction(v) for v in row] for row in A]
     if rows:
         width = len(rows[0])
         if any(len(r) != width for r in rows):
@@ -79,7 +80,7 @@ def solve(A, b):
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValueError("solve requires a square nonempty matrix")
-    rhs = [Fraction(v) for v in b]
+    rhs = [_fraction(v) for v in b]
     if len(rhs) != n:
         raise ValueError("right-hand side length must match the matrix size")
 

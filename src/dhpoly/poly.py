@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
+from .grid import _fraction
 
 _ZERO = Fraction(0)
 
@@ -33,13 +34,8 @@ class BiPoly:
         acc = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for (a, b), c in items:
-            if a < 0 or b < 0:
-                raise ValueError(f"negative exponent in term {(a, b)}")
-            if isinstance(c, float):
-                raise TypeError("float coefficients are not allowed")
-            c = Fraction(c)
-            key = (int(a), int(b))
-            c = acc.get(key, _ZERO) + c
+            key = (_exponent(a), _exponent(b))
+            c = acc.get(key, _ZERO) + _fraction(c)
             if c:
                 acc[key] = c
             else:
@@ -161,8 +157,7 @@ class BiPoly:
         return self * (Fraction(1) / Fraction(scalar))
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
+        n = _exponent(n)
         result = BiPoly.constant(1)
         base = self
         while n:
@@ -194,6 +189,15 @@ class BiPoly:
 
     def __repr__(self):
         return f"BiPoly({self})"
+
+
+def _exponent(e):
+    """A non-negative int (not bool) exponent; TypeError or ValueError otherwise."""
+    if type(e) is not int:
+        raise TypeError(f"exponent {e!r} is not an int")
+    if e < 0:
+        raise ValueError(f"negative exponent {e}")
+    return e
 
 
 def _coerce(value):

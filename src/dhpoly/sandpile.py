@@ -100,13 +100,7 @@ def phi(f, config):
 
 def check_conservation(f, config, steps):
     """True iff phi(f) is constant along the orbit of the given length."""
-    first = phi(f, config)
-    current = config
-    for _ in range(steps):
-        current = step(current)
-        if phi(f, current) != first:
-            return False
-    return True
+    return len({phi(f, c) for c in orbit(config, steps)}) == 1
 
 
 def standard_gf(L, name):

@@ -4,7 +4,13 @@ import sys
 
 import pytest
 
-from dhpoly import RatMatrix, evaluate_on_lattice, is_discrete_harmonic
+from dhpoly import (
+    ImpulseSet,
+    RatMatrix,
+    build_impulse_set,
+    evaluate_on_lattice,
+    is_discrete_harmonic,
+)
 from dhpoly.cli import main
 from dhpoly.formats import format_matrix, parse_matrix, poly_from_json, poly_to_json
 
@@ -90,6 +96,19 @@ class TestInterpolate:
         assert P.degree == 6
         assert evaluate_on_lattice(P, 4) == WORKED_4X4
         assert is_discrete_harmonic(P)
+
+    def test_faulty_step_exits_three(self, worked_csv, capsys, monkeypatch):
+        # an internal fault is not bad input: exit 3, not 2
+        real = build_impulse_set
+
+        def faulty(L):
+            good = real(L)
+            return ImpulseSet(good.size, tuple(2 * xi for xi in good.polys), good.values)
+
+        monkeypatch.setattr("dhpoly.interpolate.build_impulse_set", faulty)
+        for flags in ([], ["--verify"]):
+            assert main(["interpolate", *flags, worked_csv]) == 3
+            assert json.loads(capsys.readouterr().err)["code"] == "internal-error"
 
     def test_bilinear_oracle(self, worked_csv, capsys):
         assert main(["interpolate", "--oracle", "bilinear", worked_csv]) == 0

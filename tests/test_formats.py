@@ -153,6 +153,7 @@ class TestPolyJson:
             "{}",
             '[{"xexp": 0, "yexp": 0, "num": "1"}]',
             '[{"xexp": -1, "yexp": 0, "num": "1", "den": "1"}]',
+            '[{"xexp": true, "yexp": 0, "num": "1", "den": "1"}]',
             '[{"xexp": 0, "yexp": 0, "num": "1", "den": "0"}]',
             '[{"xexp": 0, "yexp": 0, "num": "0", "den": "1"}]',
             '[{"xexp": 0, "yexp": 0, "num": "1", "den": "1"},'

@@ -1,9 +1,12 @@
 import random
 
 import pytest
+import sympy
 
 from dhpoly import (
     BiPoly,
+    ImpulseSet,
+    InvariantError,
     PreconditionError,
     RatMatrix,
     SizeError,
@@ -12,6 +15,7 @@ from dhpoly import (
     evaluate_on_lattice,
     extend,
     extension_coefficients,
+    generate_basis,
     interpolate_3x3,
     interpolates,
     is_discrete_harmonic,
@@ -32,6 +36,10 @@ from reference_data import (
     WORKED_4X4,
     WORKED_MINOR_3X3,
 )
+
+
+def sympy_rational(v):
+    return sympy.Rational(v.numerator, v.denominator)
 
 
 class TestInterpolate3x3:
@@ -215,6 +223,63 @@ class TestTelescopic:
             telescopic(RatMatrix.zero(2))
         with pytest.raises(PreconditionError):
             telescopic(RatMatrix.identity(4))
+
+    @pytest.mark.parametrize("L", range(3, 8))
+    def test_agrees_with_any_border_fit_of_the_basis(self, L):
+        # independent oracle for checking only the border: every combination
+        # of the 4L-3 basis elements of degree <= 2(L-1) that matches H on
+        # the border (solved by sympy, free parameters kept symbolic) equals
+        # telescopic(H) on the whole lattice
+        H = random_inner_harmonic(random.Random(700 + L), L)
+        basis = generate_basis(2 * (L - 1)).elements
+        assert len(basis) == 4 * L - 3
+        border = [
+            (x, y) for x in range(L) for y in range(L) if x in (0, L - 1) or y in (0, L - 1)
+        ]
+        A = sympy.Matrix([[sympy_rational(p.evaluate(x, y)) for p in basis] for x, y in border])
+        b = sympy.Matrix([sympy_rational(H.at(x, y)) for x, y in border])
+        coeffs, free = A.gauss_jordan_solve(b)
+        assert free.shape[0] >= 1
+        P = telescopic(H)
+        for x in range(L):
+            for y in range(L):
+                fit = sum(c * sympy_rational(p.evaluate(x, y)) for c, p in zip(coeffs, basis))
+                assert sympy.expand(fit - sympy_rational(P.evaluate(x, y))) == 0
+
+    def test_faulty_step_raises_invariant_error(self, monkeypatch):
+        # impulse polynomials doubled but their values not: each step
+        # over-corrects, which only the final border check can catch
+        real = build_impulse_set
+
+        def faulty(L):
+            good = real(L)
+            return ImpulseSet(good.size, tuple(2 * xi for xi in good.polys), good.values)
+
+        monkeypatch.setattr("dhpoly.interpolate.build_impulse_set", faulty)
+        for H in (WORKED_4X4, random_inner_harmonic(random.Random(77), 6)):
+            with pytest.raises(InvariantError):
+                telescopic(H)
+
+    @pytest.mark.parametrize("L", [4, 7])
+    def test_checks_each_precondition_once(self, L, monkeypatch):
+        import dhpoly.interpolate as mod
+
+        H = random_inner_harmonic(random.Random(78), L)
+        for m in range(3, L):
+            build_impulse_set(m)
+        calls = {"is_inner_harmonic": 0, "is_discrete_harmonic": 0, "extend": 0}
+
+        def counting(name, real):
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
+        telescopic(H)
+        assert calls == {"is_inner_harmonic": 2, "is_discrete_harmonic": 1, "extend": 0}
 
 
 class TestBilinear:

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -58,6 +59,15 @@ class TestSolve:
             solve([[1, 2]], [1])
         with pytest.raises(ValueError):
             solve([[1]], [1, 2])
+
+    def test_rejects_floats_and_decimals(self):
+        for value in (0.5, Decimal("0.5")):
+            with pytest.raises(TypeError):
+                solve([[value]], [1])
+            with pytest.raises(TypeError):
+                solve([[1]], [value])
+            with pytest.raises(TypeError):
+                nullspace([[value, 1]])
 
 
 class TestNullspace:

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -66,8 +67,14 @@ class TestBiPoly:
         assert p.evaluate(Fraction(1, 2), Fraction(1, 3)) == Fraction(1, 8) - Fraction(1, 6)
 
     def test_rejects_floats(self):
+        for coeff in (0.5, Decimal("0.1"), True, "0.5"):
+            with pytest.raises(TypeError):
+                BiPoly({(0, 0): coeff})
+        for exponents in ((2.5, 0), (True, 0), (0, False)):
+            with pytest.raises(TypeError):
+                BiPoly({exponents: 1})
         with pytest.raises(TypeError):
-            BiPoly({(0, 0): 0.5})
+            X**True
         with pytest.raises(TypeError):
             X.evaluate(0.5, 1)
 

@@ -145,6 +145,10 @@ class TestConservation:
         c = SandConfig(tuple(tuple(4 for _ in range(5)) for _ in range(5)))
         assert check_conservation(standard_gf(5, "i2-j2"), c, 10)
 
+    def test_negative_steps(self):
+        with pytest.raises(PreconditionError):
+            check_conservation(standard_gf(5, "i"), random_config(5, 1), -5)
+
 
 class TestPeriodicity:
     def test_orbit_enters_cycle(self):
