@@ -39,6 +39,13 @@ EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
+#: Upper bounds on the size arguments.  A larger value exits 2 instead of
+#: running for hours; the largest allowed request takes about a minute.
+MAX_BASIS_DEGREE = 32
+MAX_EVAL_SIZE = 1000
+MAX_SANDPILE_SIZE = 128
+MAX_SANDPILE_STEPS = 800
+
 
 def _emit_error(code_name, message, location=None):
     record = {"code": code_name, "message": message, "location": location}
@@ -74,6 +81,12 @@ def _emit_poly(args, P):
         _write(args, poly_to_json(P) + "\n")
 
 
+def _at_most(flag, value, bound):
+    if value > bound:
+        raise SizeError(f"{flag} {value} exceeds the limit {bound}")
+    return value
+
+
 def cmd_check(args):
     H = parse_matrix(_read(args.matrix))
     ok = is_inner_harmonic(H)
@@ -103,8 +116,9 @@ def cmd_interpolate(args):
 
 
 def cmd_eval(args):
+    L = _at_most("--size", args.size, MAX_EVAL_SIZE)
     P = parse_poly(_read(args.poly))
-    _write(args, format_matrix(evaluate_on_lattice(P, args.size)))
+    _write(args, format_matrix(evaluate_on_lattice(P, L)))
     return EXIT_OK
 
 
@@ -118,7 +132,7 @@ def cmd_laplacian(args):
 
 
 def cmd_basis(args):
-    basis = generate_basis(args.degree)
+    basis = generate_basis(_at_most("--degree", args.degree, MAX_BASIS_DEGREE))
     if args.format == "text":
         _write(args, "".join(poly_to_text(p) + "\n" for p in basis.elements))
     else:
@@ -131,6 +145,8 @@ def cmd_basis(args):
 
 
 def cmd_sandpile_verify(args):
+    _at_most("--size", args.size, MAX_SANDPILE_SIZE)
+    _at_most("--steps", args.steps, MAX_SANDPILE_STEPS)
     if args.gf in ("i", "j", "i2-j2"):
         f = standard_gf(args.size, args.gf)
     else:
@@ -181,7 +197,9 @@ def _build_parser():
 
     p = sub.add_parser("eval", help="evaluate a polynomial file on the lattice")
     p.add_argument("poly", help="polynomial file (JSON or text), or - for stdin")
-    p.add_argument("--size", type=int, required=True, help="lattice size L")
+    p.add_argument(
+        "--size", type=int, required=True, help=f"lattice size L (at most {MAX_EVAL_SIZE})"
+    )
     p.add_argument("-o", "--output", help="output path (default stdout)")
     p.set_defaults(func=cmd_eval)
 
@@ -193,7 +211,12 @@ def _build_parser():
     p.set_defaults(func=cmd_laplacian)
 
     p = sub.add_parser("basis", help="emit the canonical discrete harmonic basis")
-    p.add_argument("--degree", type=int, required=True, help="maximum total degree")
+    p.add_argument(
+        "--degree",
+        type=int,
+        required=True,
+        help=f"maximum total degree (at most {MAX_BASIS_DEGREE})",
+    )
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.add_argument("-o", "--output", help="output path (default stdout)")
     p.set_defaults(func=cmd_basis)
@@ -202,8 +225,15 @@ def _build_parser():
         "sandpile-verify",
         help="print the weighted-sum trace of a random toppling orbit; exit 1 if it varies",
     )
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument(
+        "--size", type=int, required=True, help=f"torus size (at most {MAX_SANDPILE_SIZE})"
+    )
+    p.add_argument(
+        "--steps",
+        type=int,
+        required=True,
+        help=f"number of toppling steps (at most {MAX_SANDPILE_STEPS})",
+    )
     p.add_argument("--seed", type=int, required=True)
     p.add_argument(
         "--gf",

@@ -93,6 +93,9 @@ class RatMatrix:
             return NotImplemented
         return self._rows == other._rows
 
+    def __hash__(self):
+        return hash(self._rows)
+
     def __repr__(self):
         body = "; ".join(",".join(str(v) for v in row) for row in self._rows)
         return f"RatMatrix({self.size}x{self.size}: {body})"

@@ -1,6 +1,12 @@
 """Sparse bivariate polynomials over exact rationals and the five-point
 lattice Laplacian acting on them.
 
+Evaluation uses one integer form per polynomial, built on first use: the
+coefficients times D, the lcm of their denominators, in rows by y-exponent.
+The value is nested Horner (x inside y) over those integers, divided by D
+once.  Every step is exact, so it equals the term-by-term sum, and at
+integer points it costs integer arithmetic and one Fraction.
+
 The Laplacian of a polynomial P is the polynomial identity
 ``4P(x,y) - P(x-1,y) - P(x+1,y) - P(x,y-1) - P(x,y+1)``, computed here
 term-by-term through the one-variable monomial images, so no polynomial
@@ -28,7 +34,7 @@ class BiPoly:
     stores no terms and reports degree -1.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_horner")
 
     def __init__(self, terms=()):
         acc = {}
@@ -41,6 +47,15 @@ class BiPoly:
             else:
                 acc.pop(key, None)
         self._terms = acc
+        self._horner = None
+
+    @classmethod
+    def _from_terms(cls, terms):
+        """Wrap a term map that is already exact and has no zero coefficient."""
+        out = cls.__new__(cls)
+        out._terms = terms
+        out._horner = None
+        return out
 
     @classmethod
     def zero(cls):
@@ -82,13 +97,40 @@ class BiPoly:
         return key, self._terms[key]
 
     def evaluate(self, px, py):
-        """Exact value at a rational point."""
+        """Exact value at a rational point, as a Fraction.
+
+        P(x, y) = (1/D) * sum_b y^b * sum_a (c_ab * D) x^a: the inner sums
+        run Horner in x over the integer rows, the outer sum Horner in y, and
+        D divides once at the end.  That only regroups the term-by-term sum
+        in exact int or Fraction arithmetic, so the value is the same.
+        Floats raise TypeError.
+        """
         if isinstance(px, float) or isinstance(py, float):
             raise TypeError("float arguments are not allowed")
-        acc = _ZERO
+        if self._horner is None:
+            self._horner = self._integer_form()
+        den, rows = self._horner
+        acc = 0
+        for row in rows:
+            inner = 0
+            for c in row:
+                inner = inner * px + c
+            acc = acc * py + inner
+        return Fraction(acc, den)
+
+    def _integer_form(self):
+        """(D, rows): D is the lcm of the coefficient denominators; rows[k]
+        holds the coefficients times D of y^(top-k), highest x-power first,
+        with zeros in the gaps."""
+        den = math.lcm(*(c.denominator for c in self._terms.values()))
+        width = {}
+        for a, b in self._terms:
+            width[b] = max(width.get(b, 0), a + 1)
+        top = max(width, default=-1)
+        rows = [[0] * width.get(b, 0) for b in range(top, -1, -1)]
         for (a, b), c in self._terms.items():
-            acc += c * px**a * py**b
-        return acc
+            rows[top - b][width[b] - 1 - a] = c.numerator * (den // c.denominator)
+        return den, rows
 
     def swap_xy(self):
         return BiPoly({(b, a): c for (a, b), c in self._terms.items()})
@@ -104,16 +146,12 @@ class BiPoly:
                 acc[key] = s
             else:
                 acc.pop(key, None)
-        out = BiPoly.zero()
-        out._terms = acc
-        return out
+        return BiPoly._from_terms(acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = BiPoly.zero()
-        out._terms = {k: -c for k, c in self._terms.items()}
-        return out
+        return BiPoly._from_terms({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -131,9 +169,7 @@ class BiPoly:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return BiPoly.zero()
-            out = BiPoly.zero()
-            out._terms = {k: c * other for k, c in self._terms.items()}
-            return out
+            return BiPoly._from_terms({k: c * other for k, c in self._terms.items()})
         if not isinstance(other, BiPoly):
             return NotImplemented
         acc = {}
@@ -145,9 +181,7 @@ class BiPoly:
                     acc[key] = s
                 else:
                     acc.pop(key, None)
-        out = BiPoly.zero()
-        out._terms = acc
-        return out
+        return BiPoly._from_terms(acc)
 
     __rmul__ = __mul__
 
@@ -173,6 +207,12 @@ class BiPoly:
         if not isinstance(other, BiPoly):
             return NotImplemented
         return self._terms == other._terms
+
+    def __hash__(self):
+        # Constants equal the int or Fraction they hold, so hash like it.
+        if self.degree <= 0:
+            return hash(self.coefficient(0, 0))
+        return hash(frozenset(self._terms.items()))
 
     def __str__(self):
         if not self._terms:

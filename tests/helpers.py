@@ -34,3 +34,12 @@ def random_poly(rng, max_degree=6, n_terms=8, max_num=9, max_den=5):
         b = rng.randint(0, max_degree - a)
         terms[(a, b)] = random_rational(rng, max_num, max_den)
     return BiPoly(terms)
+
+
+def naive_evaluate(P, x, y):
+    """Term-by-term Fraction sum of c * x**a * y**b: the reference that
+    BiPoly.evaluate's integer Horner form is checked against."""
+    acc = Fraction(0)
+    for (a, b), c in P.terms():
+        acc += c * x**a * y**b
+    return acc

@@ -11,7 +11,13 @@ from dhpoly import (
     evaluate_on_lattice,
     is_discrete_harmonic,
 )
-from dhpoly.cli import main
+from dhpoly.cli import (
+    MAX_BASIS_DEGREE,
+    MAX_EVAL_SIZE,
+    MAX_SANDPILE_SIZE,
+    MAX_SANDPILE_STEPS,
+    main,
+)
 from dhpoly.formats import format_matrix, parse_matrix, poly_from_json, poly_to_json
 
 from reference_data import (
@@ -34,6 +40,12 @@ def worked_csv(tmp_path):
     path = tmp_path / "worked.csv"
     path.write_text(format_matrix(WORKED_4X4))
     return str(path)
+
+
+def _assert_input_error(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["code"] == "input-error"
 
 
 class TestCheck:
@@ -144,6 +156,12 @@ class TestEval:
             [[0, 2, 4], [0, 1, 2], [0, 0, 0]]
         )
 
+    def test_size_above_limit(self, tmp_path, capsys):
+        poly_path = tmp_path / "p.txt"
+        poly_path.write_text("1*x^1*y^1")
+        assert main(["eval", str(poly_path), "--size", str(MAX_EVAL_SIZE + 1)]) == 2
+        _assert_input_error(capsys)
+
 
 class TestLaplacian:
     def test_matrix_input(self, sample_csv, capsys):
@@ -168,6 +186,10 @@ class TestBasis:
         assert main(["basis", "--degree", "1", "--format", "text"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines == ["1", "1*x^1", "1*y^1"]
+
+    def test_degree_above_limit(self, capsys):
+        assert main(["basis", "--degree", str(MAX_BASIS_DEGREE + 1)]) == 2
+        _assert_input_error(capsys)
 
 
 class TestSandpileVerify:
@@ -214,11 +236,41 @@ class TestSandpileVerify:
         assert captured.out == ""
         assert json.loads(captured.err)["code"] == "input-error"
 
+    def test_size_above_limit(self, capsys):
+        size = str(MAX_SANDPILE_SIZE + 1)
+        code = main(
+            ["sandpile-verify", "--size", size, "--steps", "5", "--seed", "1", "--gf", "i"]
+        )
+        assert code == 2
+        _assert_input_error(capsys)
+
+    def test_steps_above_limit(self, capsys):
+        steps = str(MAX_SANDPILE_STEPS + 1)
+        code = main(
+            ["sandpile-verify", "--size", "5", "--steps", steps, "--seed", "1", "--gf", "i"]
+        )
+        assert code == 2
+        _assert_input_error(capsys)
+
 
 class TestUsage:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
         assert json.loads(capsys.readouterr().err)["code"] == "usage"
+
+    @pytest.mark.parametrize(
+        "command, limits",
+        [
+            ("basis", [MAX_BASIS_DEGREE]),
+            ("eval", [MAX_EVAL_SIZE]),
+            ("sandpile-verify", [MAX_SANDPILE_SIZE, MAX_SANDPILE_STEPS]),
+        ],
+    )
+    def test_help_shows_limits(self, command, limits, capsys):
+        assert main([command, "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for limit in limits:
+            assert f"at most {limit}" in text
 
     def test_module_entry_point(self, sample_csv):
         result = subprocess.run(

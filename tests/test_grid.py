@@ -99,6 +99,13 @@ class TestRatMatrix:
         )
         assert WORKED_4X4.lower_left_minor(4) == WORKED_4X4
 
+    def test_hash_and_set_membership(self):
+        H = RatMatrix([[1, "1/2"], [3, 4]])
+        same = RatMatrix([[Fraction(1), Fraction(1, 2)], ["3", 4]])
+        assert hash(H) == hash(same)
+        assert {H, same, RatMatrix.identity(2)} == {H, RatMatrix.identity(2)}
+        assert {H: "h"}[same] == "h"
+
 
 class TestLaplacianMatrix:
     def test_sample_is_flat(self):

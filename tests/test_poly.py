@@ -17,7 +17,7 @@ from dhpoly import (
 )
 from dhpoly import linalg
 
-from helpers import random_poly, random_rational
+from helpers import naive_evaluate, random_poly, random_rational
 from reference_data import BILINEAR_INTERPOLANT
 
 
@@ -80,6 +80,31 @@ class TestBiPoly:
 
     def test_swap(self):
         assert (X**2 * Y).swap_xy() == X * Y**2
+
+    def test_derived_polynomials_do_not_inherit_the_evaluation_form(self):
+        P = Fraction(3, 4) * X**3 * Y - Fraction(1, 6) * Y**2 + 2
+        Q = Fraction(-5, 7) * X * Y**4 + X**2 - Fraction(1, 3)
+        P.evaluate(2, -3)
+        derived = (P + Q, -P, P - Q, P * Q, 3 * P, P / 2, P**2, P.swap_xy())
+        for R in derived:
+            for x, y in ((2, -3), (-1, 4), (Fraction(1, 2), 3)):
+                assert R.evaluate(x, y) == naive_evaluate(R, x, y)
+
+    def test_equal_values_hash_equal(self):
+        assert hash(BiPoly.constant(3)) == hash(3)
+        assert hash(BiPoly.constant(Fraction(1, 2))) == hash(Fraction(1, 2))
+        assert hash(BiPoly.zero()) == hash(0)
+        assert hash((X + Y) * (X - Y)) == hash(X**2 - Y**2)
+        assert hash(X.swap_xy()) == hash(Y)
+
+    def test_set_members_and_dict_keys(self):
+        assert {X**2 - Y**2, (X - Y) * (X + Y), BiPoly.constant(3), 3} == {
+            X**2 - Y**2,
+            BiPoly.constant(3),
+        }
+        table = {X * Y: "xy", BiPoly.zero(): "zero"}
+        assert table[Y * X] == "xy"
+        assert table[0] == "zero"
 
 
 class TestLaplacianMonomial:

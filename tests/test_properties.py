@@ -1,11 +1,14 @@
 """Property tests: stencil linearity, x/y-swap symmetry of the polynomial
-Laplacian, and the degree bound of telescopic interpolation.  Examples are
-derandomized so every run checks the same cases."""
+Laplacian, the degree bound of telescopic interpolation, and polynomial
+evaluation against the term-by-term sum.  Examples are derandomized so every
+run checks the same cases."""
+
+from fractions import Fraction
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dhpoly import (
     BiPoly,
@@ -14,11 +17,14 @@ from dhpoly import (
     complete,
     discrete_laplacian_matrix,
     discrete_laplacian_poly,
+    evaluate_on_lattice,
     interpolates,
     is_discrete_harmonic,
     tabulated_basis,
     telescopic,
 )
+
+from helpers import naive_evaluate
 
 small = settings(max_examples=20, deadline=None, derandomize=True, database=None)
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=5)
@@ -42,6 +48,19 @@ def polynomials(draw):
         a, b = draw(st.integers(0, 6)), draw(st.integers(0, 6))
         P = P + BiPoly.monomial(a, b, draw(rationals))
     return P
+
+
+@st.composite
+def sparse_polynomials(draw):
+    """Sparse rational polynomials with exponents 0..9 (gaps, x-only and
+    y-only terms, constants and the zero polynomial included)."""
+    exponents = st.tuples(st.integers(0, 9), st.integers(0, 9))
+    return BiPoly(draw(st.dictionaries(exponents, rationals, max_size=8)))
+
+
+points = st.one_of(
+    st.integers(-12, 12), st.booleans(), st.fractions(-9, 9, max_denominator=7)
+)
 
 
 @st.composite
@@ -77,3 +96,15 @@ def test_telescopic_degree_bound(H):
     P = telescopic(H)
     assert P.degree <= 2 * (H.size - 1)
     assert interpolates(P, H)
+
+
+@small
+@given(sparse_polynomials(), points, points, st.integers(1, 6))
+@example(BiPoly.zero(), -3, True, 1)
+@example(BiPoly.constant(Fraction(-7, 3)), Fraction(2, 5), -4, 6)
+def test_evaluate_matches_term_by_term_sum(P, x, y, L):
+    value = P.evaluate(x, y)
+    assert type(value) is Fraction
+    assert value == naive_evaluate(P, x, y)
+    expected = [[naive_evaluate(P, u, v) for u in range(L)] for v in range(L - 1, -1, -1)]
+    assert evaluate_on_lattice(P, L) == RatMatrix(expected)
