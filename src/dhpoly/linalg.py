@@ -1,10 +1,12 @@
 """Exact dense linear algebra over the rationals.
 
-Deterministic solve and nullspace built on fraction-free (Bareiss) elimination:
-rows are scaled to integers up front and every intermediate division is exact,
-which keeps entry growth polynomial instead of the blowup naive rational
-elimination suffers.  Pivoting is always "first nonzero in row order", so two
-runs on the same input produce identical output.
+Deterministic solve, RREF and nullspace run entirely in integers: rows are
+scaled to integers up front, fraction-free (Bareiss) elimination reaches row
+echelon form with every intermediate division exact, and an integer
+back-substitution scaled by the last pivot finishes the reduction.  Each output
+entry becomes one Fraction at the end, so entry growth stays polynomial and no
+rational arithmetic runs inside the elimination.  Pivoting is always "first
+nonzero in row order", so two runs on the same input produce identical output.
 """
 
 from __future__ import annotations
@@ -14,10 +16,6 @@ from fractions import Fraction
 
 from .errors import SingularMatrixError
 from .grid import _fraction
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 def _fraction_rows(A):
     rows = [[_fraction(v) for v in row] for row in A]
@@ -34,7 +32,7 @@ def _integer_rows(rows):
     out = []
     for row in rows:
         mult = math.lcm(*(v.denominator for v in row)) if row else 1
-        out.append([int(v * mult) for v in row])
+        out.append([v.numerator * (mult // v.denominator) for v in row])
     return out
 
 
@@ -71,6 +69,44 @@ def _ff_echelon(m, pivot_cols):
     return pivots
 
 
+def _back_substitute(m, pivots, cols):
+    """Integer back-substitution over the echelon form left by _ff_echelon.
+
+    Returns (d, rows).  d is the last pivot, the Bareiss determinant of the
+    pivot minor (1 when there are no pivots), and rows[k] lists
+    d * R[k][j] for j in ``cols``, where R is the reduced row echelon form.
+    By Cramer's rule every entry of d * R is an integer, so working from the
+    last pivot up,
+
+        row_k <- (d * row_k - sum_{s > k} row_k[c_s] * row_s) / row_k[c_k]
+
+    divides exactly at every step.
+    """
+    if not pivots:
+        return 1, []
+    d = m[pivots[-1][0]][pivots[-1][1]]
+    out = [None] * len(pivots)
+    for k in range(len(pivots) - 1, -1, -1):
+        row = m[pivots[k][0]]
+        acc = [d * row[j] for j in cols]
+        for s in range(k + 1, len(pivots)):
+            f = row[pivots[s][1]]
+            if f:
+                acc = [a - f * v for a, v in zip(acc, out[s])]
+        p = row[pivots[k][1]]
+        out[k] = [a // p for a in acc]
+    return d, out
+
+
+def _primitive_ints(ints):
+    """Divide a nonzero integer vector by its gcd, signed so the first nonzero
+    entry is positive."""
+    g = math.gcd(*ints)
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return tuple(Fraction(v // g) for v in ints)
+
+
 def solve(A, b):
     """Exact solution of the square system A x = b.
 
@@ -88,14 +124,8 @@ def solve(A, b):
     pivots = _ff_echelon(aug, range(n))
     if len(pivots) < n:
         raise SingularMatrixError(len(pivots))
-
-    x = [_ZERO] * n
-    for i in range(n - 1, -1, -1):
-        acc = Fraction(aug[i][n])
-        for j in range(i + 1, n):
-            acc -= aug[i][j] * x[j]
-        x[i] = acc / aug[i][i]
-    return x
+    d, reduced = _back_substitute(aug, pivots, [n])
+    return [Fraction(row[0], d) for row in reduced]
 
 
 def rref(A, ncols=None):
@@ -110,17 +140,8 @@ def rref(A, ncols=None):
         ncols = len(rows[0]) if rows else 0
     m = _integer_rows(rows)
     pivots = _ff_echelon(m, range(ncols))
-
-    reduced = [[Fraction(v) for v in row] for row in m]
-    for r, c in reversed(pivots):
-        piv = reduced[r][c]
-        reduced[r] = [v / piv for v in reduced[r]]
-        for rr in range(r):
-            factor = reduced[rr][c]
-            if factor:
-                reduced[rr] = [u - factor * v for u, v in zip(reduced[rr], reduced[r])]
-    kept = [tuple(reduced[r]) for r, _ in pivots]
-    return kept, [c for _, c in pivots]
+    d, reduced = _back_substitute(m, pivots, range(ncols))
+    return [tuple(Fraction(v, d) for v in row) for row in reduced], [c for _, c in pivots]
 
 
 def rank(A, ncols=None):
@@ -140,13 +161,7 @@ def primitive(vec):
     if not nonzero:
         return tuple(vec)
     mult = math.lcm(*(v.denominator for v in nonzero))
-    ints = [int(v * mult) for v in vec]
-    g = math.gcd(*ints)
-    ints = [v // g for v in ints]
-    lead = next(v for v in ints if v)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(Fraction(v) for v in ints)
+    return _primitive_ints([v.numerator * (mult // v.denominator) for v in vec])
 
 
 def nullspace(A, ncols=None):
@@ -162,13 +177,18 @@ def nullspace(A, ncols=None):
         if not rows:
             raise ValueError("ncols is required for a matrix with no rows")
         ncols = len(rows[0])
-    reduced, pivot_cols = rref(rows, ncols)
-    free_cols = [c for c in range(ncols) if c not in set(pivot_cols)]
+    m = _integer_rows(rows)
+    pivots = _ff_echelon(m, range(ncols))
+    pivot_cols = {c for _, c in pivots}
+    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+    # d * R gives each kernel vector in integers: d at its free column and
+    # -d * R[r][f] at pivot column c_r.
+    d, reduced = _back_substitute(m, pivots, free_cols)
     basis = []
-    for f in free_cols:
-        v = [_ZERO] * ncols
-        v[f] = _ONE
-        for r, c in zip(range(len(pivot_cols)), pivot_cols):
-            v[c] = -reduced[r][f]
-        basis.append(primitive(v))
+    for i, f in enumerate(free_cols):
+        v = [0] * ncols
+        v[f] = d
+        for (_, c), row in zip(pivots, reduced):
+            v[c] = -row[i]
+        basis.append(_primitive_ints(v))
     return basis

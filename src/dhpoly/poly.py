@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import linalg
 from .grid import _fraction
@@ -253,6 +254,13 @@ X = BiPoly.monomial(1, 0)
 Y = BiPoly.monomial(0, 1)
 
 
+@lru_cache(maxsize=None)
+def _laplacian_table(n):
+    """The terms of laplacian_monomial(n) as ((k, coefficient of v^k), ...),
+    built once per n."""
+    return tuple((k, -2 * math.comb(n, k)) for k in range(n - 2, -1, -2))
+
+
 def laplacian_monomial(n, variable="x"):
     """Image of v^n under the lattice Laplacian, as a polynomial in v.
 
@@ -261,13 +269,9 @@ def laplacian_monomial(n, variable="x"):
     """
     if variable not in ("x", "y"):
         raise ValueError("variable must be 'x' or 'y'")
-    if n < 2:
-        return BiPoly.zero()
-    terms = {}
-    for k in range(n - 2, -1, -2):
-        key = (k, 0) if variable == "x" else (0, k)
-        terms[key] = -2 * math.comb(n, k)
-    return BiPoly(terms)
+    return BiPoly(
+        {((k, 0) if variable == "x" else (0, k)): d for k, d in _laplacian_table(n)}
+    )
 
 
 def discrete_laplacian_poly(P):
@@ -278,21 +282,15 @@ def discrete_laplacian_poly(P):
     """
     acc = {}
     for (a, b), c in P.terms():
-        for (k, _), d in laplacian_monomial(a, "x").terms():
-            key = (k, b)
+        images = [((k, b), d) for k, d in _laplacian_table(a)]
+        images += [((a, k), d) for k, d in _laplacian_table(b)]
+        for key, d in images:
             s = acc.get(key, _ZERO) + c * d
             if s:
                 acc[key] = s
             else:
                 acc.pop(key, None)
-        for (_, k), d in laplacian_monomial(b, "y").terms():
-            key = (a, k)
-            s = acc.get(key, _ZERO) + c * d
-            if s:
-                acc[key] = s
-            else:
-                acc.pop(key, None)
-    return BiPoly(acc)
+    return BiPoly._from_terms(acc)
 
 
 def is_discrete_harmonic(P):

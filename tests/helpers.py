@@ -1,9 +1,11 @@
 """Shared generators for randomized tests.  Every caller passes its own
 seeded random.Random so the suite is deterministic."""
 
+import math
 from fractions import Fraction
 
 from dhpoly import BiPoly, BorderSpec, RatMatrix, complete
+from dhpoly.linalg import _ff_echelon, _fraction_rows, _integer_rows
 
 
 def random_rational(rng, max_num=9, max_den=5):
@@ -43,3 +45,38 @@ def naive_evaluate(P, x, y):
     for (a, b), c in P.terms():
         acc += c * x**a * y**b
     return acc
+
+
+def fraction_rref(rows, ncols):
+    """RREF by Fraction back-substitution over the fraction-free echelon form:
+    the reference that linalg.rref's integer back-substitution is checked
+    against.  Returns (rows, pivot_columns) like linalg.rref."""
+    m = _integer_rows(_fraction_rows(rows))
+    pivots = _ff_echelon(m, range(ncols))
+    reduced = [[Fraction(v) for v in row] for row in m]
+    for r, c in reversed(pivots):
+        piv = reduced[r][c]
+        reduced[r] = [v / piv for v in reduced[r]]
+        for rr in range(r):
+            factor = reduced[rr][c]
+            if factor:
+                reduced[rr] = [u - factor * v for u, v in zip(reduced[rr], reduced[r])]
+    return [tuple(reduced[r]) for r, _ in pivots], [c for _, c in pivots]
+
+
+def kernel_from_rref(reduced, pivot_cols, ncols):
+    """Kernel basis read off an RREF in Fraction arithmetic, free columns in
+    order, each scaled to coprime integers with positive first nonzero entry."""
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivot_cols):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for row, c in zip(reduced, pivot_cols):
+            v[c] = -row[f]
+        mult = math.lcm(*(x.denominator for x in v))
+        ints = [int(x * mult) for x in v]
+        g = math.gcd(*ints)
+        if next(x for x in ints if x) < 0:
+            g = -g
+        basis.append(tuple(Fraction(x // g) for x in ints))
+    return basis

@@ -1,11 +1,14 @@
 """Property tests: stencil linearity, x/y-swap symmetry of the polynomial
-Laplacian, the degree bound of telescopic interpolation, and polynomial
-evaluation against the term-by-term sum.  Examples are derandomized so every
-run checks the same cases."""
+Laplacian, the degree bound of telescopic interpolation, polynomial
+evaluation against the term-by-term sum, uniqueness of border completion, and
+the exact linear algebra against a Fraction back-substitution and sympy.
+Examples are derandomized so every run checks the same cases."""
 
+import math
 from fractions import Fraction
 
 import pytest
+import sympy
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
@@ -14,17 +17,21 @@ from dhpoly import (
     BiPoly,
     BorderSpec,
     RatMatrix,
+    SingularMatrixError,
     complete,
     discrete_laplacian_matrix,
     discrete_laplacian_poly,
     evaluate_on_lattice,
+    extract_border,
     interpolates,
     is_discrete_harmonic,
+    is_inner_harmonic,
     tabulated_basis,
     telescopic,
 )
+from dhpoly.linalg import nullspace, rank, rref, solve
 
-from helpers import naive_evaluate
+from helpers import fraction_rref, kernel_from_rref, naive_evaluate
 
 small = settings(max_examples=20, deadline=None, derandomize=True, database=None)
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=5)
@@ -38,12 +45,18 @@ def matrix_pairs(draw):
 
 
 @st.composite
+def harmonic_polynomials(draw):
+    """Rational combinations of tabulated harmonic elements."""
+    basis = tabulated_basis().elements
+    coeffs = draw(st.lists(rationals, min_size=len(basis), max_size=len(basis)))
+    return sum((c * p for c, p in zip(coeffs, basis) if c), BiPoly.zero())
+
+
+@st.composite
 def polynomials(draw):
     """A combination of tabulated harmonic elements, sometimes plus one
     monomial that usually breaks harmonicity."""
-    basis = tabulated_basis().elements
-    coeffs = draw(st.lists(rationals, min_size=len(basis), max_size=len(basis)))
-    P = sum((c * p for c, p in zip(coeffs, basis) if c), BiPoly.zero())
+    P = draw(harmonic_polynomials())
     if draw(st.booleans()):
         a, b = draw(st.integers(0, 6)), draw(st.integers(0, 6))
         P = P + BiPoly.monomial(a, b, draw(rationals))
@@ -108,3 +121,115 @@ def test_evaluate_matches_term_by_term_sum(P, x, y, L):
     assert value == naive_evaluate(P, x, y)
     expected = [[naive_evaluate(P, u, v) for u in range(L)] for v in range(L - 1, -1, -1)]
     assert evaluate_on_lattice(P, L) == RatMatrix(expected)
+
+
+@small
+@given(harmonic_polynomials(), st.integers(3, 8))
+def test_completion_is_unique(P, L):
+    # H comes from a harmonic polynomial, not from complete, so complete must
+    # recover it from its border alone.
+    H = evaluate_on_lattice(P, L)
+    assert is_inner_harmonic(H)
+    assert complete(extract_border(H)) == H
+
+
+def rational_rows(entry, nrows, ncols):
+    return st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows)
+
+
+@st.composite
+def matrices(draw, square=False):
+    """(rows, ncols) with 0-8 rows and 1-9 columns, or n x n with n in 1-8:
+    the product of random rational factors of shapes rows x r and r x ncols,
+    a sparse matrix with whole zero rows and columns, or the zero matrix."""
+    ncols = draw(st.integers(1, 8 if square else 9))
+    nrows = ncols if square else draw(st.integers(0, 8))
+    kind = draw(st.sampled_from(["product", "sparse", "zero"]))
+    if kind == "product":
+        r = draw(st.integers(0, min(nrows, ncols)))
+        U = draw(rational_rows(rationals, nrows, r))
+        V = draw(rational_rows(rationals, r, ncols))
+        rows = [
+            [sum((u[s] * V[s][j] for s in range(r)), Fraction(0)) for j in range(ncols)]
+            for u in U
+        ]
+    elif kind == "sparse":
+        rows = draw(rational_rows(st.one_of(st.just(Fraction(0)), rationals), nrows, ncols))
+        zero_rows = draw(st.sets(st.integers(0, max(nrows - 1, 0))))
+        zero_cols = draw(st.sets(st.integers(0, ncols - 1)))
+        rows = [
+            [Fraction(0) if i in zero_rows or j in zero_cols else v for j, v in enumerate(row)]
+            for i, row in enumerate(rows)
+        ]
+    else:
+        rows = [[Fraction(0)] * ncols for _ in range(nrows)]
+    return rows, ncols
+
+
+def sympy_matrix(rows, ncols):
+    entries = [sympy.Rational(v.numerator, v.denominator) for row in rows for v in row]
+    return sympy.Matrix(len(rows), ncols, entries)
+
+
+def as_fractions(values):
+    return [Fraction(int(v.p), int(v.q)) for v in values]
+
+
+ZERO_3X4 = ([[Fraction(0)] * 4 for _ in range(3)], 4)
+NO_ROWS = ([], 5)
+RANK_TWO = ([[1, 2, 3], [2, 4, Fraction(7, 2)], [Fraction(-1, 3), Fraction(-2, 3), 0]], 3)
+
+
+@small
+@given(matrices())
+@example(ZERO_3X4)
+@example(NO_ROWS)
+@example(RANK_TWO)
+def test_rref_matches_fraction_oracle_and_sympy(case):
+    rows, ncols = case
+    reduced, pivots = rref(rows, ncols)
+    assert (reduced, pivots) == fraction_rref(rows, ncols)
+    assert all(type(v) is Fraction for row in reduced for v in row)
+    assert rank(rows, ncols) == len(pivots)
+    if rows:
+        R, sympy_pivots = sympy_matrix(rows, ncols).rref()
+        assert list(sympy_pivots) == pivots
+        expected = [tuple(as_fractions(R.row(i))) for i in range(len(pivots))]
+        assert reduced == expected
+        assert all(v == 0 for v in R[len(pivots):, :])
+    else:
+        assert (reduced, pivots) == ([], [])
+
+
+@small
+@given(matrices())
+@example(ZERO_3X4)
+@example(NO_ROWS)
+@example(RANK_TWO)
+def test_nullspace_is_the_primitive_kernel(case):
+    rows, ncols = case
+    basis = nullspace(rows, ncols)
+    assert len(basis) == ncols - rank(rows, ncols)
+    for v in basis:
+        assert all(type(x) is Fraction and x.denominator == 1 for x in v)
+        assert math.gcd(*(int(x) for x in v)) == 1
+        assert next(x for x in v if x) > 0
+        assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
+    assert basis == kernel_from_rref(*fraction_rref(rows, ncols), ncols)
+
+
+@small
+@given(matrices(square=True), st.data())
+def test_solve_matches_sympy(case, data):
+    rows, n = case
+    b = data.draw(st.lists(rationals, min_size=n, max_size=n))
+    M = sympy_matrix(rows, n)
+    sympy_rank = M.rank()
+    if sympy_rank < n:
+        with pytest.raises(SingularMatrixError) as err:
+            solve(rows, b)
+        assert err.value.rank == sympy_rank
+    else:
+        x = solve(rows, b)
+        assert all(type(v) is Fraction for v in x)
+        assert x == as_fractions(M.LUsolve(sympy_matrix([b], n).T))
