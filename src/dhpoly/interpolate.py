@@ -13,6 +13,7 @@ is generally not discrete harmonic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -75,15 +76,13 @@ def _designated_sites(m):
     return ((0, m), (m, m), (m, 0), (m - 1, m))
 
 
-def _canonical(P):
-    """Scale to primitive integer coefficients, first nonzero coefficient
-    (in canonical term order) positive."""
-    terms = P.sorted_terms()
-    if not terms:
-        return P
-    coeffs = [c for _, c in terms]
-    prim = linalg.primitive(coeffs)
-    return P * (prim[0] / coeffs[0])
+def _primitive_poly(terms):
+    """BiPoly of an integer term map with no zero entry, divided by its gcd
+    and signed so the first term in canonical order is positive."""
+    g = math.gcd(*terms.values())
+    if terms[min(terms, key=lambda ab: (ab[0] + ab[1], ab[0]))] < 0:
+        g = -g
+    return BiPoly._from_terms({key: Fraction(c // g) for key, c in terms.items()})
 
 
 def _block_border_sites(L):
@@ -106,11 +105,9 @@ def _matches_on_border(P, H):
 
 def _verify_impulse(xi, m, k):
     """Value at the designated site if xi has the exact single-impulse (or
-    dipole, for k = 3) pattern on the (m+1)-lattice, else None."""
-    if xi.is_zero or xi.degree > 2 * m:
-        return None
-    if not is_discrete_harmonic(xi):
-        return None
+    dipole, for k = 3) pattern on the (m+1)-lattice, else None.  xi must be
+    discrete harmonic, so that matching the border means matching the whole
+    lattice (see _matches_on_border)."""
     target = _designated_sites(m)[k]
     value = xi.evaluate(*target)
     if value == 0:
@@ -123,13 +120,24 @@ def _verify_impulse(xi, m, k):
     return value if _matches_on_border(xi, RatMatrix(expected)) else None
 
 
-def _search_impulse(pool, constraint_sets, m, k):
+def _search_impulse(pool, table, constraint_sets, m, k):
     """Try each constraint set, and within it each kernel vector, until a
-    combination verifies the impulse pattern."""
+    combination verifies the impulse pattern.
+
+    ``pool`` holds the candidates' integer term maps and ``table`` their
+    values at every constraint point.  A kernel vector is integral, so each
+    candidate sum runs in integers.
+    """
     for points in constraint_sets:
-        rows = [[p.evaluate(x, y) for p in pool] for x, y in points]
+        rows = [table[point] for point in points]
         for vec in linalg.nullspace(rows, ncols=len(pool)):
-            xi = _canonical(sum((c * p for c, p in zip(vec, pool) if c), BiPoly.zero()))
+            acc = {}
+            for v, terms in zip(vec, pool):
+                if v:
+                    v = v.numerator
+                    for key, c in terms.items():
+                        acc[key] = acc.get(key, 0) + v * c
+            xi = _primitive_poly({key: c for key, c in acc.items() if c})
             value = _verify_impulse(xi, m, k)
             if value is not None:
                 return xi, value
@@ -145,8 +153,11 @@ def build_impulse_set(L):
     points chosen per polynomial; candidates are the 4L non-constant elements
     of the canonical harmonic basis up to degree 2L.  The first coefficient
     row of every system is zero (no candidate has a constant term), so a
-    nonzero kernel always exists.  Every candidate solution is verified
-    against the full impulse pattern; on failure the remaining kernel vectors
+    nonzero kernel always exists.  The candidates are evaluated once, at the
+    border sites and every extra point.  A solution is an integer
+    combination of basis elements, so it is discrete harmonic of degree
+    <= 2L by construction; what is checked is its impulse pattern, on the
+    border of the (L+1)-lattice.  On failure the remaining kernel vectors
     and then two documented alternate fourth points are tried.  The third
     polynomial is the first with x and y swapped (the Laplacian is symmetric
     under the swap, and swapping moves the impulse from (0, L) to (L, 0)).
@@ -155,7 +166,7 @@ def build_impulse_set(L):
     """
     if L < 3:
         raise SizeError("impulse polynomials need size at least 3")
-    pool = tuple(p for p in generate_basis(2 * L).elements if p.degree >= 1)
+    basis = [p for p in generate_basis(2 * L).elements if p.degree >= 1]
     border = _block_border_sites(L)
     extras = {
         0: ((L - 1, L), (L, L), (L, 0), (L + 1, L)),
@@ -163,6 +174,9 @@ def build_impulse_set(L):
         3: ((0, L), (L, L), (L, 0), (L + 1, L)),
     }
     alternate_fourth = ((L, L + 1), (L + 1, L - 1))
+    points = set(border).union(*extras.values(), alternate_fourth)
+    table = {point: [p.evaluate(*point) for p in basis] for point in points}
+    pool = [{key: c.numerator for key, c in p.terms()} for p in basis]
 
     polys = [None] * 4
     values = [None] * 4
@@ -170,9 +184,9 @@ def build_impulse_set(L):
         constraint_sets = [border + extra]
         for alt in alternate_fourth:
             constraint_sets.append(border + extra[:3] + (alt,))
-        polys[k], values[k] = _search_impulse(pool, constraint_sets, L, k)
+        polys[k], values[k] = _search_impulse(pool, table, constraint_sets, L, k)
 
-    swapped = _canonical(polys[0].swap_xy())
+    swapped = _primitive_poly({(b, a): c.numerator for (a, b), c in polys[0].terms()})
     value = _verify_impulse(swapped, L, 2)
     if value is None:
         raise ConstructionError(f"swapped impulse polynomial failed verification for size {L}")

@@ -13,6 +13,14 @@ term-by-term through the one-variable monomial images, so no polynomial
 shifting or expansion is ever needed.  Polynomials annihilated by it are
 "discrete harmonic"; the kernel restricted to degree <= N has dimension
 2N + 1, with exactly two independent elements of each exact degree >= 1.
+
+Those elements come in closed form, with no linear algebra on the Laplacian.
+The central factorial power x^[n] = x * prod_{k=1}^{n-1} (x + n/2 - k) has
+second central difference n(n-1) x^[n-2], just as x^n has second derivative
+n(n-1) x^(n-2).  So the linear map x^a y^b -> x^[a] y^[b] carries harmonic
+polynomials to discrete harmonic ones, and the images of Re and Im (x+iy)^n
+are the two new elements of degree n (Heilbronn 1949, Duffin 1953).  The
+canonical basis is their echelon form.
 """
 
 from __future__ import annotations
@@ -22,7 +30,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import linalg
 from .grid import _fraction
 
 _ZERO = Fraction(0)
@@ -315,43 +322,89 @@ class DHBasis:
         return iter(self.elements)
 
 
-def _monomials_desc(N):
-    """Exponent pairs of degree <= N in descending graded-lex order (x first)."""
-    return [(a, total - a) for total in range(N, -1, -1) for a in range(total, -1, -1)]
+def _central_factorials(N):
+    """Integer coefficients, by ascending power, of 2^(a-1) x^[a] =
+    x * prod_{k=1}^{a-1} (2x + a - 2k) for a = 1..N, after [1] for x^[0]."""
+    table = [[1]]
+    for a in range(1, N + 1):
+        c = [0, 1]
+        for k in range(1, a):
+            s = a - 2 * k
+            c = [s * lo + 2 * hi for lo, hi in zip(c + [0], [0] + c)]
+        table.append(c)
+    return table
+
+
+def _harmonic_images(n, cf):
+    """2^(n-1) times the images of Re and Im (x+iy)^n, n >= 1, under
+    x^a y^b -> x^[a] y^[b], as integer term maps with no zero entry.
+
+    The term C(n,k) i^k x^(n-k) y^k of (x+iy)^n belongs to Re for even k and
+    to Im for odd k, with sign (-1)^(k//2).  Scaled by 2^(n-1), its image is
+    its coefficient times 2 cf[n-k](x) cf[k](y) for 0 < k < n, and times
+    cf[n-k](x) cf[k](y) for k = 0 and k = n.
+    """
+    images = ({}, {})
+    for k in range(n + 1):
+        a = n - k
+        scale = math.comb(n, k) * (-1) ** (k // 2) * (2 if a and k else 1)
+        acc = images[k % 2]
+        for i, u in enumerate(cf[a]):
+            if not u:
+                continue
+            for j, v in enumerate(cf[k]):
+                if v:
+                    acc[i, j] = acc.get((i, j), 0) + scale * u * v
+    return tuple({key: c for key, c in image.items() if c} for image in images)
+
+
+def _combine(s, row, t, other):
+    """s * row + t * other for integer term maps, with t and other's entries
+    nonzero, dropping the terms that cancel."""
+    out = {key: s * c for key, c in row.items()}
+    for key, c in other.items():
+        v = out.get(key, 0) + t * c
+        if v:
+            out[key] = v
+        else:
+            del out[key]
+    return out
 
 
 def generate_basis(N):
-    """Canonical basis of the discrete harmonic polynomials of degree <= N.
+    """Canonical basis of the discrete harmonic polynomials of degree <= N:
+    the reduced row echelon form of the kernel over the monomial coordinates
+    in descending graded-lex order (x before y), each row scaled to
+    primitive integer coefficients with positive leading coefficient.
 
-    The kernel of the Laplacian on degree-<=N polynomials is computed
-    exactly, echelonized over the monomial coordinates (graded-lex, x before
-    y), and each element is scaled to primitive integer coefficients with
-    positive leading coefficient.  Returns 2N + 1 elements ordered by
-    ascending degree, exactly two of each degree k >= 1.
+    Built in integers from the closed form (see the module docstring).  The
+    images of Re and Im (x+iy)^n have those polynomials as their degree-n
+    parts, so they are already reduced on their pivot columns x^n and
+    x^(n-1) y; subtracting multiples of the lower-degree elements clears the
+    other pivot columns.  Returns 2N + 1 elements by ascending degree, the
+    x^n pivot before the x^(n-1) y one.
     """
     if N < 0:
         raise ValueError("degree bound must be nonnegative")
-    sources = _monomials_desc(N)
-    targets = _monomials_desc(N - 2) if N >= 2 else []
-    target_index = {m: i for i, m in enumerate(targets)}
-
-    rows = [[_ZERO] * len(sources) for _ in targets]
-    for col, (a, b) in enumerate(sources):
-        image = discrete_laplacian_poly(BiPoly.monomial(a, b))
-        for key, c in image.terms():
-            rows[target_index[key]][col] = c
-
-    kernel = linalg.nullspace(rows, ncols=len(sources))
-    echelon, _ = linalg.rref(kernel, ncols=len(sources))
-
-    elements = []
-    for vec in echelon:
-        vec = linalg.primitive(vec)
-        poly = BiPoly({sources[i]: v for i, v in enumerate(vec) if v})
-        elements.append(poly)
-    # ascending degree; within a degree, descending leading monomial (x first)
-    elements.sort(key=lambda p: (p.degree, -p.leading_term()[0][0]))
-    return DHBasis(max_degree=N, elements=tuple(elements))
+    cf = _central_factorials(N)
+    # (pivot monomial, its coefficient, integer term map) per element
+    rows = [((0, 0), 1, {(0, 0): 1})]
+    for n in range(1, N + 1):
+        # Re's image has no x^(n-1) y term and Im's no x^n term, so neither
+        # needs the other; each is cleared against the lower elements, high
+        # degree first.  Those are reduced, so a step changes no other pivot.
+        for pivot, row in zip(((n, 0), (n - 1, 1)), _harmonic_images(n, cf)):
+            for key, p, lower in reversed(rows):
+                c = row.get(key)
+                if c:
+                    g = math.gcd(p, c)
+                    row = _combine(p // g, row, -c // g, lower)
+            g = math.gcd(*row.values())
+            rows.append((pivot, row[pivot] // g, {key: c // g for key, c in row.items()}))
+    elements = tuple(
+        BiPoly._from_terms({key: Fraction(c) for key, c in row.items()}) for _, _, row in rows
+    )
+    return DHBasis(max_degree=N, elements=elements)
 
 
 def _build_tabulated():

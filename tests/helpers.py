@@ -4,8 +4,9 @@ seeded random.Random so the suite is deterministic."""
 import math
 from fractions import Fraction
 
-from dhpoly import BiPoly, BorderSpec, RatMatrix, complete
+from dhpoly import BiPoly, BorderSpec, RatMatrix, complete, discrete_laplacian_poly, linalg
 from dhpoly.linalg import _ff_echelon, _fraction_rows, _integer_rows
+from dhpoly.poly import DHBasis
 
 
 def random_rational(rng, max_num=9, max_den=5):
@@ -80,3 +81,34 @@ def kernel_from_rref(reduced, pivot_cols, ncols):
             g = -g
         basis.append(tuple(Fraction(x // g) for x in ints))
     return basis
+
+
+def _monomials_desc(N):
+    """Exponent pairs of degree <= N in descending graded-lex order (x first)."""
+    return [(a, total - a) for total in range(N, -1, -1) for a in range(total, -1, -1)]
+
+
+def nullspace_basis(N):
+    """The canonical harmonic basis as the RREF of the nullspace of the
+    Laplacian matrix on all monomials of degree <= N: the reference that
+    generate_basis's closed form is checked against."""
+    sources = _monomials_desc(N)
+    targets = _monomials_desc(N - 2) if N >= 2 else []
+    target_index = {m: i for i, m in enumerate(targets)}
+
+    rows = [[Fraction(0)] * len(sources) for _ in targets]
+    for col, (a, b) in enumerate(sources):
+        image = discrete_laplacian_poly(BiPoly.monomial(a, b))
+        for key, c in image.terms():
+            rows[target_index[key]][col] = c
+
+    kernel = linalg.nullspace(rows, ncols=len(sources))
+    echelon, _ = linalg.rref(kernel, ncols=len(sources))
+
+    elements = []
+    for vec in echelon:
+        vec = linalg.primitive(vec)
+        elements.append(BiPoly({sources[i]: v for i, v in enumerate(vec) if v}))
+    # ascending degree; within a degree, descending leading monomial (x first)
+    elements.sort(key=lambda p: (p.degree, -p.leading_term()[0][0]))
+    return DHBasis(max_degree=N, elements=tuple(elements))

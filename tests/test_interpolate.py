@@ -108,7 +108,7 @@ class TestReferenceImpulses:
 
 
 class TestBuildImpulseSet:
-    @pytest.mark.parametrize("L", range(3, 7))
+    @pytest.mark.parametrize("L", range(3, 11))
     def test_patterns(self, L):
         impulses = build_impulse_set(L)
         designated = ((0, L), (L, L), (L, 0), (L - 1, L))
@@ -128,7 +128,7 @@ class TestBuildImpulseSet:
             else:
                 assert nonzero == {designated[k]: gamma}
 
-    @pytest.mark.parametrize("L", range(3, 7))
+    @pytest.mark.parametrize("L", range(3, 11))
     def test_pair_antisymmetry(self, L):
         xi4 = build_impulse_set(L).polys[3]
         assert xi4.evaluate(L - 1, L) == -xi4.evaluate(L, L - 1)

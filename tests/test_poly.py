@@ -16,8 +16,9 @@ from dhpoly import (
     tabulated_basis,
 )
 from dhpoly import linalg
+from dhpoly.formats import poly_to_json
 
-from helpers import naive_evaluate, random_poly, random_rational
+from helpers import naive_evaluate, nullspace_basis, random_poly, random_rational
 from reference_data import BILINEAR_INTERPOLANT
 
 
@@ -255,6 +256,43 @@ class TestGenerateBasis:
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
             generate_basis(-1)
+
+
+@pytest.fixture(scope="module")
+def nullspace_basis_22():
+    return nullspace_basis(22)
+
+
+def assert_same_elements(elements, reference):
+    assert [dict(p.terms()) for p in elements] == [dict(p.terms()) for p in reference]
+    assert [poly_to_json(p) for p in elements] == [poly_to_json(p) for p in reference]
+
+
+class TestClosedFormBasis:
+    """generate_basis against the Laplacian-nullspace construction."""
+
+    @pytest.mark.parametrize("N", range(23))
+    def test_matches_sliced_oracle(self, N, nullspace_basis_22):
+        assert_same_elements(generate_basis(N).elements, nullspace_basis_22.elements[: 2 * N + 1])
+
+    @pytest.mark.parametrize("N", range(13))
+    def test_matches_oracle(self, N):
+        basis = generate_basis(N)
+        assert basis.max_degree == N
+        assert_same_elements(basis.elements, nullspace_basis(N).elements)
+
+    def test_prefix_of_largest_basis(self):
+        largest = generate_basis(32).elements
+        for N in range(33):
+            assert generate_basis(N).elements == largest[: 2 * N + 1]
+
+    def test_no_zero_coefficients(self):
+        for p in generate_basis(32):
+            assert all(c != 0 for _, c in p.terms())
+
+    def test_harmonic_to_degree_24(self):
+        for p in generate_basis(24):
+            assert is_discrete_harmonic(p)
 
 
 class TestTabulatedBasis:
