@@ -10,6 +10,7 @@ other operations read matrices through this correspondence.
 
 from __future__ import annotations
 
+import math
 import numbers
 import re
 from fractions import Fraction
@@ -36,7 +37,7 @@ def _fraction(value):
 class RatMatrix:
     """Immutable square matrix of exact rationals in display order."""
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_rows", "_integer")
 
     def __init__(self, rows):
         mat = tuple(tuple(_fraction(v) for v in row) for row in rows)
@@ -45,6 +46,7 @@ class RatMatrix:
         if any(len(row) != len(mat) for row in mat):
             raise SizeError("matrix must be square")
         self._rows = mat
+        self._integer = None
 
     @classmethod
     def zero(cls, L):
@@ -84,6 +86,16 @@ class RatMatrix:
         if not (1 <= m <= L):
             raise SizeError(f"minor size {m} outside 1..{L}")
         return RatMatrix([row[:m] for row in self._rows[L - m:]])
+
+    def _integer_form(self):
+        """(D, rows): D is the lcm of the entry denominators and rows holds
+        the entries times D, as ints.  Built on first use and kept."""
+        if self._integer is None:
+            den = math.lcm(*(v.denominator for row in self._rows for v in row))
+            self._integer = den, tuple(
+                tuple(v.numerator * (den // v.denominator) for v in row) for row in self._rows
+            )
+        return self._integer
 
     def to_lists(self):
         return [list(row) for row in self._rows]

@@ -7,10 +7,16 @@ grain ever leaves, so total height is conserved exactly; the interest is in
 the finer conserved quantities phi(f) = sum of f-weighted heights mod L,
 which stay constant along orbits when the weight matrix is inner-harmonic
 (demonstrated empirically here for the classic weights i, j and i^2 - j^2).
+
+Both run in integers.  ``step`` moves grains only at the toppling sites.
+``phi`` is one integer dot product of the heights with the weights scaled
+to a common denominator D (the weight matrix's cached integer form),
+reduced mod L*D and divided by D once.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,6 +44,14 @@ class SandConfig:
                     raise ValueError("heights must be nonnegative integers")
         object.__setattr__(self, "heights", rows)
 
+    @classmethod
+    def _from_heights(cls, heights):
+        """Wrap a square, nonempty tuple of tuples of non-negative ints
+        without checking it again."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "heights", heights)
+        return out
+
     @property
     def size(self):
         return len(self.heights)
@@ -53,54 +67,71 @@ class SandConfig:
 
 def step(config):
     """One parallel update: every site at or above the threshold loses 4
-    grains and each of its four torus neighbors gains one."""
-    L = config.size
+    grains and each of its four torus neighbors gains one.
+
+    All toppling sites are read from the old heights before any grain
+    moves, and grains move only at and next to them.  Negative indices wrap,
+    so r - 1 and c - 1 need no modulus; on a size-1 or size-2 torus one
+    neighbor receives more than one grain.  A toppling site keeps a
+    non-negative height, so the result skips SandConfig's validation.
+    """
     h = config.heights
-    toppling = [[1 if h[r][c] >= THRESHOLD else 0 for c in range(L)] for r in range(L)]
-    new = [
-        [
-            h[r][c]
-            - 4 * toppling[r][c]
-            + toppling[(r - 1) % L][c]
-            + toppling[(r + 1) % L][c]
-            + toppling[r][(c - 1) % L]
-            + toppling[r][(c + 1) % L]
-            for c in range(L)
-        ]
-        for r in range(L)
+    L = len(h)
+    toppling = [
+        (r, c)
+        for r, row in enumerate(h)
+        if max(row) >= THRESHOLD
+        for c, v in enumerate(row)
+        if v >= THRESHOLD
     ]
-    return SandConfig(tuple(tuple(row) for row in new))
+    new = [list(row) for row in h]
+    for r, c in toppling:
+        new[r][c] -= 4
+        new[r - 1][c] += 1
+        new[(r + 1) % L][c] += 1
+        new[r][c - 1] += 1
+        new[r][(c + 1) % L] += 1
+    return SandConfig._from_heights(tuple(map(tuple, new)))
+
+
+def _orbit(config, steps):
+    """Yield config, step(config), ..., step^steps(config) one at a time, so
+    a caller that only reads each configuration holds one at once."""
+    if steps < 0:
+        raise PreconditionError(f"step count must be non-negative, got {steps}")
+    yield config
+    for _ in range(steps):
+        config = step(config)
+        yield config
 
 
 def orbit(config, steps):
     """The configurations config, step(config), ..., step^steps(config)."""
-    if steps < 0:
-        raise PreconditionError(f"step count must be non-negative, got {steps}")
-    out = [config]
-    for _ in range(steps):
-        out.append(step(out[-1]))
-    return out
+    return list(_orbit(config, steps))
 
 
 def phi(f, config):
     """Weighted height sum, reduced mod L to the representative in [0, L).
 
     The weight matrix and the heights are paired entry by entry, i.e. both
-    are read through the same display/lattice correspondence.
+    are read through the same display/lattice correspondence.  With f's
+    integer form (D, f*D), the sum is S/D for the integer dot product S of
+    f*D with the heights, and (S mod L*D)/D is its representative.
+
+    The result is a Fraction.  Integer weights give D = 1 and the residue of
+    the sum mod L.  A non-integer weight gives the rational number in [0, L)
+    that differs from the sum by a multiple of L, which is not a residue.
     """
     if f.size != config.size:
         raise PreconditionError("weight matrix and configuration sizes differ")
-    L = config.size
-    total = Fraction(0)
-    for frow, hrow in zip(f.rows, config.heights):
-        for w, h in zip(frow, hrow):
-            total += w * h
-    return total % L
+    den, rows = f._integer_form()
+    total = sum(sum(map(operator.mul, wrow, hrow)) for wrow, hrow in zip(rows, config.heights))
+    return Fraction(total % (config.size * den), den)
 
 
 def check_conservation(f, config, steps):
     """True iff phi(f) is constant along the orbit of the given length."""
-    return len({phi(f, c) for c in orbit(config, steps)}) == 1
+    return len({phi(f, c) for c in _orbit(config, steps)}) == 1
 
 
 def standard_gf(L, name):

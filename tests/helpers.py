@@ -4,7 +4,15 @@ seeded random.Random so the suite is deterministic."""
 import math
 from fractions import Fraction
 
-from dhpoly import BiPoly, BorderSpec, RatMatrix, complete, discrete_laplacian_poly, linalg
+from dhpoly import (
+    BiPoly,
+    BorderSpec,
+    RatMatrix,
+    SandConfig,
+    complete,
+    discrete_laplacian_poly,
+    linalg,
+)
 from dhpoly.linalg import _ff_echelon, _fraction_rows, _integer_rows
 from dhpoly.poly import DHBasis
 
@@ -46,6 +54,38 @@ def naive_evaluate(P, x, y):
     for (a, b), c in P.terms():
         acc += c * x**a * y**b
     return acc
+
+
+def naive_phi(f, config):
+    """Entry-by-entry Fraction sum of weight times height, reduced mod L: the
+    reference that sandpile.phi's integer dot product is checked against."""
+    L = config.size
+    total = Fraction(0)
+    for frow, hrow in zip(f.rows, config.heights):
+        for w, h in zip(frow, hrow):
+            total += w * h
+    return total % L
+
+
+def naive_step(config):
+    """One parallel toppling with explicit torus moduli, returned through the
+    validating SandConfig constructor: the reference for sandpile.step."""
+    L = config.size
+    h = config.heights
+    toppling = [[1 if h[r][c] >= 4 else 0 for c in range(L)] for r in range(L)]
+    new = [
+        [
+            h[r][c]
+            - 4 * toppling[r][c]
+            + toppling[(r - 1) % L][c]
+            + toppling[(r + 1) % L][c]
+            + toppling[r][(c - 1) % L]
+            + toppling[r][(c + 1) % L]
+            for c in range(L)
+        ]
+        for r in range(L)
+    ]
+    return SandConfig(tuple(tuple(row) for row in new))
 
 
 def fraction_rref(rows, ncols):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +11,7 @@ from dhpoly import (
     build_impulse_set,
     evaluate_on_lattice,
     is_discrete_harmonic,
+    random_config,
 )
 from dhpoly.cli import (
     MAX_BASIS_DEGREE,
@@ -20,6 +22,7 @@ from dhpoly.cli import (
 )
 from dhpoly.formats import format_matrix, parse_matrix, poly_from_json, poly_to_json
 
+from helpers import naive_phi, naive_step
 from reference_data import (
     BILINEAR_INTERPOLANT,
     FULL_INTERPOLANT,
@@ -218,6 +221,30 @@ class TestSandpileVerify:
             ]
         )
         assert code == 1
+
+    def test_rational_custom_weights(self, tmp_path, capsys):
+        f = RatMatrix(
+            [
+                [Fraction(-7, 3), Fraction(1, 2), 0, 2, Fraction(5, 6)],
+                [1, Fraction(-1, 4), 3, Fraction(2, 3), -1],
+                [0, 4, Fraction(-7, 3), 1, Fraction(1, 2)],
+                [Fraction(3, 5), -2, 1, 0, 7],
+                [5, Fraction(1, 2), Fraction(-9, 2), 1, 0],
+            ]
+        )
+        path = tmp_path / "f.csv"
+        path.write_text(format_matrix(f))
+        code = main(
+            ["sandpile-verify", "--size", "5", "--steps", "12", "--seed", "2", "--gf", str(path)]
+        )
+        lines = capsys.readouterr().out.splitlines()
+        config, expected = random_config(5, 2), []
+        for t in range(13):
+            expected.append(naive_phi(f, config))
+            config = naive_step(config)
+        assert lines == [f"{t},{v}" for t, v in enumerate(expected)]
+        assert any("/" in line for line in lines)
+        assert code == (0 if len(set(expected)) == 1 else 1)
 
     def test_size_mismatch(self, tmp_path, capsys):
         path = tmp_path / "f.csv"

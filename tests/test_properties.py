@@ -1,7 +1,8 @@
 """Property tests: stencil linearity, x/y-swap symmetry of the polynomial
 Laplacian, the degree bound of telescopic interpolation, polynomial
-evaluation against the term-by-term sum, uniqueness of border completion, and
-the exact linear algebra against a Fraction back-substitution and sympy.
+evaluation against the term-by-term sum, uniqueness of border completion,
+the exact linear algebra against a Fraction back-substitution and sympy, and
+the integer sandpile step and weighted sum against their Fraction references.
 Examples are derandomized so every run checks the same cases."""
 
 import math
@@ -17,6 +18,7 @@ from dhpoly import (
     BiPoly,
     BorderSpec,
     RatMatrix,
+    SandConfig,
     SingularMatrixError,
     complete,
     discrete_laplacian_matrix,
@@ -26,12 +28,14 @@ from dhpoly import (
     interpolates,
     is_discrete_harmonic,
     is_inner_harmonic,
+    phi,
+    step,
     tabulated_basis,
     telescopic,
 )
 from dhpoly.linalg import nullspace, rank, rref, solve
 
-from helpers import fraction_rref, kernel_from_rref, naive_evaluate
+from helpers import fraction_rref, kernel_from_rref, naive_evaluate, naive_phi, naive_step
 
 small = settings(max_examples=20, deadline=None, derandomize=True, database=None)
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=5)
@@ -233,3 +237,60 @@ def test_solve_matches_sympy(case, data):
         x = solve(rows, b)
         assert all(type(v) is Fraction for v in x)
         assert x == as_fractions(M.LUsolve(sympy_matrix([b], n).T))
+
+
+@st.composite
+def sandpiles(draw):
+    """Torus configurations of size 1-12 with heights 0-9, so that some sites
+    topple and some do not."""
+    L = draw(st.integers(1, 12))
+    return SandConfig(tuple(tuple(row) for row in draw(rational_rows(st.integers(0, 9), L, L))))
+
+
+@st.composite
+def weighted_sandpiles(draw):
+    """(weights, configuration) of equal size, with rational weights of either
+    sign, integer and non-integer."""
+    config = draw(sandpiles())
+    return RatMatrix(draw(rational_rows(rationals, config.size, config.size))), config
+
+
+MIXED_WEIGHTS = (
+    RatMatrix([[Fraction(1, 2), Fraction(-7, 3)], [5, Fraction(-1, 6)]]),
+    SandConfig(((3, 1), (0, 7))),
+)
+ONE_SITE = (RatMatrix([[Fraction(-7, 3)]]), SandConfig(((5,),)))
+
+
+@small
+@given(weighted_sandpiles())
+@example(MIXED_WEIGHTS)
+@example(ONE_SITE)
+def test_phi_matches_fraction_sum(case):
+    f, config = case
+    value = phi(f, config)
+    assert type(value) is Fraction
+    assert value == naive_phi(f, config)
+    assert 0 <= value < config.size
+
+
+@small
+@given(sandpiles())
+@example(SandConfig(((9,),)))
+@example(SandConfig(((4, 0), (5, 9))))
+@example(SandConfig(((4, 4), (4, 4))))
+def test_step_matches_reference(config):
+    after = step(config)
+    expected = naive_step(config)
+    assert after == expected
+    assert hash(after) == hash(expected)
+    assert all(type(h) is int for row in after.heights for h in row)
+
+
+@small
+@given(sandpiles())
+def test_trusted_config_equals_validated(config):
+    trusted = SandConfig._from_heights(config.heights)
+    assert trusted == config
+    assert hash(trusted) == hash(config)
+    assert SandConfig(trusted.heights) == trusted
