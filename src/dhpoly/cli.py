@@ -41,7 +41,7 @@ EXIT_INTERNAL = 3
 
 #: Upper bounds on the size arguments.  A larger value exits 2 instead of
 #: running for hours.  The largest allowed requests take about 0.3 s (basis),
-#: 50 s (eval of a 231-term degree-20 polynomial) and 2 s with an 18 MB peak
+#: 40 s (eval of a 231-term degree-20 polynomial) and 2 s with an 18 MB peak
 #: RSS (sandpile, 800 steps at size 128) on a shared 2-vCPU host.
 MAX_BASIS_DEGREE = 32
 MAX_EVAL_SIZE = 1000

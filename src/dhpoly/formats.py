@@ -19,6 +19,9 @@ from .errors import ParseError
 from .grid import _RATIONAL_RE, RatMatrix
 from .poly import BiPoly
 
+# A JSON term record's "num" and "den" are decimal strings, never JSON numbers.
+_NUM_RE = re.compile(r"[+-]?\d+\Z")
+_DEN_RE = re.compile(r"\d+\Z")
 _TERM_RE = re.compile(
     r"(?P<c>[+-]?\d+(?:/\d+)?)(?:\*x\^(?P<a>\d+))?(?:\*y\^(?P<b>\d+))?\Z"
 )
@@ -115,11 +118,11 @@ def poly_from_json(text):
         a, b = rec["xexp"], rec["yexp"]
         if not (type(a) is int and type(b) is int) or a < 0 or b < 0:
             raise ParseError(f"exponents must be nonnegative integers, got {rec!r}")
-        try:
-            num = int(rec["num"])
-            den = int(rec["den"])
-        except (TypeError, ValueError):
-            raise ParseError(f"malformed coefficient in {rec!r}") from None
+        num, den = rec["num"], rec["den"]
+        if not (isinstance(num, str) and _NUM_RE.fullmatch(num)
+                and isinstance(den, str) and _DEN_RE.fullmatch(den)):
+            raise ParseError(f"malformed coefficient in {rec!r}")
+        num, den = int(num), int(den)
         if den <= 0:
             raise ParseError(f"denominator must be positive in {rec!r}")
         if num == 0:

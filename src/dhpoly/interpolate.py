@@ -82,7 +82,7 @@ def _primitive_poly(terms):
     g = math.gcd(*terms.values())
     if terms[min(terms, key=lambda ab: (ab[0] + ab[1], ab[0]))] < 0:
         g = -g
-    return BiPoly._from_terms({key: Fraction(c // g) for key, c in terms.items()})
+    return BiPoly._from_ints(1, {key: c // g for key, c in terms.items()})
 
 
 def _block_border_sites(L):
@@ -176,7 +176,8 @@ def build_impulse_set(L):
     alternate_fourth = ((L, L + 1), (L + 1, L - 1))
     points = set(border).union(*extras.values(), alternate_fourth)
     table = {point: [p.evaluate(*point) for p in basis] for point in points}
-    pool = [{key: c.numerator for key, c in p.terms()} for p in basis]
+    # Basis elements are primitive integer polynomials, so D = 1.
+    pool = [p._num for p in basis]
 
     polys = [None] * 4
     values = [None] * 4
@@ -186,7 +187,7 @@ def build_impulse_set(L):
             constraint_sets.append(border + extra[:3] + (alt,))
         polys[k], values[k] = _search_impulse(pool, table, constraint_sets, L, k)
 
-    swapped = _primitive_poly({(b, a): c.numerator for (a, b), c in polys[0].terms()})
+    swapped = _primitive_poly({(b, a): c for (a, b), c in polys[0]._num.items()})
     value = _verify_impulse(swapped, L, 2)
     if value is None:
         raise ConstructionError(f"swapped impulse polynomial failed verification for size {L}")

@@ -1,18 +1,27 @@
 """Sparse bivariate polynomials over exact rationals and the five-point
 lattice Laplacian acting on them.
 
-Evaluation uses one integer form per polynomial, built on first use: the
-coefficients times D, the lcm of their denominators, in rows by y-exponent.
-The value is nested Horner (x inside y) over those integers, divided by D
-once.  Every step is exact, so it equals the term-by-term sum, and at
-integer points it costs integer arithmetic and one Fraction.
+A polynomial is stored as one positive denominator D and a map from exponent
+pairs to nonzero integer numerators, the coefficient of x^a y^b being
+num[a, b] / D.  D shares no factor with every numerator at once, which makes
+D the lcm of the reduced coefficient denominators and the form canonical:
+equal polynomials store equal (D, numerators).  Arithmetic is therefore
+integer arithmetic plus one gcd per result, and the public API still hands
+out Fraction coefficients, built on request.
+
+Evaluation is nested Horner (x inside y) over the numerators, in rows by
+y-exponent built on first use, divided by D once.  Every step is exact, so it
+equals the term-by-term sum, and at integer points it costs integer
+arithmetic and one Fraction.
 
 The Laplacian of a polynomial P is the polynomial identity
 ``4P(x,y) - P(x-1,y) - P(x+1,y) - P(x,y-1) - P(x,y+1)``, computed here
 term-by-term through the one-variable monomial images, so no polynomial
-shifting or expansion is ever needed.  Polynomials annihilated by it are
-"discrete harmonic"; the kernel restricted to degree <= N has dimension
-2N + 1, with exactly two independent elements of each exact degree >= 1.
+shifting or expansion is ever needed.  Those images have integer
+coefficients, so the Laplacian maps the numerators over the same D.
+Polynomials annihilated by it are "discrete harmonic"; the kernel restricted
+to degree <= N has dimension 2N + 1, with exactly two independent elements
+of each exact degree >= 1.
 
 Those elements come in closed form, with no linear algebra on the Laplacian.
 The central factorial power x^[n] = x * prod_{k=1}^{n-1} (x + n/2 - k) has
@@ -36,33 +45,42 @@ _ZERO = Fraction(0)
 
 
 class BiPoly:
-    """Polynomial in x and y with Fraction coefficients, stored sparsely.
+    """Polynomial in x and y with exact rational coefficients, stored sparsely
+    as integer numerators over one denominator.
 
-    Immutable; all arithmetic returns new objects.  The zero polynomial
-    stores no terms and reports degree -1.
+    Invariant: ``_den`` > 0, no numerator in ``_num`` is zero, and
+    gcd(_den, every numerator) = 1.  So the zero polynomial is D = 1 with no
+    terms and reports degree -1, and ``==`` compares the stored form.
+    Immutable; all arithmetic returns new objects.
     """
 
-    __slots__ = ("_terms", "_horner")
+    __slots__ = ("_den", "_num", "_horner", "_fractions")
 
     def __init__(self, terms=()):
         acc = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for (a, b), c in items:
             key = (_exponent(a), _exponent(b))
-            c = acc.get(key, _ZERO) + _fraction(c)
-            if c:
-                acc[key] = c
-            else:
-                acc.pop(key, None)
-        self._terms = acc
+            acc[key] = acc.get(key, _ZERO) + _fraction(c)
+        den = math.lcm(*(c.denominator for c in acc.values()))
+        self._den = den
+        self._num = {key: c.numerator * (den // c.denominator) for key, c in acc.items() if c}
         self._horner = None
+        self._fractions = None
 
     @classmethod
-    def _from_terms(cls, terms):
-        """Wrap a term map that is already exact and has no zero coefficient."""
+    def _from_ints(cls, den, num):
+        """num / den for den > 0 and a fresh integer term map with no zero
+        entry, reduced to the invariant by one gcd."""
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            den //= g
+            num = {key: n // g for key, n in num.items()}
         out = cls.__new__(cls)
-        out._terms = terms
+        out._den = den
+        out._num = num
         out._horner = None
+        out._fractions = None
         return out
 
     @classmethod
@@ -78,88 +96,92 @@ class BiPoly:
         return cls({(a, b): coeff})
 
     def terms(self):
-        """Read-only view of the term map (exponent pair -> coefficient)."""
-        return self._terms.items()
+        """Read-only view of the term map (exponent pair -> Fraction
+        coefficient), built on first use."""
+        if self._fractions is None:
+            den = self._den
+            self._fractions = {key: Fraction(n, den) for key, n in self._num.items()}
+        return self._fractions.items()
 
     def sorted_terms(self):
         """Terms in canonical order: total degree, then x-exponent, ascending."""
-        return sorted(self._terms.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0][0]))
+        return sorted(self.terms(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0][0]))
 
     def coefficient(self, a, b):
-        return self._terms.get((a, b), _ZERO)
+        n = self._num.get((a, b))
+        return Fraction(n, self._den) if n else _ZERO
 
     @property
     def is_zero(self):
-        return not self._terms
+        return not self._num
 
     @property
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
-        return max((a + b for a, b in self._terms), default=-1)
+        return max((a + b for a, b in self._num), default=-1)
 
     def leading_term(self):
         """Largest term under graded-lex order with x before y, or None."""
-        if not self._terms:
+        if not self._num:
             return None
-        key = max(self._terms, key=lambda ab: (ab[0] + ab[1], ab[0]))
-        return key, self._terms[key]
+        key = max(self._num, key=lambda ab: (ab[0] + ab[1], ab[0]))
+        return key, Fraction(self._num[key], self._den)
 
     def evaluate(self, px, py):
         """Exact value at a rational point, as a Fraction.
 
-        P(x, y) = (1/D) * sum_b y^b * sum_a (c_ab * D) x^a: the inner sums
-        run Horner in x over the integer rows, the outer sum Horner in y, and
-        D divides once at the end.  That only regroups the term-by-term sum
-        in exact int or Fraction arithmetic, so the value is the same.
-        Floats raise TypeError.
+        P(x, y) = (1/D) * sum_b y^b * sum_a num_ab x^a: the inner sums run
+        Horner in x over the integer rows, the outer sum Horner in y, and D
+        divides once at the end.  That only regroups the term-by-term sum in
+        exact int or Fraction arithmetic, so the value is the same.  Floats
+        raise TypeError.
         """
         if isinstance(px, float) or isinstance(py, float):
             raise TypeError("float arguments are not allowed")
         if self._horner is None:
-            self._horner = self._integer_form()
-        den, rows = self._horner
+            self._horner = self._horner_rows()
         acc = 0
-        for row in rows:
+        for row in self._horner:
             inner = 0
             for c in row:
                 inner = inner * px + c
             acc = acc * py + inner
-        return Fraction(acc, den)
+        return Fraction(acc, self._den)
 
-    def _integer_form(self):
-        """(D, rows): D is the lcm of the coefficient denominators; rows[k]
-        holds the coefficients times D of y^(top-k), highest x-power first,
+    def _horner_rows(self):
+        """rows[k] holds the numerators of y^(top-k), highest x-power first,
         with zeros in the gaps."""
-        den = math.lcm(*(c.denominator for c in self._terms.values()))
         width = {}
-        for a, b in self._terms:
+        for a, b in self._num:
             width[b] = max(width.get(b, 0), a + 1)
         top = max(width, default=-1)
         rows = [[0] * width.get(b, 0) for b in range(top, -1, -1)]
-        for (a, b), c in self._terms.items():
-            rows[top - b][width[b] - 1 - a] = c.numerator * (den // c.denominator)
-        return den, rows
+        for (a, b), n in self._num.items():
+            rows[top - b][width[b] - 1 - a] = n
+        return rows
 
     def swap_xy(self):
-        return BiPoly({(b, a): c for (a, b), c in self._terms.items()})
+        return BiPoly._from_ints(self._den, {(b, a): n for (a, b), n in self._num.items()})
 
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        acc = dict(self._terms)
-        for key, c in other._terms.items():
-            s = acc.get(key, _ZERO) + c
-            if s:
-                acc[key] = s
+        den = math.lcm(self._den, other._den)
+        s, t = den // self._den, den // other._den
+        acc = {key: n * s for key, n in self._num.items()} if s != 1 else dict(self._num)
+        for key, n in other._num.items():
+            v = acc.get(key, 0) + n * t
+            if v:
+                acc[key] = v
             else:
-                acc.pop(key, None)
-        return BiPoly._from_terms(acc)
+                del acc[key]
+        return BiPoly._from_ints(den, acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return BiPoly._from_terms({k: -c for k, c in self._terms.items()})
+        return BiPoly._from_ints(self._den, {key: -n for key, n in self._num.items()})
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -173,30 +195,37 @@ class BiPoly:
             return NotImplemented
         return other + (-self)
 
+    def _scaled(self, p, q):
+        """self * p / q for integers p and q > 0."""
+        if not p:
+            return BiPoly.zero()
+        return BiPoly._from_ints(self._den * q, {key: n * p for key, n in self._num.items()})
+
     def __mul__(self, other):
+        if isinstance(other, bool):
+            raise TypeError("cannot multiply a polynomial by a bool")
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return BiPoly.zero()
-            return BiPoly._from_terms({k: c * other for k, c in self._terms.items()})
+            return self._scaled(other.numerator, other.denominator)
         if not isinstance(other, BiPoly):
             return NotImplemented
         acc = {}
-        for (a1, b1), c1 in self._terms.items():
-            for (a2, b2), c2 in other._terms.items():
+        for (a1, b1), n1 in self._num.items():
+            for (a2, b2), n2 in other._num.items():
                 key = (a1 + a2, b1 + b2)
-                s = acc.get(key, _ZERO) + c1 * c2
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
-        return BiPoly._from_terms(acc)
+                acc[key] = acc.get(key, 0) + n1 * n2
+        return BiPoly._from_ints(self._den * other._den, {k: v for k, v in acc.items() if v})
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
+        if isinstance(scalar, bool):
+            raise TypeError("cannot divide a polynomial by a bool")
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        return self * (Fraction(1) / Fraction(scalar))
+        p, q = scalar.numerator, scalar.denominator
+        if not p:
+            raise ZeroDivisionError("polynomial division by zero")
+        return self._scaled(q if p > 0 else -q, abs(p))
 
     def __pow__(self, n):
         n = _exponent(n)
@@ -210,20 +239,20 @@ class BiPoly:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             other = BiPoly.constant(other)
         if not isinstance(other, BiPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self):
         # Constants equal the int or Fraction they hold, so hash like it.
         if self.degree <= 0:
             return hash(self.coefficient(0, 0))
-        return hash(frozenset(self._terms.items()))
+        return hash((self._den, frozenset(self._num.items())))
 
     def __str__(self):
-        if not self._terms:
+        if not self._num:
             return "0"
         parts = []
         for (a, b), c in self.sorted_terms():
@@ -281,28 +310,31 @@ def laplacian_monomial(n, variable="x"):
     )
 
 
+def _laplacian_ints(num):
+    """Laplacian image of an integer term map, with no zero entry."""
+    acc = {}
+    for (a, b), n in num.items():
+        for k, d in _laplacian_table(a):
+            acc[k, b] = acc.get((k, b), 0) + n * d
+        for k, d in _laplacian_table(b):
+            acc[a, k] = acc.get((a, k), 0) + n * d
+    return {key: v for key, v in acc.items() if v}
+
+
 def discrete_laplacian_poly(P):
     """Lattice Laplacian of a polynomial, as an exact polynomial identity.
 
     Computed term-by-term: the image of x^a y^b is
     x^a * L(y^b) + y^b * L(x^a), which drops total degree by at least 2.
+    The images have integer coefficients, so this maps P's numerators and
+    keeps its denominator.
     """
-    acc = {}
-    for (a, b), c in P.terms():
-        images = [((k, b), d) for k, d in _laplacian_table(a)]
-        images += [((a, k), d) for k, d in _laplacian_table(b)]
-        for key, d in images:
-            s = acc.get(key, _ZERO) + c * d
-            if s:
-                acc[key] = s
-            else:
-                acc.pop(key, None)
-    return BiPoly._from_terms(acc)
+    return BiPoly._from_ints(P._den, _laplacian_ints(P._num))
 
 
 def is_discrete_harmonic(P):
     """True iff the lattice Laplacian of P is identically zero."""
-    return discrete_laplacian_poly(P).is_zero
+    return not _laplacian_ints(P._num)
 
 
 @dataclass(frozen=True)
@@ -401,9 +433,7 @@ def generate_basis(N):
                     row = _combine(p // g, row, -c // g, lower)
             g = math.gcd(*row.values())
             rows.append((pivot, row[pivot] // g, {key: c // g for key, c in row.items()}))
-    elements = tuple(
-        BiPoly._from_terms({key: Fraction(c) for key, c in row.items()}) for _, _, row in rows
-    )
+    elements = tuple(BiPoly._from_ints(1, row) for _, _, row in rows)
     return DHBasis(max_degree=N, elements=elements)
 
 

@@ -13,8 +13,9 @@ from dhpoly import (
     discrete_laplacian_poly,
     linalg,
 )
+from dhpoly.grid import _fraction
 from dhpoly.linalg import _ff_echelon, _fraction_rows, _integer_rows
-from dhpoly.poly import DHBasis
+from dhpoly.poly import DHBasis, _exponent
 
 
 def random_rational(rng, max_num=9, max_den=5):
@@ -152,3 +153,101 @@ def nullspace_basis(N):
     # ascending degree; within a degree, descending leading monomial (x first)
     elements.sort(key=lambda p: (p.degree, -p.leading_term()[0][0]))
     return DHBasis(max_degree=N, elements=tuple(elements))
+
+
+_ZERO = Fraction(0)
+
+
+class FractionPoly:
+    """A map from exponent pairs to nonzero Fraction coefficients, with every
+    operation done term by term in Fraction arithmetic: the reference that
+    BiPoly's integer-numerator core is checked against."""
+
+    def __init__(self, terms=()):
+        acc = {}
+        items = terms.items() if isinstance(terms, dict) else terms
+        for (a, b), c in items:
+            key = (_exponent(a), _exponent(b))
+            acc[key] = acc.get(key, _ZERO) + _fraction(c)
+        self._terms = {key: c for key, c in acc.items() if c}
+
+    @classmethod
+    def of(cls, P):
+        """The oracle's copy of a BiPoly."""
+        return cls(dict(P.terms()))
+
+    def terms(self):
+        return self._terms.items()
+
+    def sorted_terms(self):
+        return sorted(self._terms.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0][0]))
+
+    @property
+    def degree(self):
+        return max((a + b for a, b in self._terms), default=-1)
+
+    def evaluate(self, x, y):
+        return naive_evaluate(self, x, y)
+
+    def swap_xy(self):
+        return FractionPoly({(b, a): c for (a, b), c in self._terms.items()})
+
+    def __add__(self, other):
+        if not isinstance(other, FractionPoly):
+            other = FractionPoly({(0, 0): other})
+        return FractionPoly(list(self._terms.items()) + list(other._terms.items()))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionPoly({key: -c for key, c in self._terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if not isinstance(other, FractionPoly):
+            return FractionPoly({key: c * other for key, c in self._terms.items()})
+        acc = {}
+        for (a1, b1), c1 in self._terms.items():
+            for (a2, b2), c2 in other._terms.items():
+                key = (a1 + a2, b1 + b2)
+                acc[key] = acc.get(key, _ZERO) + c1 * c2
+        return FractionPoly(acc)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, scalar):
+        return self * (Fraction(1) / Fraction(scalar))
+
+    def __pow__(self, n):
+        result = FractionPoly({(0, 0): 1})
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def laplacian(self):
+        """4P(x,y) - P(x-1,y) - P(x+1,y) - P(x,y-1) - P(x,y+1), with each
+        shifted term expanded by the binomial theorem."""
+        acc = {}
+        for (a, b), c in self._terms.items():
+            acc[a, b] = acc.get((a, b), _ZERO) + 4 * c
+            for s in (-1, 1):
+                for k in range(a + 1):
+                    acc[k, b] = acc.get((k, b), _ZERO) - c * math.comb(a, k) * s ** (a - k)
+                for k in range(b + 1):
+                    acc[a, k] = acc.get((a, k), _ZERO) - c * math.comb(b, k) * s ** (b - k)
+        return FractionPoly(acc)
+
+    def __eq__(self, other):
+        if isinstance(other, FractionPoly):
+            return self._terms == other._terms
+        return NotImplemented
+
+    def __hash__(self):
+        if self.degree <= 0:
+            return hash(self._terms.get((0, 0), _ZERO))
+        return hash(frozenset(self._terms.items()))

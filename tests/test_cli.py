@@ -165,6 +165,14 @@ class TestEval:
         assert main(["eval", str(poly_path), "--size", str(MAX_EVAL_SIZE + 1)]) == 2
         _assert_input_error(capsys)
 
+    def test_float_coefficient_is_parse_error(self, tmp_path, capsys):
+        poly_path = tmp_path / "p.json"
+        poly_path.write_text('[{"xexp": 1, "yexp": 0, "num": 1.5, "den": "1"}]')
+        assert main(["eval", str(poly_path), "--size", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["code"] == "parse-error"
+
 
 class TestLaplacian:
     def test_matrix_input(self, sample_csv, capsys):

@@ -142,6 +142,13 @@ class TestPolyJson:
             p = random_poly(rng, max_degree=9, n_terms=7)
             assert poly_from_json(poly_to_json(p)) == p
 
+    def test_signed_numerator_strings(self):
+        text = (
+            '[{"xexp": 1, "yexp": 0, "num": "+3", "den": "4"},'
+            ' {"xexp": 0, "yexp": 1, "num": "-5", "den": "2"}]'
+        )
+        assert poly_from_json(text) == Fraction(3, 4) * X - Fraction(5, 2) * Y
+
     def test_zero_polynomial(self):
         assert poly_to_json(BiPoly.zero()) == "[]"
         assert poly_from_json("[]").is_zero
@@ -156,6 +163,20 @@ class TestPolyJson:
             '[{"xexp": true, "yexp": 0, "num": "1", "den": "1"}]',
             '[{"xexp": 0, "yexp": 0, "num": "1", "den": "0"}]',
             '[{"xexp": 0, "yexp": 0, "num": "0", "den": "1"}]',
+            '[{"xexp": 0, "yexp": 0, "num": 1.5, "den": "1"}]',
+            '[{"xexp": 0, "yexp": 0, "num": "1", "den": 2.9}]',
+            '[{"xexp": 0, "yexp": 0, "num": 1, "den": "1"}]',
+            '[{"xexp": 0, "yexp": 0, "num": "1", "den": 2}]',
+            '[{"xexp": 0, "yexp": 0, "num": true, "den": "1"}]',
+            '[{"xexp": 0, "yexp": 0, "num": "1", "den": true}]',
+            '[{"xexp": 0, "yexp": 0, "num": null, "den": "1"}]',
+            '[{"xexp": 0, "yexp": 0, "num": "1_0", "den": "1"}]',
+            '[{"xexp": 0, "yexp": 0, "num": "1", "den": "1_0"}]',
+            '[{"xexp": 0, "yexp": 0, "num": "1.5", "den": "1"}]',
+            '[{"xexp": 0, "yexp": 0, "num": " 1", "den": "1"}]',
+            '[{"xexp": 0, "yexp": 0, "num": "1", "den": "-2"}]',
+            '[{"xexp": 0, "yexp": 0, "num": "1", "den": "+2"}]',
+            '[{"xexp": 0, "yexp": 0, "num": "1/2", "den": "1"}]',
             '[{"xexp": 0, "yexp": 0, "num": "1", "den": "1"},'
             ' {"xexp": 0, "yexp": 0, "num": "2", "den": "1"}]',
         ],

@@ -107,6 +107,26 @@ class TestBiPoly:
         assert table[Y * X] == "xy"
         assert table[0] == "zero"
 
+    def test_bools_are_not_constants(self):
+        one = BiPoly.constant(1)
+        assert hash(one) == hash(True)
+        assert (one == True) is False  # noqa: E712
+        assert (one != True) is True  # noqa: E712
+        assert (BiPoly.zero() == False) is False  # noqa: E712
+        assert {one: "a"}.get(True) is None
+        assert True not in [one]
+        assert one == 1 and {one: "a"}.get(1) == "a"
+        for operation in (
+            lambda: X * True,
+            lambda: True * X,
+            lambda: X * False,
+            lambda: X / True,
+            lambda: X + True,
+            lambda: False - X,
+        ):
+            with pytest.raises(TypeError):
+                operation()
+
 
 class TestLaplacianMonomial:
     def test_squares(self):

@@ -1,8 +1,9 @@
 """Property tests: stencil linearity, x/y-swap symmetry of the polynomial
 Laplacian, the degree bound of telescopic interpolation, polynomial
 evaluation against the term-by-term sum, uniqueness of border completion,
-the exact linear algebra against a Fraction back-substitution and sympy, and
-the integer sandpile step and weighted sum against their Fraction references.
+the exact linear algebra against a Fraction back-substitution and sympy, the
+integer sandpile step and weighted sum against their Fraction references, and
+the integer-numerator polynomial core against a Fraction-dict oracle.
 Examples are derandomized so every run checks the same cases."""
 
 import math
@@ -33,9 +34,17 @@ from dhpoly import (
     tabulated_basis,
     telescopic,
 )
+from dhpoly.formats import poly_to_json
 from dhpoly.linalg import nullspace, rank, rref, solve
 
-from helpers import fraction_rref, kernel_from_rref, naive_evaluate, naive_phi, naive_step
+from helpers import (
+    FractionPoly,
+    fraction_rref,
+    kernel_from_rref,
+    naive_evaluate,
+    naive_phi,
+    naive_step,
+)
 
 small = settings(max_examples=20, deadline=None, derandomize=True, database=None)
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=5)
@@ -294,3 +303,103 @@ def test_trusted_config_equals_validated(config):
     assert trusted == config
     assert hash(trusted) == hash(config)
     assert SandConfig(trusted.heights) == trusted
+
+
+coefficients = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def term_maps(draw):
+    """Exponent pair -> rational maps (zeros included, which the constructors
+    drop): sparse random ones and the terms of harmonic combinations."""
+    if draw(st.booleans()):
+        exponents = st.tuples(st.integers(0, 7), st.integers(0, 7))
+        return draw(st.dictionaries(exponents, coefficients, max_size=8))
+    return dict(draw(polynomials()).terms())
+
+
+def assert_canonical(P):
+    """D > 0, no zero numerator, gcd(D, numerators) = 1; D = 1 when empty."""
+    den, num = P._den, P._num
+    assert type(den) is int and den > 0
+    assert all(type(a) is int and type(b) is int for a, b in num)
+    assert all(type(n) is int and n != 0 for n in num.values())
+    assert math.gcd(den, *num.values()) == 1
+    assert num or den == 1
+
+
+def assert_matches(P, oracle):
+    assert_canonical(P)
+    assert FractionPoly.of(P) == oracle
+    assert all(type(c) is Fraction for _, c in P.terms())
+
+
+# P - Q cancels to zero, so it must come out as D = 1 with no terms.
+HALVES = ({(1, 0): Fraction(1, 2), (0, 0): Fraction(1, 3)},) * 2
+# P + Q = x^2 y + 1: the common denominator 6 must reduce to 1.
+DENOMINATORS_CANCEL = (
+    {(2, 1): Fraction(1, 6), (0, 0): Fraction(5, 6)},
+    {(2, 1): Fraction(5, 6), (0, 0): Fraction(1, 6)},
+)
+
+
+@small
+@given(term_maps(), term_maps(), coefficients, st.integers(0, 3))
+@example(*HALVES, Fraction(0), 0)
+@example(*DENOMINATORS_CANCEL, Fraction(-6, 5), 2)
+@example({}, {(3, 3): Fraction(7, 4)}, Fraction(4, 7), 3)
+def test_arithmetic_matches_fraction_oracle(p, q, c, n):
+    P, Q = BiPoly(p), BiPoly(q)
+    A, B = FractionPoly(p), FractionPoly(q)
+    assert_matches(P, A)
+    assert_matches(P + Q, A + B)
+    assert_matches(P - Q, A - B)
+    assert_matches(P - P, FractionPoly())
+    assert_matches(-P, -A)
+    assert_matches(P * Q, A * B)
+    assert_matches(P * c, A * c)
+    assert_matches(c * P, c * A)
+    assert_matches(P * 3, A * 3)
+    assert_matches(P + c, A + c)
+    assert_matches(c - P, c - A)
+    assert_matches(P**n, A**n)
+    if c:
+        assert_matches(P / c, A / c)
+        assert_matches(P / -2, A / -2)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            P / c
+
+
+@small
+@given(term_maps())
+@example({})
+@example({(2, 0): 1, (0, 2): -1})
+@example(dict(tabulated_basis().elements[9].terms()))
+def test_swap_and_laplacian_match_fraction_oracle(p):
+    P, A = BiPoly(p), FractionPoly(p)
+    assert_matches(P.swap_xy(), A.swap_xy())
+    image = discrete_laplacian_poly(P)
+    assert_matches(image, A.laplacian())
+    assert is_discrete_harmonic(P) == (A.laplacian() == FractionPoly())
+    assert is_discrete_harmonic(P) == image.is_zero
+
+
+@small
+@given(term_maps(), term_maps(), points, points)
+@example({}, {}, 0, 0)
+@example({(0, 0): Fraction(-7, 3)}, {(0, 0): Fraction(-7, 3)}, Fraction(1, 2), 5)
+def test_evaluation_equality_and_output_match_fraction_oracle(p, q, x, y):
+    P, Q = BiPoly(p), BiPoly(q)
+    A, B = FractionPoly(p), FractionPoly(q)
+    assert P.evaluate(x, y) == A.evaluate(x, y)
+    assert (P == Q) == (A == B)
+    assert P.sorted_terms() == A.sorted_terms()
+    assert str(P) == str(BiPoly(dict(A.terms())))
+    assert poly_to_json(P) == poly_to_json(A)
+    assert P.degree == A.degree
+    rebuilt = (P + Q) - Q
+    assert rebuilt == P and hash(rebuilt) == hash(P)
+    if P.degree <= 0:
+        constant = P.coefficient(0, 0)
+        assert P == constant and hash(P) == hash(constant) == hash(A)
