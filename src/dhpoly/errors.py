@@ -18,7 +18,8 @@ class SingularMatrixError(ArithmeticError):
 
 
 class ConstructionError(RuntimeError):
-    """Impulse-polynomial search exhausted every kernel vector and fallback."""
+    """An impulse-polynomial system lacked a unique solution, or its solution
+    failed the impulse-pattern check; indicates a bug, not bad input."""
 
 
 class InvariantError(RuntimeError):

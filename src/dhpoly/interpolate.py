@@ -21,20 +21,15 @@ from functools import lru_cache
 from . import linalg
 from .errors import ConstructionError, InvariantError, PreconditionError, SizeError
 from .grid import RatMatrix, is_inner_harmonic
-from .poly import BiPoly, generate_basis, is_discrete_harmonic, tabulated_basis
+from .poly import BiPoly, generate_basis, is_discrete_harmonic
 
-#: Basis used for the 3x3 base case: the tabulated elements of degree <= 3
-#: plus the first degree-4 element with a pure-x**4 leading term, evaluated
-#: against the eight border sites.  The resulting 8x8 system is nonsingular.
-_BASE_BASIS_INDICES = (0, 1, 2, 3, 4, 5, 6, 8)
+#: Basis used for the 3x3 base case: the canonical elements of degree <= 3
+#: plus the degree-4 element with pivot x**4, evaluated against the eight
+#: border sites.  The resulting 8x8 system is nonsingular.
+_BASE_BASIS = generate_basis(4).elements[:8]
 
 #: Border sites of the 3x3 lattice, in the row order of the base-case system.
 _BASE_POINTS = ((0, 0), (1, 0), (2, 0), (0, 1), (2, 1), (0, 2), (1, 2), (2, 2))
-
-
-def _base_basis():
-    elements = tabulated_basis().elements
-    return tuple(elements[k] for k in _BASE_BASIS_INDICES)
 
 
 def interpolate_3x3(A):
@@ -49,11 +44,10 @@ def interpolate_3x3(A):
         raise SizeError("base-case interpolation requires a 3x3 matrix")
     if not is_inner_harmonic(A):
         raise PreconditionError("matrix is not inner-harmonic")
-    basis = _base_basis()
-    rows = [[p.evaluate(x, y) for p in basis] for x, y in _BASE_POINTS]
+    rows = [[p.evaluate(x, y) for p in _BASE_BASIS] for x, y in _BASE_POINTS]
     rhs = [A.at(x, y) for x, y in _BASE_POINTS]
     coeffs = linalg.solve(rows, rhs)
-    return sum((c * p for c, p in zip(coeffs, basis) if c), BiPoly.zero())
+    return sum((c * p for c, p in zip(coeffs, _BASE_BASIS) if c), BiPoly.zero())
 
 
 @dataclass(frozen=True)
@@ -120,80 +114,65 @@ def _verify_impulse(xi, m, k):
     return value if _matches_on_border(xi, RatMatrix(expected)) else None
 
 
-def _search_impulse(pool, table, constraint_sets, m, k):
-    """Try each constraint set, and within it each kernel vector, until a
-    combination verifies the impulse pattern.
-
-    ``pool`` holds the candidates' integer term maps and ``table`` their
-    values at every constraint point.  A kernel vector is integral, so each
-    candidate sum runs in integers.
-    """
-    for points in constraint_sets:
-        rows = [table[point] for point in points]
-        for vec in linalg.nullspace(rows, ncols=len(pool)):
-            acc = {}
-            for v, terms in zip(vec, pool):
-                if v:
-                    v = v.numerator
-                    for key, c in terms.items():
-                        acc[key] = acc.get(key, 0) + v * c
-            xi = _primitive_poly({key: c for key, c in acc.items() if c})
-            value = _verify_impulse(xi, m, k)
-            if value is not None:
-                return xi, value
-    raise ConstructionError(f"no impulse polynomial found for size {m}, index {k}")
-
-
 @lru_cache(maxsize=None)
 def build_impulse_set(L):
     """Construct the four impulse polynomials for size parameter L >= 3.
 
-    Each polynomial is a kernel vector of a homogeneous 4L x 4L system: zero
-    on the 4L - 4 border sites of the lower-left L x L block plus four extra
-    points chosen per polynomial; candidates are the 4L non-constant elements
-    of the canonical harmonic basis up to degree 2L.  The first coefficient
-    row of every system is zero (no candidate has a constant term), so a
-    nonzero kernel always exists.  The candidates are evaluated once, at the
-    border sites and every extra point.  A solution is an integer
-    combination of basis elements, so it is discrete harmonic of degree
-    <= 2L by construction; what is checked is its impulse pattern, on the
-    border of the (L+1)-lattice.  On failure the remaining kernel vectors
-    and then two documented alternate fourth points are tried.  The third
-    polynomial is the first with x and y swapped (the Laplacian is symmetric
-    under the swap, and swapping moves the impulse from (0, L) to (L, 0)).
+    Candidates are the 4L non-constant elements of the canonical harmonic
+    basis up to degree 2L.  One nullspace over the 4L - 4 border sites of the
+    L-lattice gives the five combinations that vanish on that border (the row
+    at the origin is zero, since no candidate has a constant term), and so,
+    being discrete harmonic, on the whole L-lattice (discrete maximum
+    principle).  Impulse k is the single kernel vector of a 4 x 5 system over
+    those combinations: zero at the other three designated sites and at
+    (L+1, L), or at its mirror (L, L+1) for the impulse at (L, 0).  The fourth
+    point only fixes a multiple of the polynomial that vanishes on the whole
+    (L+1)-lattice.  Each result is an integer combination of basis elements,
+    so it is discrete harmonic of degree <= 2L by construction; what is
+    checked is its impulse pattern, on the border of the (L+1)-lattice.  A
+    system without exactly one kernel vector, or a failed check, raises
+    ConstructionError.
 
     Results are memoized per size; the cache is safe for concurrent readers.
     """
     if L < 3:
         raise SizeError("impulse polynomials need size at least 3")
     basis = [p for p in generate_basis(2 * L).elements if p.degree >= 1]
-    border = _block_border_sites(L)
-    extras = {
-        0: ((L - 1, L), (L, L), (L, 0), (L + 1, L)),
-        1: ((0, L), (L - 1, L), (L, 0), (L + 1, L)),
-        3: ((0, L), (L, L), (L, 0), (L + 1, L)),
-    }
-    alternate_fourth = ((L, L + 1), (L + 1, L - 1))
-    points = set(border).union(*extras.values(), alternate_fourth)
-    table = {point: [p.evaluate(*point) for p in basis] for point in points}
-    # Basis elements are primitive integer polynomials, so D = 1.
-    pool = [p._num for p in basis]
+    rows = [[p.evaluate(x, y) for p in basis] for x, y in _block_border_sites(L)]
+    kernel = [[v.numerator for v in vec] for vec in linalg.nullspace(rows, ncols=len(basis))]
 
-    polys = [None] * 4
-    values = [None] * 4
-    for k, extra in extras.items():
-        constraint_sets = [border + extra]
-        for alt in alternate_fourth:
-            constraint_sets.append(border + extra[:3] + (alt,))
-        polys[k], values[k] = _search_impulse(pool, table, constraint_sets, L, k)
+    def values(point):
+        at = [p.evaluate(*point).numerator for p in basis]
+        return [sum(v * a for v, a in zip(vec, at)) for vec in kernel]
 
-    swapped = _primitive_poly({(b, a): c for (a, b), c in polys[0]._num.items()})
-    value = _verify_impulse(swapped, L, 2)
-    if value is None:
-        raise ConstructionError(f"swapped impulse polynomial failed verification for size {L}")
-    polys[2], values[2] = swapped, value
+    site_values = [values(site) for site in _designated_sites(L)]
+    right, above = values((L + 1, L)), values((L, L + 1))
+    polys = []
+    impulse_values = []
+    for k in range(4):
+        rows = [row for j, row in enumerate(site_values) if j != k]
+        rows.append(above if k == 2 else right)
+        solution = linalg.nullspace(rows, ncols=len(kernel))
+        if len(solution) != 1:
+            raise ConstructionError(
+                f"impulse system for size {L}, index {k} has {len(solution)} kernel vectors"
+            )
+        c = [v.numerator for v in solution[0]]
+        coeffs = [sum(a * b for a, b in zip(c, column)) for column in zip(*kernel)]
+        # Basis elements are primitive integer polynomials, so D = 1.
+        terms = {}
+        for v, p in zip(coeffs, basis):
+            if v:
+                for key, a in p._num.items():
+                    terms[key] = terms.get(key, 0) + v * a
+        xi = _primitive_poly({key: a for key, a in terms.items() if a})
+        value = _verify_impulse(xi, L, k)
+        if value is None:
+            raise ConstructionError(f"impulse {k} of size {L} failed verification")
+        polys.append(xi)
+        impulse_values.append(value)
 
-    return ImpulseSet(size=L, polys=tuple(polys), values=tuple(values))
+    return ImpulseSet(size=L, polys=tuple(polys), values=tuple(impulse_values))
 
 
 def extension_coefficients(chi, A, impulses):

@@ -11,9 +11,17 @@ from dhpoly import (
     SandConfig,
     complete,
     discrete_laplacian_poly,
+    generate_basis,
     linalg,
 )
+from dhpoly.errors import ConstructionError
 from dhpoly.grid import _fraction
+from dhpoly.interpolate import (
+    ImpulseSet,
+    _block_border_sites,
+    _primitive_poly,
+    _verify_impulse,
+)
 from dhpoly.linalg import _ff_echelon, _fraction_rows, _integer_rows
 from dhpoly.poly import DHBasis, _exponent
 
@@ -153,6 +161,57 @@ def nullspace_basis(N):
     # ascending degree; within a degree, descending leading monomial (x first)
     elements.sort(key=lambda p: (p.degree, -p.leading_term()[0][0]))
     return DHBasis(max_degree=N, elements=tuple(elements))
+
+
+def _search_impulse(pool, table, constraint_sets, m, k):
+    for points in constraint_sets:
+        rows = [table[point] for point in points]
+        for vec in linalg.nullspace(rows, ncols=len(pool)):
+            acc = {}
+            for v, terms in zip(vec, pool):
+                if v:
+                    for key, c in terms.items():
+                        acc[key] = acc.get(key, 0) + v.numerator * c
+            xi = _primitive_poly({key: c for key, c in acc.items() if c})
+            value = _verify_impulse(xi, m, k)
+            if value is not None:
+                return xi, value
+    raise ConstructionError(f"no impulse polynomial found for size {m}, index {k}")
+
+
+def search_impulse_set(L):
+    """The impulse set found by search: for impulses 0, 1 and 3, a 4L x 4L
+    nullspace (zero on the 4L - 4 border sites of the L-lattice and at four
+    extra points), each kernel vector tried in turn, then two alternate
+    fourth points; impulse 2 is impulse 0 with x and y swapped.  The
+    reference that build_impulse_set's direct construction is checked
+    against."""
+    basis = [p for p in generate_basis(2 * L).elements if p.degree >= 1]
+    border = _block_border_sites(L)
+    extras = {
+        0: ((L - 1, L), (L, L), (L, 0), (L + 1, L)),
+        1: ((0, L), (L - 1, L), (L, 0), (L + 1, L)),
+        3: ((0, L), (L, L), (L, 0), (L + 1, L)),
+    }
+    alternate_fourth = ((L, L + 1), (L + 1, L - 1))
+    points = set(border).union(*extras.values(), alternate_fourth)
+    table = {point: [p.evaluate(*point) for p in basis] for point in points}
+    pool = [p._num for p in basis]
+
+    polys = [None] * 4
+    values = [None] * 4
+    for k, extra in extras.items():
+        constraint_sets = [border + extra]
+        for alt in alternate_fourth:
+            constraint_sets.append(border + extra[:3] + (alt,))
+        polys[k], values[k] = _search_impulse(pool, table, constraint_sets, L, k)
+
+    swapped = _primitive_poly({(b, a): c for (a, b), c in polys[0]._num.items()})
+    value = _verify_impulse(swapped, L, 2)
+    if value is None:
+        raise ConstructionError(f"swapped impulse polynomial failed verification for size {L}")
+    polys[2], values[2] = swapped, value
+    return ImpulseSet(size=L, polys=tuple(polys), values=tuple(values))
 
 
 _ZERO = Fraction(0)

@@ -6,16 +6,19 @@ from fractions import Fraction
 import pytest
 
 from dhpoly import (
+    ConstructionError,
     ImpulseSet,
     RatMatrix,
     build_impulse_set,
     evaluate_on_lattice,
+    interpolates,
     is_discrete_harmonic,
     random_config,
 )
 from dhpoly.cli import (
     MAX_BASIS_DEGREE,
     MAX_EVAL_SIZE,
+    MAX_INTERPOLATE_SIZE,
     MAX_SANDPILE_SIZE,
     MAX_SANDPILE_STEPS,
     main,
@@ -124,6 +127,39 @@ class TestInterpolate:
         for flags in ([], ["--verify"]):
             assert main(["interpolate", *flags, worked_csv]) == 3
             assert json.loads(capsys.readouterr().err)["code"] == "internal-error"
+
+    @pytest.mark.parametrize("oracle, calls", [([], 0), (["--oracle", "bilinear"], 1)])
+    def test_verify_reevaluates_only_bilinear(self, worked_csv, oracle, calls, monkeypatch):
+        # telescopic verifies its own result, so --verify adds no second check
+        import dhpoly.cli as cli
+
+        counted = []
+
+        def counting(P, H):
+            counted.append(H.size)
+            return interpolates(P, H)
+
+        monkeypatch.setattr(cli, "interpolates", counting)
+        assert main(["interpolate", "--verify", *oracle, worked_csv]) == 0
+        assert len(counted) == calls
+
+    def test_failed_impulse_construction_exits_three(self, worked_csv, capsys, monkeypatch):
+        # the impulse cache must neither hide the failure nor keep its result
+        build_impulse_set.cache_clear()
+        monkeypatch.setattr("dhpoly.interpolate._verify_impulse", lambda xi, m, k: None)
+        try:
+            with pytest.raises(ConstructionError):
+                build_impulse_set(3)
+            assert main(["interpolate", worked_csv]) == 3
+            assert json.loads(capsys.readouterr().err)["code"] == "internal-error"
+        finally:
+            build_impulse_set.cache_clear()
+
+    def test_oversized_matrix_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text(format_matrix(RatMatrix.zero(MAX_INTERPOLATE_SIZE + 1)))
+        assert main(["interpolate", str(path)]) == 2
+        _assert_input_error(capsys)
 
     def test_bilinear_oracle(self, worked_csv, capsys):
         assert main(["interpolate", "--oracle", "bilinear", worked_csv]) == 0
@@ -299,6 +335,7 @@ class TestUsage:
             ("basis", [MAX_BASIS_DEGREE]),
             ("eval", [MAX_EVAL_SIZE]),
             ("sandpile-verify", [MAX_SANDPILE_SIZE, MAX_SANDPILE_STEPS]),
+            ("interpolate", [MAX_INTERPOLATE_SIZE]),
         ],
     )
     def test_help_shows_limits(self, command, limits, capsys):

@@ -25,7 +25,7 @@ from dhpoly import (
 )
 from dhpoly.linalg import solve
 
-from helpers import random_inner_harmonic, random_matrix
+from helpers import random_inner_harmonic, random_matrix, search_impulse_set
 from reference_data import (
     BILINEAR_INTERPOLANT,
     FULL_INTERPOLANT,
@@ -132,6 +132,13 @@ class TestBuildImpulseSet:
     def test_pair_antisymmetry(self, L):
         xi4 = build_impulse_set(L).polys[3]
         assert xi4.evaluate(L - 1, L) == -xi4.evaluate(L, L - 1)
+
+    @pytest.mark.parametrize("L", range(3, 13))
+    def test_matches_search_oracle(self, L):
+        built, searched = build_impulse_set(L), search_impulse_set(L)
+        assert built.values == searched.values
+        for p, q in zip(built.polys, searched.polys):
+            assert (p._den, p._num) == (q._den, q._num)
 
     def test_memoized(self):
         assert build_impulse_set(3) is build_impulse_set(3)
