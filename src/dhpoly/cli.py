@@ -8,6 +8,7 @@ writes a one-line JSON record {code, message, location} to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -39,13 +40,15 @@ EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-#: Upper bounds on the size arguments and the interpolated matrix.  A larger
-#: value exits 2 instead of running for hours.  The largest allowed requests
-#: take about 0.3 s (basis), 8 s (a cold interpolation of a 24x24 matrix),
-#: 40 s (eval of a 231-term degree-20 polynomial) and 2 s with an 18 MB peak
-#: RSS (sandpile, 800 steps at size 128) on a shared 2-vCPU host.
+#: Upper bounds on the size arguments and the interpolated and completed
+#: matrices.  A larger value exits 2 instead of running for hours.  The
+#: largest allowed requests take about 0.3 s (basis), 8 s (a cold
+#: interpolation of a 24x24 matrix), 3 s with a 6 MB output (completion of a
+#: 64x64 border), 40 s (eval of a 231-term degree-20 polynomial) and 2 s with
+#: an 18 MB peak RSS (sandpile, 800 steps at size 128) on a shared 2-vCPU host.
 MAX_BASIS_DEGREE = 32
 MAX_INTERPOLATE_SIZE = 24
+MAX_COMPLETE_SIZE = 64
 MAX_EVAL_SIZE = 1000
 MAX_SANDPILE_SIZE = 128
 MAX_SANDPILE_STEPS = 800
@@ -100,6 +103,7 @@ def cmd_check(args):
 
 def cmd_complete(args):
     border = parse_bordered(_read(args.matrix))
+    _at_most("matrix size", border.size, MAX_COMPLETE_SIZE)
     _write(args, format_matrix(complete(border)))
     return EXIT_OK
 
@@ -167,7 +171,10 @@ def cmd_sandpile_verify(args):
     return EXIT_OK if len(seen) == 1 else EXIT_FALSE
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
+    """The argument parser, built once per process: parsing leaves it unchanged
+    and every parse starts from fresh defaults."""
     parser = _Parser(prog="dhpoly", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -177,7 +184,10 @@ def _build_parser():
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("complete", help="fill a CSV whose interior entries are '?'")
-    p.add_argument("matrix", help="bordered matrix CSV path, or - for stdin")
+    p.add_argument(
+        "matrix",
+        help=f"bordered matrix CSV path, or - for stdin (size at most {MAX_COMPLETE_SIZE})",
+    )
     p.add_argument("-o", "--output", help="output path (default stdout)")
     p.set_defaults(func=cmd_complete)
 

@@ -8,12 +8,17 @@ the entry below and its two side neighbours; so the bottom two rows and the
 side columns determine the matrix.  ``complete`` therefore marches the
 stencil upward from the L - 2 unknown inner values of the second-lowest row
 and solves one (L-2) x (L-2) system against the top row.  Marching loses
-accuracy in floating point, but here every value is an exact rational.
+accuracy in floating point, but here it runs in integers: the border is
+scaled once by the lcm D of its denominators, the solution's denominators
+add one more common factor d, and after a second, plain march of the values
+over d * D each entry becomes one Fraction at the end.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import linalg
 from .errors import SizeError
@@ -72,18 +77,27 @@ def complete(border):
     """The unique matrix with the given border whose stencil vanishes at
     every inner site.
 
-    The n = L - 2 inner values of display row L - 1 are the unknowns.  Every
-    entry is carried as an affine form in them: n integer coefficients, then a
-    rational constant.  The stencil at inner site (i, j) gives the entry above
-    it, h[i-1][j] = 4 h[i][j] - h[i+1][j] - h[i][j-1] - h[i][j+1], so the
-    forms march from the bottom of the display to the top, and matching them
-    with the top border is one n x n system.  That system is nonsingular: a
-    kernel vector would march, from a zero border, to a nonzero inner-harmonic
-    matrix with zero border, which uniqueness rules out.
+    The n = L - 2 inner values of display row L - 1 are the unknowns.  The
+    border is scaled once by D, the lcm of its denominators, so every entry
+    is carried as an integer affine form in D times the unknowns: n
+    coefficients, then a constant.  The stencil at inner site (i, j) gives
+    the entry above it, h[i-1][j] = 4 h[i][j] - h[i+1][j] - h[i][j-1] -
+    h[i][j+1], so the forms march from the bottom of the display to the top,
+    and matching them with the top border is one n x n system.  That system
+    is nonsingular: a kernel vector would march, from a zero border, to a
+    nonzero inner-harmonic matrix with zero border, which uniqueness rules
+    out.  With d the lcm of the solution's denominators, d * D times every
+    entry is an integer, so the values themselves march upward a second
+    time in integers, four operations per entry, and each entry below the
+    top row becomes one Fraction over d * D at the end.
     """
     L = border.size
     n = L - 2
-    value = dict(zip(border_positions(L), border.values))
+    D = math.lcm(*(v.denominator for v in border.values))
+    value = {
+        pos: v.numerator * (D // v.denominator)
+        for pos, v in zip(border_positions(L), border.values)
+    }
 
     def known(v):
         return [0] * n + [v]
@@ -92,18 +106,31 @@ def complete(border):
         return [known(value[(i, 1)]), *row, known(value[(i, L)])]
 
     unknowns = [[int(k == m) for m in range(n)] + [0] for k in range(n)]
-    # rows[k] holds display row L - k as forms; the top row is matched, not kept
-    rows = [[known(value[(L, j)]) for j in range(1, L + 1)], side(L - 1, unknowns)]
+    below = [known(value[(L, j)]) for j in range(1, L + 1)]
+    here = side(L - 1, unknowns)
     for i in range(L - 1, 1, -1):
-        below, here = rows[-2], rows[-1]
         above = [
             [4 * c - b - w - e for c, b, w, e in zip(here[j], below[j], here[j - 1], here[j + 1])]
             for j in range(1, L - 1)
         ]
-        rows.append(side(i - 1, above) if i > 2 else above)
-    top = rows.pop()
-    x = linalg.solve([f[:n] for f in top], [value[(1, j)] - f[n] for j, f in enumerate(top, 2)])
-    x = [*x, 1]
-    grid = [[value[(1, j)] for j in range(1, L + 1)]]
-    grid += [[sum(c * v for c, v in zip(f, x)) for f in row] for row in reversed(rows)]
+        below, here = here, side(i - 1, above) if i > 2 else above
+    x = linalg.solve([f[:n] for f in here], [value[(1, j)] - f[n] for j, f in enumerate(here, 2)])
+
+    d = math.lcm(*(v.denominator for v in x))
+    inner = (v.numerator * (d // v.denominator) for v in x)
+    # rows[k] holds d * D times display row L - k, down to row 2
+    rows = [
+        [d * value[(L, j)] for j in range(1, L + 1)],
+        [d * value[(L - 1, 1)], *inner, d * value[(L - 1, L)]],
+    ]
+    for i in range(L - 1, 2, -1):
+        below, here = rows[-2], rows[-1]
+        rows.append([
+            d * value[(i - 1, 1)],
+            *(4 * here[j] - below[j] - here[j - 1] - here[j + 1] for j in range(1, L - 1)),
+            d * value[(i - 1, L)],
+        ])
+    den = d * D
+    grid = [border.values[:L]]
+    grid += [[Fraction(v, den) for v in row] for row in reversed(rows)]
     return RatMatrix(grid)

@@ -32,22 +32,52 @@ _BASE_BASIS = generate_basis(4).elements[:8]
 _BASE_POINTS = ((0, 0), (1, 0), (2, 0), (0, 1), (2, 1), (0, 2), (1, 2), (2, 2))
 
 
+def _integer_combination(coeffs, polys):
+    """Term map of sum c_k p_k for integer c_k and polynomials p_k with
+    integer coefficients (denominator 1, as every canonical basis element
+    has), zero terms dropped."""
+    terms = {}
+    for c, p in zip(coeffs, polys):
+        if c:
+            for key, a in p._num.items():
+                terms[key] = terms.get(key, 0) + c * a
+    return {key: a for key, a in terms.items() if a}
+
+
+@lru_cache(maxsize=None)
+def _base_inverse():
+    """(d, N) with N / d the inverse of the fixed base-case matrix (basis
+    element k evaluated at point i in row i, column k) and N integer."""
+    n = len(_BASE_POINTS)
+    system = [
+        [p.evaluate(x, y) for p in _BASE_BASIS] + [int(i == k) for k in range(n)]
+        for i, (x, y) in enumerate(_BASE_POINTS)
+    ]
+    rows, _ = linalg.rref(system)
+    d = math.lcm(*(v.denominator for row in rows for v in row))
+    return d, tuple(tuple(v.numerator * (d // v.denominator) for v in row[n:]) for row in rows)
+
+
 def interpolate_3x3(A):
     """Discrete harmonic polynomial of degree <= 4 matching a 3x3
     inner-harmonic matrix everywhere on the 3-lattice.
 
     The eight border values determine the basis coefficients through a fixed
-    nonsingular 8x8 system; the center then matches automatically because
-    both sides satisfy the stencil there.
+    nonsingular 8x8 system, inverted once; the center then matches
+    automatically because both sides satisfy the stencil there.  With the
+    border values scaled to integers by the lcm D of their denominators, the
+    whole polynomial is one integer product over d * D.
     """
     if A.size != 3:
         raise SizeError("base-case interpolation requires a 3x3 matrix")
     if not is_inner_harmonic(A):
         raise PreconditionError("matrix is not inner-harmonic")
-    rows = [[p.evaluate(x, y) for p in _BASE_BASIS] for x, y in _BASE_POINTS]
-    rhs = [A.at(x, y) for x, y in _BASE_POINTS]
-    coeffs = linalg.solve(rows, rhs)
-    return sum((c * p for c, p in zip(coeffs, _BASE_BASIS) if c), BiPoly.zero())
+    d, inverse = _base_inverse()
+    values = [A.at(x, y) for x, y in _BASE_POINTS]
+    D = math.lcm(*(v.denominator for v in values))
+    rhs = [v.numerator * (D // v.denominator) for v in values]
+    coeffs = [sum(a * b for a, b in zip(row, rhs)) for row in inverse]
+    return BiPoly._from_ints(d * D, _integer_combination(coeffs, _BASE_BASIS))
 
 
 @dataclass(frozen=True)
@@ -159,13 +189,7 @@ def build_impulse_set(L):
             )
         c = [v.numerator for v in solution[0]]
         coeffs = [sum(a * b for a, b in zip(c, column)) for column in zip(*kernel)]
-        # Basis elements are primitive integer polynomials, so D = 1.
-        terms = {}
-        for v, p in zip(coeffs, basis):
-            if v:
-                for key, a in p._num.items():
-                    terms[key] = terms.get(key, 0) + v * a
-        xi = _primitive_poly({key: a for key, a in terms.items() if a})
+        xi = _primitive_poly(_integer_combination(coeffs, basis))
         value = _verify_impulse(xi, L, k)
         if value is None:
             raise ConstructionError(f"impulse {k} of size {L} failed verification")

@@ -9,6 +9,7 @@ from dhpoly import (
     BorderSpec,
     RatMatrix,
     SandConfig,
+    border_positions,
     complete,
     discrete_laplacian_poly,
     generate_basis,
@@ -17,6 +18,8 @@ from dhpoly import (
 from dhpoly.errors import ConstructionError
 from dhpoly.grid import _fraction
 from dhpoly.interpolate import (
+    _BASE_BASIS,
+    _BASE_POINTS,
     ImpulseSet,
     _block_border_sites,
     _primitive_poly,
@@ -45,6 +48,49 @@ def random_border(rng, L, max_num=9, max_den=5):
 def random_inner_harmonic(rng, L):
     """Random inner-harmonic matrix via completion of a random border."""
     return complete(random_border(rng, L))
+
+
+def affine_complete(border):
+    """Completion with every entry carried as an affine form in the L - 2
+    unknowns (integer coefficients, then a rational constant), marched upward
+    and read off as Fraction dot products with the solution: the reference
+    that completion.complete's integer value march is checked against."""
+    L = border.size
+    n = L - 2
+    value = dict(zip(border_positions(L), border.values))
+
+    def known(v):
+        return [0] * n + [v]
+
+    def side(i, row):
+        return [known(value[(i, 1)]), *row, known(value[(i, L)])]
+
+    unknowns = [[int(k == m) for m in range(n)] + [0] for k in range(n)]
+    # rows[k] holds display row L - k as forms; the top row is matched, not kept
+    rows = [[known(value[(L, j)]) for j in range(1, L + 1)], side(L - 1, unknowns)]
+    for i in range(L - 1, 1, -1):
+        below, here = rows[-2], rows[-1]
+        above = [
+            [4 * c - b - w - e for c, b, w, e in zip(here[j], below[j], here[j - 1], here[j + 1])]
+            for j in range(1, L - 1)
+        ]
+        rows.append(side(i - 1, above) if i > 2 else above)
+    top = rows.pop()
+    x = linalg.solve([f[:n] for f in top], [value[(1, j)] - f[n] for j, f in enumerate(top, 2)])
+    x = [*x, 1]
+    grid = [[value[(1, j)] for j in range(1, L + 1)]]
+    grid += [[sum(c * v for c, v in zip(f, x)) for f in row] for row in reversed(rows)]
+    return RatMatrix(grid)
+
+
+def solve_3x3(A):
+    """The base-case interpolant by evaluating the eight base-basis elements
+    at the eight border sites and solving that 8x8 system: the reference
+    that interpolate_3x3's cached integer inverse is checked against."""
+    rows = [[p.evaluate(x, y) for p in _BASE_BASIS] for x, y in _BASE_POINTS]
+    rhs = [A.at(x, y) for x, y in _BASE_POINTS]
+    coeffs = linalg.solve(rows, rhs)
+    return sum((c * p for c, p in zip(coeffs, _BASE_BASIS) if c), BiPoly.zero())
 
 
 def random_poly(rng, max_degree=6, n_terms=8, max_num=9, max_den=5):

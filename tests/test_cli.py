@@ -17,10 +17,12 @@ from dhpoly import (
 )
 from dhpoly.cli import (
     MAX_BASIS_DEGREE,
+    MAX_COMPLETE_SIZE,
     MAX_EVAL_SIZE,
     MAX_INTERPOLATE_SIZE,
     MAX_SANDPILE_SIZE,
     MAX_SANDPILE_STEPS,
+    _build_parser,
     main,
 )
 from dhpoly.formats import format_matrix, parse_matrix, poly_from_json, poly_to_json
@@ -105,6 +107,15 @@ class TestComplete:
         monkeypatch.setattr(sys, "stdin", io.StringIO("0,0,0\n0,?,0\n0,0,0\n"))
         assert main(["complete", "-"]) == 0
         assert parse_matrix(capsys.readouterr().out) == RatMatrix.zero(3)
+
+    def test_oversized_border_is_input_error(self, tmp_path, capsys):
+        L = MAX_COMPLETE_SIZE + 1
+        rows = [["0" if i in (0, L - 1) or j in (0, L - 1) else "?" for j in range(L)]
+                for i in range(L)]
+        path = tmp_path / "big.csv"
+        path.write_text("\n".join(",".join(row) for row in rows))
+        assert main(["complete", str(path)]) == 2
+        _assert_input_error(capsys)
 
 
 class TestInterpolate:
@@ -336,6 +347,7 @@ class TestUsage:
             ("eval", [MAX_EVAL_SIZE]),
             ("sandpile-verify", [MAX_SANDPILE_SIZE, MAX_SANDPILE_STEPS]),
             ("interpolate", [MAX_INTERPOLATE_SIZE]),
+            ("complete", [MAX_COMPLETE_SIZE]),
         ],
     )
     def test_help_shows_limits(self, command, limits, capsys):
@@ -352,3 +364,20 @@ class TestUsage:
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["inner_harmonic"] is True
+
+    def test_one_parser_serves_every_call(self, capsys):
+        # the parser is built once per process; each call must still start
+        # from the defaults, whatever the previous call parsed or rejected
+        assert _build_parser() is _build_parser()
+        assert main(["basis", "--degree", "x"]) == 2
+        assert json.loads(capsys.readouterr().err)["code"] == "usage"
+        assert main(["basis", "--degree", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["max_degree"] == 1
+        assert main(["basis", "--degree", "1", "--format", "text"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["1", "1*x^1", "1*y^1"]
+        assert main(["basis", "--degree", "1"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["elements"]) == 3
+        assert main(["basis", "--help"]) == 0
+        assert "--degree" in capsys.readouterr().out
+        assert main(["--version"]) == 0
+        assert capsys.readouterr().out.startswith("dhpoly ")

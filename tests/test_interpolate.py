@@ -12,6 +12,7 @@ from dhpoly import (
     SizeError,
     bilinear,
     build_impulse_set,
+    complete,
     evaluate_on_lattice,
     extend,
     extension_coefficients,
@@ -20,12 +21,20 @@ from dhpoly import (
     interpolates,
     is_discrete_harmonic,
     is_inner_harmonic,
+    linalg,
     tabulated_basis,
     telescopic,
 )
+from dhpoly.interpolate import _base_inverse
 from dhpoly.linalg import solve
 
-from helpers import random_inner_harmonic, random_matrix, search_impulse_set
+from helpers import (
+    random_border,
+    random_inner_harmonic,
+    random_matrix,
+    search_impulse_set,
+    solve_3x3,
+)
 from reference_data import (
     BILINEAR_INTERPOLANT,
     FULL_INTERPOLANT,
@@ -81,6 +90,35 @@ class TestInterpolate3x3:
         P = interpolate_3x3(WORKED_MINOR_3X3)
         assert interpolates(P, WORKED_MINOR_3X3)
         assert is_discrete_harmonic(P)
+
+    def test_matches_solve_oracle(self):
+        rng = random.Random(75)
+        fixtures = [
+            WORKED_MINOR_3X3,
+            RatMatrix.zero(3),
+            WORKED_4X4.lower_left_minor(3),
+            evaluate_on_lattice(BiPoly.monomial(1, 1), 3),
+        ]
+        randoms = [
+            complete(random_border(rng, 3, max_num=10**k, max_den=10**k))
+            for k in (1, 3, 6)
+            for _ in range(100)
+        ]
+        for A in fixtures + randoms:
+            assert interpolate_3x3(A) == solve_3x3(A)
+
+    def test_telescopic_solves_no_system(self, monkeypatch):
+        real, calls = linalg.solve, []
+
+        def counting(A, b):
+            calls.append(len(A))
+            return real(A, b)
+
+        monkeypatch.setattr(linalg, "solve", counting)
+        _base_inverse.cache_clear()
+        assert interpolates(telescopic(WORKED_4X4), WORKED_4X4)
+        assert telescopic(WORKED_MINOR_3X3) == MINOR_INTERPOLANT
+        assert calls == []
 
 
 class TestReferenceImpulses:

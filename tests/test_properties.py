@@ -2,8 +2,9 @@
 Laplacian, the degree bound of telescopic interpolation, polynomial
 evaluation against the term-by-term sum, uniqueness of border completion,
 the exact linear algebra against a Fraction back-substitution and sympy, the
-integer sandpile step and weighted sum against their Fraction references, and
-the integer-numerator polynomial core against a Fraction-dict oracle.
+integer sandpile step and weighted sum against their Fraction references,
+the integer-numerator polynomial core against a Fraction-dict oracle, and
+integer border completion against the Fraction affine march.
 Examples are derandomized so every run checks the same cases."""
 
 import math
@@ -39,6 +40,7 @@ from dhpoly.linalg import nullspace, rank, rref, solve
 
 from helpers import (
     FractionPoly,
+    affine_complete,
     fraction_rref,
     kernel_from_rref,
     naive_evaluate,
@@ -144,6 +146,27 @@ def test_completion_is_unique(P, L):
     H = evaluate_on_lattice(P, L)
     assert is_inner_harmonic(H)
     assert complete(extract_border(H)) == H
+
+
+@st.composite
+def borders(draw):
+    """Rational borders of size 3..16: integer-only, small denominators or
+    denominators up to 10**6, values of either sign."""
+    L = draw(st.integers(3, 16))
+    max_den = draw(st.sampled_from([1, 5, 10**6]))
+    values = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=max_den)
+    return BorderSpec(L, draw(st.lists(values, min_size=4 * L - 4, max_size=4 * L - 4)))
+
+
+@small
+@given(borders())
+@example(BorderSpec(16, (0,) * 60))
+@example(BorderSpec(4, (-3, 7, 0, 2, -1, 5, 9, -8, 4, 6, -2, 1)))
+@example(BorderSpec(16, tuple(Fraction((-1) ** k * (k + 1), 10**6 - k) for k in range(60))))
+def test_complete_matches_affine_march(border):
+    H = complete(border)
+    assert H == affine_complete(border)
+    assert all(type(v) is Fraction for row in H.rows for v in row)
 
 
 def rational_rows(entry, nrows, ncols):
