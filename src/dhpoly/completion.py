@@ -5,13 +5,16 @@ data of a discrete Dirichlet problem.  By the discrete maximum principle an
 inner-harmonic matrix with zero border is zero, so the filling is unique.
 The stencil at an inner site gives the entry above it from the entry itself,
 the entry below and its two side neighbours; so the bottom two rows and the
-side columns determine the matrix.  ``complete`` therefore marches the
-stencil upward from the L - 2 unknown inner values of the second-lowest row
-and solves one (L-2) x (L-2) system against the top row.  Marching loses
-accuracy in floating point, but here it runs in integers: the border is
-scaled once by the lcm D of its denominators, the solution's denominators
-add one more common factor d, and after a second, plain march of the values
-over d * D each entry becomes one Fraction at the end.
+side columns determine the matrix.  One scalar march (``_march``) does that
+in integers, and ``complete`` runs it three ways: on unit vectors, once per
+size, for the response matrix R(L) that takes the L - 2 unknown inner values
+of the second-lowest row to the top row's inner values; on the border with
+the unknowns at zero, for the constant part; and, once the (L-2) x (L-2)
+system against the top row is solved, on the values themselves.  Marching
+loses accuracy in floating point, but here every entry is an integer: the
+border is scaled once by the lcm D of its denominators, the solution's
+denominators add one more common factor d, and each entry of the value
+march over d * D becomes one Fraction at the end.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import linalg
 from .errors import SizeError
@@ -73,63 +77,70 @@ def extract_border(H):
     return BorderSpec(H.size, tuple(H.entry(i, j) for i, j in border_positions(H.size)))
 
 
+def _march(rows, sides):
+    """Extend integer display rows upward by the stencil.
+
+    ``rows`` holds the bottom two rows, bottom first.  Each (left, right) in
+    ``sides`` closes the next row up, whose inner entries the stencil at the
+    inner sites of the row below gives: h[i-1][j] = 4 h[i][j] - h[i+1][j] -
+    h[i][j-1] - h[i][j+1].  Returns the rows, bottom first.
+    """
+    for left, right in sides:
+        below, here = rows[-2], rows[-1]
+        inner = (4 * c - b - w - e for c, b, w, e in zip(here[1:-1], below[1:], here, here[2:]))
+        rows.append([left, *inner, right])
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _response(L):
+    """The response matrix R(L): column k holds the inner values of the top
+    row marched from a zero border with a 1 at inner site k of display row
+    L - 1.  Integer, and fixed by L alone."""
+    zero = [0] * L
+    columns = [
+        _march([zero, [int(j == k + 1) for j in range(L)]], [(0, 0)] * (L - 2))[-1][1:-1]
+        for k in range(L - 2)
+    ]
+    return tuple(zip(*columns))
+
+
 def complete(border):
     """The unique matrix with the given border whose stencil vanishes at
     every inner site.
 
     The n = L - 2 inner values of display row L - 1 are the unknowns.  The
-    border is scaled once by D, the lcm of its denominators, so every entry
-    is carried as an integer affine form in D times the unknowns: n
-    coefficients, then a constant.  The stencil at inner site (i, j) gives
-    the entry above it, h[i-1][j] = 4 h[i][j] - h[i+1][j] - h[i][j-1] -
-    h[i][j+1], so the forms march from the bottom of the display to the top,
-    and matching them with the top border is one n x n system.  That system
-    is nonsingular: a kernel vector would march, from a zero border, to a
-    nonzero inner-harmonic matrix with zero border, which uniqueness rules
-    out.  With d the lcm of the solution's denominators, d * D times every
-    entry is an integer, so the values themselves march upward a second
-    time in integers, four operations per entry, and each entry below the
-    top row becomes one Fraction over d * D at the end.
+    border is scaled once by D, the lcm of its denominators, and the stencil
+    marches integer rows from the bottom of the display to the top (see
+    _march).  The march is linear, so the top row's inner values are R x + c:
+    R = R(L) is the response to each unknown alone (see _response) and c the
+    march of the border with the unknowns at zero.  Matching the top border
+    is the n x n system R x = top - c.  R is nonsingular: a kernel vector
+    would march, from a zero border, to a nonzero inner-harmonic matrix with
+    zero border, which uniqueness rules out; linalg.solve would raise
+    SingularMatrixError otherwise.  With d the lcm of the solution's
+    denominators, d * D times every entry is an integer, so the values
+    themselves march a second time, and each entry below the top row becomes
+    one Fraction over d * D at the end.
     """
     L = border.size
-    n = L - 2
     D = math.lcm(*(v.denominator for v in border.values))
     value = {
         pos: v.numerator * (D // v.denominator)
         for pos, v in zip(border_positions(L), border.values)
     }
-
-    def known(v):
-        return [0] * n + [v]
-
-    def side(i, row):
-        return [known(value[(i, 1)]), *row, known(value[(i, L)])]
-
-    unknowns = [[int(k == m) for m in range(n)] + [0] for k in range(n)]
-    below = [known(value[(L, j)]) for j in range(1, L + 1)]
-    here = side(L - 1, unknowns)
-    for i in range(L - 1, 1, -1):
-        above = [
-            [4 * c - b - w - e for c, b, w, e in zip(here[j], below[j], here[j - 1], here[j + 1])]
-            for j in range(1, L - 1)
-        ]
-        below, here = here, side(i - 1, above) if i > 2 else above
-    x = linalg.solve([f[:n] for f in here], [value[(1, j)] - f[n] for j, f in enumerate(here, 2)])
+    bottom = [value[(L, j)] for j in range(1, L + 1)]
+    sides = [(value[(i, 1)], value[(i, L)]) for i in range(L - 2, 0, -1)]
+    c = _march([bottom, [value[(L - 1, 1)], *[0] * (L - 2), value[(L - 1, L)]]], sides)[-1]
+    x = linalg.solve(_response(L), [value[(1, j)] - c[j - 1] for j in range(2, L)])
 
     d = math.lcm(*(v.denominator for v in x))
     inner = (v.numerator * (d // v.denominator) for v in x)
-    # rows[k] holds d * D times display row L - k, down to row 2
-    rows = [
-        [d * value[(L, j)] for j in range(1, L + 1)],
-        [d * value[(L - 1, 1)], *inner, d * value[(L - 1, L)]],
-    ]
-    for i in range(L - 1, 2, -1):
-        below, here = rows[-2], rows[-1]
-        rows.append([
-            d * value[(i - 1, 1)],
-            *(4 * here[j] - below[j] - here[j - 1] - here[j + 1] for j in range(1, L - 1)),
-            d * value[(i - 1, L)],
-        ])
+    # rows[k] holds d * D times display row L - k, up to row 2
+    rows = _march(
+        [[d * v for v in bottom], [d * value[(L - 1, 1)], *inner, d * value[(L - 1, L)]]],
+        [(d * left, d * right) for left, right in sides[:-1]],
+    )
     den = d * D
     grid = [border.values[:L]]
     grid += [[Fraction(v, den) for v in row] for row in reversed(rows)]

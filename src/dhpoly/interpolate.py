@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
+from .completion import border_positions
 from .errors import ConstructionError, InvariantError, PreconditionError, SizeError
-from .grid import RatMatrix, is_inner_harmonic
-from .poly import BiPoly, generate_basis, is_discrete_harmonic
+from .grid import is_inner_harmonic, matrix_to_lattice
+from .poly import X, Y, BiPoly, _combine, generate_basis, is_discrete_harmonic
 
 #: Basis used for the 3x3 base case: the canonical elements of degree <= 3
 #: plus the degree-4 element with pivot x**4, evaluated against the eight
@@ -30,18 +30,6 @@ _BASE_BASIS = generate_basis(4).elements[:8]
 
 #: Border sites of the 3x3 lattice, in the row order of the base-case system.
 _BASE_POINTS = ((0, 0), (1, 0), (2, 0), (0, 1), (2, 1), (0, 2), (1, 2), (2, 2))
-
-
-def _integer_combination(coeffs, polys):
-    """Term map of sum c_k p_k for integer c_k and polynomials p_k with
-    integer coefficients (denominator 1, as every canonical basis element
-    has), zero terms dropped."""
-    terms = {}
-    for c, p in zip(coeffs, polys):
-        if c:
-            for key, a in p._num.items():
-                terms[key] = terms.get(key, 0) + c * a
-    return {key: a for key, a in terms.items() if a}
 
 
 @lru_cache(maxsize=None)
@@ -77,7 +65,7 @@ def interpolate_3x3(A):
     D = math.lcm(*(v.denominator for v in values))
     rhs = [v.numerator * (D // v.denominator) for v in values]
     coeffs = [sum(a * b for a, b in zip(row, rhs)) for row in inverse]
-    return BiPoly._from_ints(d * D, _integer_combination(coeffs, _BASE_BASIS))
+    return BiPoly._from_ints(d * D, _combine(coeffs, (p._num for p in _BASE_BASIS)))
 
 
 @dataclass(frozen=True)
@@ -111,12 +99,7 @@ def _primitive_poly(terms):
 
 def _block_border_sites(L):
     """Border sites of the L-lattice, i.e. of the lower-left L x L block."""
-    return tuple(
-        (x, y)
-        for x in range(L)
-        for y in range(L)
-        if x in (0, L - 1) or y in (0, L - 1)
-    )
+    return tuple(matrix_to_lattice(i, j, L) for i, j in border_positions(L))
 
 
 def _matches_on_border(P, H):
@@ -136,12 +119,11 @@ def _verify_impulse(xi, m, k):
     value = xi.evaluate(*target)
     if value == 0:
         return None
-    # Expected values in display order (top row y = m).  The pattern is
-    # inner-harmonic: corners lie in no stencil, and the one stencil holding
-    # the dipole (centred at (m-1, m-1)) sums it to zero.
+    # The pattern is inner-harmonic: corners lie in no stencil, and the one
+    # stencil holding the dipole (centred at (m-1, m-1)) sums it to zero.
     pattern = {target: value, (m, m - 1): -value} if k == 3 else {target: value}
-    expected = [[pattern.get((x, y), 0) for x in range(m + 1)] for y in range(m, -1, -1)]
-    return value if _matches_on_border(xi, RatMatrix(expected)) else None
+    sites = _block_border_sites(m + 1)
+    return value if all(xi.evaluate(x, y) == pattern.get((x, y), 0) for x, y in sites) else None
 
 
 @lru_cache(maxsize=None)
@@ -189,7 +171,7 @@ def build_impulse_set(L):
             )
         c = [v.numerator for v in solution[0]]
         coeffs = [sum(a * b for a, b in zip(c, column)) for column in zip(*kernel)]
-        xi = _primitive_poly(_integer_combination(coeffs, basis))
+        xi = _primitive_poly(_combine(coeffs, (p._num for p in basis)))
         value = _verify_impulse(xi, L, k)
         if value is None:
             raise ConstructionError(f"impulse {k} of size {L} failed verification")
@@ -202,12 +184,16 @@ def build_impulse_set(L):
 def extension_coefficients(chi, A, impulses):
     """Multipliers z1..z4 for the impulse polynomials in one enlargement step.
 
-    With m = A.size - 1, the five sites a degree-h interpolant of the m x m
-    block cannot be forced to match are (0, m), (m-1, m), (m, m), (m, m-1)
-    and (m, 0); the stencil centered at (m-1, m-1) ties the two middle ones
-    together, which is what makes four impulse polynomials enough.
+    With m = impulses.size, only the lower-left (m+1) x (m+1) block of A is
+    read, so A may be larger; a smaller A raises SizeError.  The five sites
+    a degree-h interpolant of the m x m block cannot be forced to match are
+    (0, m), (m-1, m), (m, m), (m, m-1) and (m, 0); the stencil centered at
+    (m-1, m-1) ties the two middle ones together, which is what makes four
+    impulse polynomials enough.
     """
-    m = A.size - 1
+    m = impulses.size
+    if A.size <= m:
+        raise SizeError(f"impulse set of size {m} needs a matrix of size at least {m + 1}")
     sites = ((0, m), (m - 1, m), (m, m), (m, m - 1), (m, 0))
     want = [A.at(x, y) for x, y in sites]
     have = [chi.evaluate(x, y) for x, y in sites]
@@ -269,58 +255,34 @@ def telescopic(H):
     if not is_inner_harmonic(H):
         raise PreconditionError("matrix is not inner-harmonic")
     chi = interpolate_3x3(H.lower_left_minor(3))
-    for m in range(4, L + 1):
-        chi = _extend(chi, H.lower_left_minor(m), build_impulse_set(m - 1))
+    for m in range(3, L):
+        chi = _extend(chi, H, build_impulse_set(m))
     if not (is_discrete_harmonic(chi) and _matches_on_border(chi, H)):
         raise InvariantError("telescopic result does not interpolate the matrix")
     return chi
 
 
-def _poly_mul_int(p, q):
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
+def _cardinals(V, L):
+    """Lagrange cardinals prod_{j != u} (V - j) / (u - j), u = 0..L-1, in
+    the variable V."""
+    one = BiPoly.constant(1)
+    return [
+        math.prod((V - j for j in range(L) if j != u), start=one)
+        / math.prod(u - j for j in range(L) if j != u)
+        for u in range(L)
+    ]
 
 
 def bilinear(H):
-    """Tensor-product Lagrange interpolant of degree 2(L-1) on the lattice.
+    """Tensor-product Lagrange interpolant of degree 2(L-1) on the lattice:
+    the sum over u of cx_u * sum_v H(u, v) cy_v, with cx and cy the Lagrange
+    cardinals in x and in y.
 
     Works for any matrix and always interpolates, but its stencil image is
     generally a nonzero polynomial: matching lattice values does not make a
     polynomial discrete harmonic.
     """
     L = H.size
-    cardinals = []
-    for u in range(L):
-        num = [1]
-        den = 1
-        for j in range(L):
-            if j != u:
-                num = _poly_mul_int(num, [-j, 1])
-                den *= u - j
-        cardinals.append((num, den))
-
-    terms = {}
-    for u in range(L):
-        for v in range(L):
-            z = H.at(u, v)
-            if not z:
-                continue
-            num_u, den_u = cardinals[u]
-            num_v, den_v = cardinals[v]
-            scale = z / (den_u * den_v)
-            for a, cu in enumerate(num_u):
-                if not cu:
-                    continue
-                for b, cv in enumerate(num_v):
-                    if not cv:
-                        continue
-                    key = (a, b)
-                    s = terms.get(key, Fraction(0)) + scale * cu * cv
-                    if s:
-                        terms[key] = s
-                    else:
-                        terms.pop(key, None)
-    return BiPoly(terms)
+    cx, cy = _cardinals(X, L), _cardinals(Y, L)
+    zero = BiPoly.zero()
+    return sum((cx[u] * sum((H.at(u, v) * cy[v] for v in range(L)), zero) for u in range(L)), zero)

@@ -17,22 +17,19 @@ from fractions import Fraction
 from .errors import SingularMatrixError
 from .grid import _fraction
 
-def _fraction_rows(A):
-    rows = [[_fraction(v) for v in row] for row in A]
-    if rows:
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ValueError("ragged matrix")
-    return rows
-
-
-def _integer_rows(rows):
-    """Scale each row by the lcm of its denominators; row scaling preserves
-    solution sets and row spaces."""
+def _integer_rows(A):
+    """Rows of A coerced exactly and scaled each by the lcm of its
+    denominators, in one pass; row scaling preserves solution sets and row
+    spaces.  int entries (not bool) are taken as they are, anything else goes
+    through grid._fraction, so floats, Decimals and bools raise TypeError.
+    Ragged rows raise ValueError."""
     out = []
-    for row in rows:
-        mult = math.lcm(*(v.denominator for v in row)) if row else 1
+    for row in A:
+        row = [v if type(v) is int else _fraction(v) for v in row]
+        mult = math.lcm(*(v.denominator for v in row))
         out.append([v.numerator * (mult // v.denominator) for v in row])
+    if any(len(r) != len(out[0]) for r in out):
+        raise ValueError("ragged matrix")
     return out
 
 
@@ -112,15 +109,13 @@ def solve(A, b):
 
     Raises SingularMatrixError (carrying the rank of A) when A is singular.
     """
-    rows = _fraction_rows(A)
-    n = len(rows)
-    if n == 0 or any(len(r) != n for r in rows):
-        raise ValueError("solve requires a square nonempty matrix")
-    rhs = [_fraction(v) for v in b]
-    if len(rhs) != n:
+    A, b = list(A), list(b)
+    n = len(A)
+    if len(b) != n:
         raise ValueError("right-hand side length must match the matrix size")
-
-    aug = _integer_rows([row + [t] for row, t in zip(rows, rhs)])
+    aug = _integer_rows([*row, t] for row, t in zip(A, b))
+    if n == 0 or len(aug[0]) != n + 1:
+        raise ValueError("solve requires a square nonempty matrix")
     pivots = _ff_echelon(aug, range(n))
     if len(pivots) < n:
         raise SingularMatrixError(len(pivots))
@@ -135,10 +130,9 @@ def rref(A, ncols=None):
     zero rows dropped.  The RREF of a row space is unique, so the output is a
     canonical form of the input's row space.
     """
-    rows = _fraction_rows(A)
+    m = _integer_rows(A)
     if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    m = _integer_rows(rows)
+        ncols = len(m[0]) if m else 0
     pivots = _ff_echelon(m, range(ncols))
     d, reduced = _back_substitute(m, pivots, range(ncols))
     return [tuple(Fraction(v, d) for v in row) for row in reduced], [c for _, c in pivots]
@@ -146,10 +140,9 @@ def rref(A, ncols=None):
 
 def rank(A, ncols=None):
     """Exact rank."""
-    rows = _fraction_rows(A)
+    m = _integer_rows(A)
     if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    m = _integer_rows(rows)
+        ncols = len(m[0]) if m else 0
     return len(_ff_echelon(m, range(ncols)))
 
 
@@ -172,12 +165,11 @@ def nullspace(A, ncols=None):
     entry.  Returns an empty list iff A has full column rank.  ``ncols`` must
     be given when A has no rows.
     """
-    rows = _fraction_rows(A)
+    m = _integer_rows(A)
     if ncols is None:
-        if not rows:
+        if not m:
             raise ValueError("ncols is required for a matrix with no rows")
-        ncols = len(rows[0])
-    m = _integer_rows(rows)
+        ncols = len(m[0])
     pivots = _ff_echelon(m, range(ncols))
     pivot_cols = {c for _, c in pivots}
     free_cols = [c for c in range(ncols) if c not in pivot_cols]

@@ -390,16 +390,22 @@ def _harmonic_images(n, cf):
     return tuple({key: c for key, c in image.items() if c} for image in images)
 
 
-def _combine(s, row, t, other):
-    """s * row + t * other for integer term maps, with t and other's entries
-    nonzero, dropping the terms that cancel."""
-    out = {key: s * c for key, c in row.items()}
-    for key, c in other.items():
-        v = out.get(key, 0) + t * c
-        if v:
-            out[key] = v
-        else:
-            del out[key]
+def _combine(coeffs, maps):
+    """Term map of sum c_k m_k for integer c_k and integer term maps m_k with
+    no zero entry, dropping the terms that cancel.  Starts from a scaled copy
+    of the first map with a nonzero coefficient."""
+    pairs = [(c, m) for c, m in zip(coeffs, maps) if c]
+    if not pairs:
+        return {}
+    (c, first), *rest = pairs
+    out = {key: c * a for key, a in first.items()}
+    for c, m in rest:
+        for key, a in m.items():
+            v = out.get(key, 0) + c * a
+            if v:
+                out[key] = v
+            else:
+                del out[key]
     return out
 
 
@@ -430,7 +436,7 @@ def generate_basis(N):
                 c = row.get(key)
                 if c:
                     g = math.gcd(p, c)
-                    row = _combine(p // g, row, -c // g, lower)
+                    row = _combine((p // g, -c // g), (row, lower))
             g = math.gcd(*row.values())
             rows.append((pivot, row[pivot] // g, {key: c // g for key, c in row.items()}))
     elements = tuple(BiPoly._from_ints(1, row) for _, _, row in rows)

@@ -25,7 +25,7 @@ from dhpoly.interpolate import (
     _primitive_poly,
     _verify_impulse,
 )
-from dhpoly.linalg import _ff_echelon, _fraction_rows, _integer_rows
+from dhpoly.linalg import _ff_echelon, _integer_rows
 from dhpoly.poly import DHBasis, _exponent
 
 
@@ -50,11 +50,13 @@ def random_inner_harmonic(rng, L):
     return complete(random_border(rng, L))
 
 
-def affine_complete(border):
-    """Completion with every entry carried as an affine form in the L - 2
-    unknowns (integer coefficients, then a rational constant), marched upward
-    and read off as Fraction dot products with the solution: the reference
-    that completion.complete's integer value march is checked against."""
+def affine_march(border):
+    """The affine forms of affine_complete, in the L - 2 unknowns (integer
+    coefficients, then a rational constant), marched upward.  Returns
+    (value, rows, top): the border by display position, rows[k] holding
+    display row L - k up to row 2, and the L - 2 inner forms of the top row,
+    whose coefficient parts are the matrix that is matched with the top
+    border."""
     L = border.size
     n = L - 2
     value = dict(zip(border_positions(L), border.values))
@@ -76,6 +78,17 @@ def affine_complete(border):
         ]
         rows.append(side(i - 1, above) if i > 2 else above)
     top = rows.pop()
+    return value, rows, top
+
+
+def affine_complete(border):
+    """Completion with every entry carried as an affine form (see
+    affine_march) and read off as Fraction dot products with the solution:
+    the reference that completion.complete's integer marches are checked
+    against."""
+    L = border.size
+    n = L - 2
+    value, rows, top = affine_march(border)
     x = linalg.solve([f[:n] for f in top], [value[(1, j)] - f[n] for j, f in enumerate(top, 2)])
     x = [*x, 1]
     grid = [[value[(1, j)] for j in range(1, L + 1)]]
@@ -91,6 +104,54 @@ def solve_3x3(A):
     rhs = [A.at(x, y) for x, y in _BASE_POINTS]
     coeffs = linalg.solve(rows, rhs)
     return sum((c * p for c, p in zip(coeffs, _BASE_BASIS) if c), BiPoly.zero())
+
+
+def _poly_mul_int(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def lagrange_bilinear(H):
+    """Tensor-product Lagrange interpolant with the cardinals multiplied out
+    as integer coefficient lists and the terms summed in Fraction arithmetic:
+    the reference that interpolate.bilinear's BiPoly construction is checked
+    against."""
+    L = H.size
+    cardinals = []
+    for u in range(L):
+        num = [1]
+        den = 1
+        for j in range(L):
+            if j != u:
+                num = _poly_mul_int(num, [-j, 1])
+                den *= u - j
+        cardinals.append((num, den))
+
+    terms = {}
+    for u in range(L):
+        for v in range(L):
+            z = H.at(u, v)
+            if not z:
+                continue
+            num_u, den_u = cardinals[u]
+            num_v, den_v = cardinals[v]
+            scale = z / (den_u * den_v)
+            for a, cu in enumerate(num_u):
+                if not cu:
+                    continue
+                for b, cv in enumerate(num_v):
+                    if not cv:
+                        continue
+                    key = (a, b)
+                    s = terms.get(key, Fraction(0)) + scale * cu * cv
+                    if s:
+                        terms[key] = s
+                    else:
+                        terms.pop(key, None)
+    return BiPoly(terms)
 
 
 def random_poly(rng, max_degree=6, n_terms=8, max_num=9, max_den=5):
@@ -147,7 +208,7 @@ def fraction_rref(rows, ncols):
     """RREF by Fraction back-substitution over the fraction-free echelon form:
     the reference that linalg.rref's integer back-substitution is checked
     against.  Returns (rows, pivot_columns) like linalg.rref."""
-    m = _integer_rows(_fraction_rows(rows))
+    m = _integer_rows(rows)
     pivots = _ff_echelon(m, range(ncols))
     reduced = [[Fraction(v) for v in row] for row in m]
     for r, c in reversed(pivots):

@@ -15,7 +15,9 @@ from dhpoly import (
     is_inner_harmonic,
 )
 
-from helpers import random_border, random_inner_harmonic, random_rational
+from dhpoly.completion import _response
+
+from helpers import affine_march, random_border, random_inner_harmonic, random_rational
 from reference_data import SAMPLE_7X7, WORKED_MINOR_3X3
 
 
@@ -82,6 +84,28 @@ class TestBuildSystem:
     def test_too_small(self):
         with pytest.raises(SizeError):
             border_positions(2)
+
+    @pytest.mark.parametrize("L", range(3, 25))
+    def test_response_matches_affine_march(self, L):
+        _, _, top = affine_march(random_border(random.Random(200 + L), L))
+        assert _response(L) == tuple(tuple(f[: L - 2]) for f in top)
+
+    def test_integer_border_needs_no_fraction_coercion(self, monkeypatch):
+        import dhpoly.linalg
+
+        real = dhpoly.linalg._fraction
+        calls = []
+
+        def counting(value):
+            calls.append(value)
+            return real(value)
+
+        monkeypatch.setattr(dhpoly.linalg, "_fraction", counting)
+        rng = random.Random(59)
+        for L in (3, 8, 14):
+            H = complete(BorderSpec(L, tuple(rng.randint(-9, 9) for _ in range(4 * L - 4))))
+            assert is_inner_harmonic(H)
+        assert calls == []
 
 
 class TestComplete:

@@ -25,10 +25,12 @@ from dhpoly import (
     tabulated_basis,
     telescopic,
 )
+from dhpoly.formats import poly_to_json
 from dhpoly.interpolate import _base_inverse
 from dhpoly.linalg import solve
 
 from helpers import (
+    lagrange_bilinear,
     random_border,
     random_inner_harmonic,
     random_matrix,
@@ -229,6 +231,21 @@ class TestExtend:
         with pytest.raises(PreconditionError):
             extend(MINOR_INTERPOLANT, WORKED_4X4, build_impulse_set(4))
 
+    def test_coefficients_read_only_the_block(self):
+        rng = random.Random(77)
+        for L in range(5, 10):
+            H = random_inner_harmonic(rng, L)
+            for m in range(3, L):
+                chi = telescopic(H.lower_left_minor(m))
+                impulses = build_impulse_set(m)
+                assert extension_coefficients(chi, H, impulses) == extension_coefficients(
+                    chi, H.lower_left_minor(m + 1), impulses
+                )
+
+    def test_coefficients_reject_too_small_matrix(self):
+        with pytest.raises(SizeError):
+            extension_coefficients(MINOR_INTERPOLANT, WORKED_MINOR_3X3, REFERENCE_IMPULSES)
+
 
 class TestTelescopic:
     def test_worked_example(self):
@@ -326,6 +343,20 @@ class TestTelescopic:
         telescopic(H)
         assert calls == {"is_inner_harmonic": 2, "is_discrete_harmonic": 1, "extend": 0}
 
+    @pytest.mark.parametrize("L", [4, 7, 10])
+    def test_builds_one_minor(self, L, monkeypatch):
+        H = random_inner_harmonic(random.Random(79), L)
+        real = RatMatrix.lower_left_minor
+        sizes = []
+
+        def counting(self, m):
+            sizes.append(m)
+            return real(self, m)
+
+        monkeypatch.setattr(RatMatrix, "lower_left_minor", counting)
+        telescopic(H)
+        assert sizes == [3]
+
 
 class TestBilinear:
     def test_worked_example_coefficient_exact(self):
@@ -348,3 +379,9 @@ class TestBilinear:
         rng = random.Random(76)
         for L in range(2, 6):
             assert bilinear(random_matrix(rng, L)).degree <= 2 * (L - 1)
+
+    @pytest.mark.parametrize("L", range(1, 13))
+    def test_matches_lagrange_oracle(self, L):
+        rng = random.Random(300 + L)
+        for H in (RatMatrix.zero(L), random_matrix(rng, L), random_matrix(rng, L, 10**6, 10**6)):
+            assert poly_to_json(bilinear(H)) == poly_to_json(lagrange_bilinear(H))
