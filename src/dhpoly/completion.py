@@ -19,14 +19,13 @@ march over d * D becomes one Fraction at the end.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
 from .errors import SizeError
-from .grid import RatMatrix, _fraction
+from .grid import RatMatrix, _common_denominator, _fraction
 
 
 @dataclass(frozen=True)
@@ -124,18 +123,14 @@ def complete(border):
     one Fraction over d * D at the end.
     """
     L = border.size
-    D = math.lcm(*(v.denominator for v in border.values))
-    value = {
-        pos: v.numerator * (D // v.denominator)
-        for pos, v in zip(border_positions(L), border.values)
-    }
+    D, ints = _common_denominator(border.values)
+    value = dict(zip(border_positions(L), ints))
     bottom = [value[(L, j)] for j in range(1, L + 1)]
     sides = [(value[(i, 1)], value[(i, L)]) for i in range(L - 2, 0, -1)]
     c = _march([bottom, [value[(L - 1, 1)], *[0] * (L - 2), value[(L - 1, L)]]], sides)[-1]
     x = linalg.solve(_response(L), [value[(1, j)] - c[j - 1] for j in range(2, L)])
 
-    d = math.lcm(*(v.denominator for v in x))
-    inner = (v.numerator * (d // v.denominator) for v in x)
+    d, inner = _common_denominator(x)
     # rows[k] holds d * D times display row L - k, up to row 2
     rows = _march(
         [[d * v for v in bottom], [d * value[(L - 1, 1)], *inner, d * value[(L - 1, L)]]],

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .completion import BorderSpec, border_positions
 from .errors import ParseError
-from .grid import _RATIONAL_RE, RatMatrix
+from .grid import RatMatrix, _fraction
 from .poly import BiPoly
 
 # A JSON term record's "num" and "den" are decimal strings, never JSON numbers.
@@ -29,10 +29,10 @@ _TERM_RE = re.compile(
 
 def parse_rational(token, line=None, column=None):
     token = token.strip()
-    if not _RATIONAL_RE.fullmatch(token):
-        raise ParseError(f"malformed rational {token!r}", line, column)
     try:
-        return Fraction(token)
+        return _fraction(token)
+    except TypeError:
+        raise ParseError(f"malformed rational {token!r}", line, column) from None
     except ZeroDivisionError:
         raise ParseError(f"zero denominator in {token!r}", line, column) from None
 
@@ -94,14 +94,14 @@ def format_matrix(H):
     return "\n".join(",".join(str(v) for v in row) for row in H.rows) + "\n"
 
 
-def poly_to_json(P, indent=None):
+def poly_to_json(P):
     """Polynomial to a JSON array of term records, canonically ordered.
     Numerators and denominators are strings so no reader ever rounds them."""
     records = [
         {"xexp": a, "yexp": b, "num": str(c.numerator), "den": str(c.denominator)}
         for (a, b), c in P.sorted_terms()
     ]
-    return json.dumps(records, indent=indent)
+    return json.dumps(records)
 
 
 def poly_from_json(text):

@@ -6,6 +6,10 @@ A size-L matrix H (row 1 at the top, as printed) corresponds to the function
 h on the lattice {0..L-1}^2 via h(j-1, L-i) = H[i,j]: the lower-left corner
 of the display maps to the origin.  Both directions are provided and all
 other operations read matrices through this correspondence.
+
+It also holds what the other modules share: the exactness gate _fraction,
+the one scaling to integers over a common denominator (_common_denominator)
+and the one stencil (_stencil), applied to Fraction and integer rows alike.
 """
 
 from __future__ import annotations
@@ -27,11 +31,18 @@ def _fraction(value):
     decimal point or exponent raise TypeError."""
     if type(value) is Fraction:
         return value
-    if isinstance(value, numbers.Rational) and not isinstance(value, bool):
-        return Fraction(value)
     if isinstance(value, str) and _RATIONAL_RE.fullmatch(value.strip()):
         return Fraction(value)
+    if isinstance(value, numbers.Rational) and not isinstance(value, bool):
+        return Fraction(value)
     raise TypeError(f"{value!r} is not exact; use int, Fraction or a 'p/q' string")
+
+
+def _common_denominator(values):
+    """(D, ints) for a sequence of Fractions or ints: D is the lcm of their
+    denominators and ints lists each value times D."""
+    D = math.lcm(*(v.denominator for v in values))
+    return D, [v.numerator * (D // v.denominator) for v in values]
 
 
 class RatMatrix:
@@ -91,10 +102,8 @@ class RatMatrix:
         """(D, rows): D is the lcm of the entry denominators and rows holds
         the entries times D, as ints.  Built on first use and kept."""
         if self._integer is None:
-            den = math.lcm(*(v.denominator for row in self._rows for v in row))
-            self._integer = den, tuple(
-                tuple(v.numerator * (den // v.denominator) for v in row) for row in self._rows
-            )
+            den, ints = _common_denominator([v for row in self._rows for v in row])
+            self._integer = den, tuple(zip(*[iter(ints)] * len(self._rows)))
         return self._integer
 
     def to_lists(self):
@@ -128,33 +137,33 @@ def lattice_to_matrix(x, y, L):
     return (L - y, x + 1)
 
 
-def discrete_laplacian_matrix(H):
-    """Five-point stencil values at the inner sites, as an (L-2) x (L-2)
-    matrix under the same display convention.
-
-    The correspondence maps display neighbors to lattice neighbors, so the
-    stencil can be taken directly in display coordinates.
-    """
-    L = H.size
+def _stencil(rows):
+    """Five-point stencil values at the inner sites of square display rows,
+    (L-2) lists of L-2.  The correspondence maps display neighbors to lattice
+    neighbors, so the stencil is taken directly in display coordinates."""
+    L = len(rows)
     if L < 3:
         raise SizeError("the stencil needs at least one inner site (size > 2)")
-    rows = H.rows
-    out = []
-    for i in range(1, L - 1):
-        out.append(
-            [
-                4 * rows[i][j] - rows[i - 1][j] - rows[i + 1][j] - rows[i][j - 1] - rows[i][j + 1]
-                for j in range(1, L - 1)
-            ]
-        )
-    return RatMatrix(out)
+    return [
+        [
+            4 * rows[i][j] - rows[i - 1][j] - rows[i + 1][j] - rows[i][j - 1] - rows[i][j + 1]
+            for j in range(1, L - 1)
+        ]
+        for i in range(1, L - 1)
+    ]
+
+
+def discrete_laplacian_matrix(H):
+    """Five-point stencil values at the inner sites, as an (L-2) x (L-2)
+    matrix under the same display convention."""
+    return RatMatrix(_stencil(H.rows))
 
 
 def is_inner_harmonic(H):
-    """True iff the stencil vanishes at every inner site.  Sizes below 3 have
-    no inner sites and are rejected rather than vacuously accepted."""
-    lap = discrete_laplacian_matrix(H)
-    return all(v == 0 for row in lap.rows for v in row)
+    """True iff the stencil vanishes at every inner site, tested on the
+    integer rows of H over their common denominator.  Sizes below 3 have no
+    inner sites and are rejected rather than vacuously accepted."""
+    return not any(any(row) for row in _stencil(H._integer_form()[1]))
 
 
 def evaluate_on_lattice(P, L):

@@ -20,7 +20,7 @@ from functools import lru_cache
 from . import linalg
 from .completion import border_positions
 from .errors import ConstructionError, InvariantError, PreconditionError, SizeError
-from .grid import is_inner_harmonic, matrix_to_lattice
+from .grid import RatMatrix, is_inner_harmonic, matrix_to_lattice
 from .poly import X, Y, BiPoly, _combine, generate_basis, is_discrete_harmonic
 
 #: Basis used for the 3x3 base case: the canonical elements of degree <= 3
@@ -42,8 +42,7 @@ def _base_inverse():
         for i, (x, y) in enumerate(_BASE_POINTS)
     ]
     rows, _ = linalg.rref(system)
-    d = math.lcm(*(v.denominator for row in rows for v in row))
-    return d, tuple(tuple(v.numerator * (d // v.denominator) for v in row[n:]) for row in rows)
+    return RatMatrix([row[n:] for row in rows])._integer_form()
 
 
 def interpolate_3x3(A):
@@ -52,18 +51,17 @@ def interpolate_3x3(A):
 
     The eight border values determine the basis coefficients through a fixed
     nonsingular 8x8 system, inverted once; the center then matches
-    automatically because both sides satisfy the stencil there.  With the
-    border values scaled to integers by the lcm D of their denominators, the
-    whole polynomial is one integer product over d * D.
+    automatically because both sides satisfy the stencil there.  With A's
+    entries as integers over their common denominator D (A._integer_form),
+    the whole polynomial is one integer product over d * D.
     """
     if A.size != 3:
         raise SizeError("base-case interpolation requires a 3x3 matrix")
     if not is_inner_harmonic(A):
         raise PreconditionError("matrix is not inner-harmonic")
     d, inverse = _base_inverse()
-    values = [A.at(x, y) for x, y in _BASE_POINTS]
-    D = math.lcm(*(v.denominator for v in values))
-    rhs = [v.numerator * (D // v.denominator) for v in values]
+    D, rows = A._integer_form()
+    rhs = [rows[2 - y][x] for x, y in _BASE_POINTS]  # (x, y) is at display (3 - y, x + 1)
     coeffs = [sum(a * b for a, b in zip(row, rhs)) for row in inverse]
     return BiPoly._from_ints(d * D, _combine(coeffs, (p._num for p in _BASE_BASIS)))
 

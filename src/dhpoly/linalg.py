@@ -15,7 +15,8 @@ import math
 from fractions import Fraction
 
 from .errors import SingularMatrixError
-from .grid import _fraction
+from .grid import _common_denominator, _fraction
+
 
 def _integer_rows(A):
     """Rows of A coerced exactly and scaled each by the lcm of its
@@ -25,9 +26,7 @@ def _integer_rows(A):
     Ragged rows raise ValueError."""
     out = []
     for row in A:
-        row = [v if type(v) is int else _fraction(v) for v in row]
-        mult = math.lcm(*(v.denominator for v in row))
-        out.append([v.numerator * (mult // v.denominator) for v in row])
+        out.append(_common_denominator([v if type(v) is int else _fraction(v) for v in row])[1])
     if any(len(r) != len(out[0]) for r in out):
         raise ValueError("ragged matrix")
     return out
@@ -148,13 +147,12 @@ def rank(A, ncols=None):
 
 def primitive(vec):
     """Scale a rational vector to coprime integers with positive first nonzero
-    entry.  The zero vector is returned unchanged."""
-    vec = [Fraction(v) for v in vec]
-    nonzero = [v for v in vec if v]
-    if not nonzero:
-        return tuple(vec)
-    mult = math.lcm(*(v.denominator for v in nonzero))
-    return _primitive_ints([v.numerator * (mult // v.denominator) for v in vec])
+    entry.  The zero vector is returned unchanged.  Entries are coerced as in
+    solve, rref and nullspace, so floats, Decimals and bools raise TypeError."""
+    [ints] = _integer_rows([vec])
+    if not any(ints):
+        return tuple(Fraction(v) for v in ints)
+    return _primitive_ints(ints)
 
 
 def nullspace(A, ncols=None):

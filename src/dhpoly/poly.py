@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .grid import _fraction
+from .grid import _common_denominator, _fraction
 
 _ZERO = Fraction(0)
 
@@ -62,9 +62,8 @@ class BiPoly:
         for (a, b), c in items:
             key = (_exponent(a), _exponent(b))
             acc[key] = acc.get(key, _ZERO) + _fraction(c)
-        den = math.lcm(*(c.denominator for c in acc.values()))
-        self._den = den
-        self._num = {key: c.numerator * (den // c.denominator) for key, c in acc.items() if c}
+        self._den, nums = _common_denominator(list(acc.values()))
+        self._num = {key: n for key, n in zip(acc, nums) if n}
         self._horner = None
         self._fractions = None
 

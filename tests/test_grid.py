@@ -7,6 +7,7 @@ import pytest
 from dhpoly import (
     RatMatrix,
     SizeError,
+    complete,
     discrete_laplacian_matrix,
     evaluate_on_lattice,
     interpolates,
@@ -17,7 +18,7 @@ from dhpoly import (
 )
 from dhpoly.poly import BiPoly
 
-from helpers import random_matrix
+from helpers import random_border, random_matrix
 from reference_data import (
     BILINEAR_INTERPOLANT,
     CUBIC_RESTRICTION_7X7,
@@ -164,14 +165,32 @@ class TestInnerHarmonic:
 
     def test_agrees_with_naive_stencil(self):
         rng = random.Random(202)
-        agreed_false = 0
+        outcomes = []
+
+        def check(H):
+            outcomes.append(is_inner_harmonic(H))
+            assert outcomes[-1] == naive_stencil_zero(H.to_lists())
+
         for _ in range(60):
-            L = rng.randint(3, 6)
-            H = random_matrix(rng, L, max_num=10**6, max_den=10**6)
-            expected = naive_stencil_zero(H.to_lists())
-            assert is_inner_harmonic(H) == expected
-            agreed_false += not expected
-        assert agreed_false > 0  # random matrices are essentially never harmonic
+            check(random_matrix(rng, rng.randint(3, 6), max_num=10**6, max_den=10**6))
+        # Inner-harmonic matrices over mixed denominators, and each of them
+        # with one inner entry moved by 1/q for a prime q dividing none of its
+        # denominators: a check that dropped a denominator would get one of
+        # the pair wrong.
+        mixed = 0
+        for _ in range(30):
+            L = rng.randint(3, 8)
+            H = complete(random_border(rng, L, max_num=10**3, max_den=60))
+            rows = H.to_lists()
+            dens = {v.denominator for row in rows for v in row}
+            mixed += len(dens) > 1
+            primes = (p for p in range(2, 10**4) if all(p % k for k in range(2, p)))
+            q = next(p for p in primes if all(d % p for d in dens))
+            rows[rng.randint(1, L - 2)][rng.randint(1, L - 2)] += Fraction(rng.choice((1, -1)), q)
+            check(H)
+            check(RatMatrix(rows))
+        assert mixed > 0
+        assert outcomes.count(True) == 30 and outcomes.count(False) == 90
 
 
 class TestEvaluateOnLattice:

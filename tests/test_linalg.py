@@ -61,13 +61,15 @@ class TestSolve:
             solve([[1]], [1, 2])
 
     def test_rejects_floats_and_decimals(self):
-        for value in (0.5, Decimal("0.5")):
+        for value in (0.5, Decimal("0.5"), True):
             with pytest.raises(TypeError):
                 solve([[value]], [1])
             with pytest.raises(TypeError):
                 solve([[1]], [value])
             with pytest.raises(TypeError):
                 nullspace([[value, 1]])
+            with pytest.raises(TypeError):
+                primitive([value, 1])
 
 
 class TestNullspace:
