@@ -21,25 +21,23 @@ from . import linalg
 from .completion import border_positions
 from .errors import ConstructionError, InvariantError, PreconditionError, SizeError
 from .grid import RatMatrix, is_inner_harmonic, matrix_to_lattice
-from .poly import X, Y, BiPoly, _combine, generate_basis, is_discrete_harmonic
+from .poly import X, Y, BiPoly, _combine, _linear_combination, generate_basis, is_discrete_harmonic
 
 #: Basis used for the 3x3 base case: the canonical elements of degree <= 3
 #: plus the degree-4 element with pivot x**4, evaluated against the eight
 #: border sites.  The resulting 8x8 system is nonsingular.
 _BASE_BASIS = generate_basis(4).elements[:8]
 
-#: Border sites of the 3x3 lattice, in the row order of the base-case system.
-_BASE_POINTS = ((0, 0), (1, 0), (2, 0), (0, 1), (2, 1), (0, 2), (1, 2), (2, 2))
-
 
 @lru_cache(maxsize=None)
 def _base_inverse():
-    """(d, N) with N / d the inverse of the fixed base-case matrix (basis
-    element k evaluated at point i in row i, column k) and N integer."""
-    n = len(_BASE_POINTS)
+    """(d, N), N integer, with N / d the inverse of the fixed base-case
+    matrix (element k at border site i of the 3-lattice in row i, column k)."""
+    sites = _block_border_sites(3)
+    n = len(sites)
     system = [
         [p.evaluate(x, y) for p in _BASE_BASIS] + [int(i == k) for k in range(n)]
-        for i, (x, y) in enumerate(_BASE_POINTS)
+        for i, (x, y) in enumerate(sites)
     ]
     rows, _ = linalg.rref(system)
     return RatMatrix([row[n:] for row in rows])._integer_form()
@@ -61,7 +59,7 @@ def interpolate_3x3(A):
         raise PreconditionError("matrix is not inner-harmonic")
     d, inverse = _base_inverse()
     D, rows = A._integer_form()
-    rhs = [rows[2 - y][x] for x, y in _BASE_POINTS]  # (x, y) is at display (3 - y, x + 1)
+    rhs = [rows[i - 1][j - 1] for i, j in border_positions(3)]
     coeffs = [sum(a * b for a, b in zip(row, rhs)) for row in inverse]
     return BiPoly._from_ints(d * D, _combine(coeffs, (p._num for p in _BASE_BASIS)))
 
@@ -82,8 +80,10 @@ class ImpulseSet:
     values: tuple
 
 
-def _designated_sites(m):
-    return ((0, m), (m, m), (m, 0), (m - 1, m))
+def _step_sites(m):
+    """The five sites the step from size m to m+1 patches: the impulse sites
+    in ImpulseSet order, then the dipole's second site."""
+    return ((0, m), (m, m), (m, 0), (m - 1, m), (m, m - 1))
 
 
 def _primitive_poly(terms):
@@ -100,12 +100,13 @@ def _block_border_sites(L):
     return tuple(matrix_to_lattice(i, j, L) for i, j in border_positions(L))
 
 
-def _matches_on_border(P, H):
-    """True iff P agrees with H on the border of H's lattice.  For discrete
-    harmonic P and inner-harmonic H that is agreement everywhere: P - H is
-    then inner-harmonic on the lattice, and an inner-harmonic function that
-    vanishes on the border vanishes inside (discrete maximum principle)."""
-    return all(P.evaluate(x, y) == H.at(x, y) for x, y in _block_border_sites(H.size))
+def _matches_on_border(P, L, value):
+    """True iff P(x, y) == value(x, y) on the border sites of the L-lattice.
+    For discrete harmonic P and an inner-harmonic value function on the
+    lattice that is agreement everywhere: their difference is then
+    inner-harmonic, and an inner-harmonic function that vanishes on the
+    border vanishes inside (discrete maximum principle)."""
+    return all(P.evaluate(x, y) == value(x, y) for x, y in _block_border_sites(L))
 
 
 def _verify_impulse(xi, m, k):
@@ -113,15 +114,14 @@ def _verify_impulse(xi, m, k):
     dipole, for k = 3) pattern on the (m+1)-lattice, else None.  xi must be
     discrete harmonic, so that matching the border means matching the whole
     lattice (see _matches_on_border)."""
-    target = _designated_sites(m)[k]
-    value = xi.evaluate(*target)
+    sites = _step_sites(m)
+    value = xi.evaluate(*sites[k])
     if value == 0:
         return None
     # The pattern is inner-harmonic: corners lie in no stencil, and the one
     # stencil holding the dipole (centred at (m-1, m-1)) sums it to zero.
-    pattern = {target: value, (m, m - 1): -value} if k == 3 else {target: value}
-    sites = _block_border_sites(m + 1)
-    return value if all(xi.evaluate(x, y) == pattern.get((x, y), 0) for x, y in sites) else None
+    pattern = {sites[k]: value, sites[4]: -value} if k == 3 else {sites[k]: value}
+    return value if _matches_on_border(xi, m + 1, lambda x, y: pattern.get((x, y), 0)) else None
 
 
 @lru_cache(maxsize=None)
@@ -155,7 +155,7 @@ def build_impulse_set(L):
         at = [p.evaluate(*point).numerator for p in basis]
         return [sum(v * a for v, a in zip(vec, at)) for vec in kernel]
 
-    site_values = [values(site) for site in _designated_sites(L)]
+    site_values = [values(site) for site in _step_sites(L)[:4]]
     right, above = values((L + 1, L)), values((L, L + 1))
     polys = []
     impulse_values = []
@@ -185,31 +185,25 @@ def extension_coefficients(chi, A, impulses):
     With m = impulses.size, only the lower-left (m+1) x (m+1) block of A is
     read, so A may be larger; a smaller A raises SizeError.  The five sites
     a degree-h interpolant of the m x m block cannot be forced to match are
-    (0, m), (m-1, m), (m, m), (m, m-1) and (m, 0); the stencil centered at
-    (m-1, m-1) ties the two middle ones together, which is what makes four
-    impulse polynomials enough.
+    (0, m), (m, m), (m, 0), (m-1, m) and (m, m-1) (see _step_sites); the
+    stencil centered at (m-1, m-1) ties the last two together, which is what
+    makes four impulse polynomials enough.  z_k scales the impulse at site k.
     """
     m = impulses.size
     if A.size <= m:
         raise SizeError(f"impulse set of size {m} needs a matrix of size at least {m + 1}")
-    sites = ((0, m), (m - 1, m), (m, m), (m, m - 1), (m, 0))
+    sites = _step_sites(m)
     want = [A.at(x, y) for x, y in sites]
     have = [chi.evaluate(x, y) for x, y in sites]
-    if have[1] + have[3] != want[1] + want[3]:
+    if have[3] + have[4] != want[3] + want[4]:
         raise InvariantError("paired border mismatches are not antisymmetric")
-    g = impulses.values
-    return (
-        (want[0] - have[0]) / g[0],
-        (want[2] - have[2]) / g[1],
-        (want[4] - have[4]) / g[2],
-        (want[1] - have[1]) / g[3],
-    )
+    return tuple((want[k] - have[k]) / g for k, g in enumerate(impulses.values))
 
 
 def _extend(chi, A, impulses):
-    """One enlargement step with no precondition checks (see extend)."""
+    """One enlargement step, unchecked (see extend), as one combination."""
     z = extension_coefficients(chi, A, impulses)
-    return sum((c * xi for c, xi in zip(z, impulses.polys) if c), chi)
+    return _linear_combination((1, *z), (chi, *impulses.polys))
 
 
 def extend(chi, A, impulses=None):
@@ -228,7 +222,7 @@ def extend(chi, A, impulses=None):
         raise PreconditionError("matrix is not inner-harmonic")
     if not is_discrete_harmonic(chi):
         raise PreconditionError("interpolant is not discrete harmonic")
-    if not _matches_on_border(chi, A.lower_left_minor(L - 1)):
+    if not _matches_on_border(chi, L - 1, A.at):
         raise PreconditionError("interpolant does not match the lower-left block")
     if impulses is None:
         impulses = build_impulse_set(L - 1)
@@ -255,7 +249,7 @@ def telescopic(H):
     chi = interpolate_3x3(H.lower_left_minor(3))
     for m in range(3, L):
         chi = _extend(chi, H, build_impulse_set(m))
-    if not (is_discrete_harmonic(chi) and _matches_on_border(chi, H)):
+    if not (is_discrete_harmonic(chi) and _matches_on_border(chi, L, H.at)):
         raise InvariantError("telescopic result does not interpolate the matrix")
     return chi
 
@@ -282,5 +276,5 @@ def bilinear(H):
     """
     L = H.size
     cx, cy = _cardinals(X, L), _cardinals(Y, L)
-    zero = BiPoly.zero()
-    return sum((cx[u] * sum((H.at(u, v) * cy[v] for v in range(L)), zero) for u in range(L)), zero)
+    rows = [_linear_combination([H.at(u, v) for v in range(L)], cy) for u in range(L)]
+    return _linear_combination([1] * L, [c * row for c, row in zip(cx, rows)])

@@ -7,7 +7,8 @@ num[a, b] / D.  D shares no factor with every numerator at once, which makes
 D the lcm of the reduced coefficient denominators and the form canonical:
 equal polynomials store equal (D, numerators).  Arithmetic is therefore
 integer arithmetic plus one gcd per result, and the public API still hands
-out Fraction coefficients, built on request.
+out Fraction coefficients, built on request.  Every sum of polynomials is one
+_combine of the numerator maps over their common denominator.
 
 Evaluation is nested Horner (x inside y) over the numerators, in rows by
 y-exponent built on first use, divided by D once.  Every step is exact, so it
@@ -162,20 +163,17 @@ class BiPoly:
     def swap_xy(self):
         return BiPoly._from_ints(self._den, {(b, a): n for (a, b), n in self._num.items()})
 
-    def __add__(self, other):
+    def _plus(self, other, sign):
+        """self + sign * other: one lcm, then one _combine of the numerators."""
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         den = math.lcm(self._den, other._den)
-        s, t = den // self._den, den // other._den
-        acc = {key: n * s for key, n in self._num.items()} if s != 1 else dict(self._num)
-        for key, n in other._num.items():
-            v = acc.get(key, 0) + n * t
-            if v:
-                acc[key] = v
-            else:
-                del acc[key]
-        return BiPoly._from_ints(den, acc)
+        coeffs = (den // self._den, sign * (den // other._den))
+        return BiPoly._from_ints(den, _combine(coeffs, (self._num, other._num)))
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -183,16 +181,13 @@ class BiPoly:
         return BiPoly._from_ints(self._den, {key: -n for key, n in self._num.items()})
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other._plus(self, -1)
 
     def _scaled(self, p, q):
         """self * p / q for integers p and q > 0."""
@@ -393,19 +388,27 @@ def _combine(coeffs, maps):
     """Term map of sum c_k m_k for integer c_k and integer term maps m_k with
     no zero entry, dropping the terms that cancel.  Starts from a scaled copy
     of the first map with a nonzero coefficient."""
-    pairs = [(c, m) for c, m in zip(coeffs, maps) if c]
-    if not pairs:
-        return {}
-    (c, first), *rest = pairs
-    out = {key: c * a for key, a in first.items()}
-    for c, m in rest:
+    out = None
+    for c, m in zip(coeffs, maps):
+        if not c:
+            continue
+        if out is None:
+            out = {key: c * a for key, a in m.items()}
+            continue
         for key, a in m.items():
             v = out.get(key, 0) + c * a
             if v:
                 out[key] = v
             else:
                 del out[key]
-    return out
+    return out or {}
+
+
+def _linear_combination(coeffs, polys):
+    """sum c_k P_k for int or Fraction c_k: each c_k / D_k over one common
+    denominator, then one _combine of the numerator maps."""
+    den, scales = _common_denominator([Fraction(c, p._den) for c, p in zip(coeffs, polys)])
+    return BiPoly._from_ints(den, _combine(scales, (p._num for p in polys)))
 
 
 def generate_basis(N):

@@ -12,6 +12,7 @@ from dhpoly import (
     border_positions,
     complete,
     discrete_laplacian_poly,
+    extension_coefficients,
     generate_basis,
     linalg,
 )
@@ -19,7 +20,6 @@ from dhpoly.errors import ConstructionError
 from dhpoly.grid import _fraction
 from dhpoly.interpolate import (
     _BASE_BASIS,
-    _BASE_POINTS,
     ImpulseSet,
     _block_border_sites,
     _primitive_poly,
@@ -100,10 +100,19 @@ def solve_3x3(A):
     """The base-case interpolant by evaluating the eight base-basis elements
     at the eight border sites and solving that 8x8 system: the reference
     that interpolate_3x3's cached integer inverse is checked against."""
-    rows = [[p.evaluate(x, y) for p in _BASE_BASIS] for x, y in _BASE_POINTS]
-    rhs = [A.at(x, y) for x, y in _BASE_POINTS]
+    sites = _block_border_sites(3)
+    rows = [[p.evaluate(x, y) for p in _BASE_BASIS] for x, y in sites]
+    rhs = [A.at(x, y) for x, y in sites]
     coeffs = linalg.solve(rows, rhs)
     return sum((c * p for c, p in zip(coeffs, _BASE_BASIS) if c), BiPoly.zero())
+
+
+def sum_extend(chi, A, impulses):
+    """One enlargement step as chi plus each scaled impulse, added pairwise
+    with BiPoly +: the reference that interpolate._extend's single
+    combination is checked against."""
+    z = extension_coefficients(chi, A, impulses)
+    return sum((c * xi for c, xi in zip(z, impulses.polys) if c), chi)
 
 
 def _poly_mul_int(p, q):

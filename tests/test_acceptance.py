@@ -5,6 +5,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
 criterion.
 """
 
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -202,3 +203,13 @@ def test_criterion_9_determinism():
     second = _pipeline_transcript()
     assert first == second
     report(9, "repeated pipeline runs byte-identical")
+
+
+#: SHA-256 of the criterion-9 transcript.  A change that alters it must say
+#: why: every output in the transcript is meant to stay byte-identical.
+TRANSCRIPT_SHA256 = "ff5f37dd158c1f2d22fdb01e03ef941af73bb59e236902da8fae153f9b8f0573"
+
+
+def test_criterion_9_transcript_digest():
+    assert hashlib.sha256(_pipeline_transcript()).hexdigest() == TRANSCRIPT_SHA256
+    report(9, "pipeline transcript matches its pinned SHA-256")

@@ -26,7 +26,7 @@ from dhpoly import (
     telescopic,
 )
 from dhpoly.formats import poly_to_json
-from dhpoly.interpolate import _base_inverse
+from dhpoly.interpolate import _base_inverse, _extend
 from dhpoly.linalg import solve
 
 from helpers import (
@@ -36,6 +36,7 @@ from helpers import (
     random_matrix,
     search_impulse_set,
     solve_3x3,
+    sum_extend,
 )
 from reference_data import (
     BILINEAR_INTERPOLANT,
@@ -241,6 +242,29 @@ class TestExtend:
                 assert extension_coefficients(chi, H, impulses) == extension_coefficients(
                     chi, H.lower_left_minor(m + 1), impulses
                 )
+
+    def test_one_combination_matches_pairwise_sum(self):
+        rng = random.Random(80)
+        for L in range(4, 11):
+            H = random_inner_harmonic(rng, L)
+            chi = interpolate_3x3(H.lower_left_minor(3))
+            for m in range(3, L):
+                impulses = build_impulse_set(m)
+                step = _extend(chi, H, impulses)
+                assert step == sum_extend(chi, H, impulses)
+                chi = step
+
+    def test_builds_no_minor(self, monkeypatch):
+        sizes = []
+        real = RatMatrix.lower_left_minor
+
+        def counting(self, m):
+            sizes.append(m)
+            return real(self, m)
+
+        monkeypatch.setattr(RatMatrix, "lower_left_minor", counting)
+        assert extend(MINOR_INTERPOLANT, WORKED_4X4, REFERENCE_IMPULSES) == FULL_INTERPOLANT
+        assert sizes == []
 
     def test_coefficients_reject_too_small_matrix(self):
         with pytest.raises(SizeError):

@@ -37,6 +37,7 @@ from dhpoly import (
 )
 from dhpoly.formats import poly_to_json
 from dhpoly.linalg import nullspace, rank, rref, solve
+from dhpoly.poly import _linear_combination
 
 from helpers import (
     FractionPoly,
@@ -392,6 +393,30 @@ def test_arithmetic_matches_fraction_oracle(p, q, c, n):
     else:
         with pytest.raises(ZeroDivisionError):
             P / c
+
+
+# 2 (x + y/2) - 4 (x/2 + y/4) cancels: it must be D = 1 with no terms.
+CANCELLING = [
+    (2, {(1, 0): 1, (0, 1): Fraction(1, 2)}),
+    (Fraction(-4), {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 4)}),
+]
+# Zero coefficients and denominators 1, 3, 4 and 6 in one combination.
+MIXED = [
+    (0, {(2, 0): Fraction(1, 6)}),
+    (Fraction(5, 4), {(0, 0): 3}),
+    (Fraction(-2, 3), {(1, 1): Fraction(1, 2)}),
+    (0, {}),
+]
+
+
+@small
+@given(st.lists(st.tuples(st.one_of(coefficients, st.integers(-5, 5)), term_maps()), max_size=5))
+@example(CANCELLING)
+@example(MIXED)
+@example([])
+def test_linear_combination_matches_fraction_oracle(pairs):
+    combined = _linear_combination([c for c, _ in pairs], [BiPoly(p) for _, p in pairs])
+    assert_matches(combined, sum((c * FractionPoly(p) for c, p in pairs), FractionPoly()))
 
 
 @small
