@@ -40,18 +40,17 @@ EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-#: Upper bounds on the size arguments and the interpolated and completed
-#: matrices.  A larger value exits 2 instead of running for hours.  The
-#: largest allowed requests take about 0.3 s (basis), 8 s (a cold
-#: interpolation of a 24x24 matrix), 3 s with a 6 MB output (completion of a
-#: 64x64 border), 40 s (eval of a 231-term degree-20 polynomial) and 2 s with
-#: an 18 MB peak RSS (sandpile, 800 steps at size 128) on a shared 2-vCPU host.
+#: Upper bounds on the size arguments, the interpolated and completed
+#: matrices, and the degree of a polynomial read (the largest degree
+#: interpolate emits).  A larger value exits 2 instead of running for hours;
+#: README ("CLI") gives the measured time of the largest allowed requests.
 MAX_BASIS_DEGREE = 32
 MAX_INTERPOLATE_SIZE = 24
 MAX_COMPLETE_SIZE = 64
 MAX_EVAL_SIZE = 1000
 MAX_SANDPILE_SIZE = 128
 MAX_SANDPILE_STEPS = 800
+MAX_POLY_DEGREE = 2 * (MAX_INTERPOLATE_SIZE - 1)
 
 
 def _emit_error(code_name, message, location=None):
@@ -94,6 +93,12 @@ def _at_most(flag, value, bound):
     return value
 
 
+def _read_poly(path):
+    P = parse_poly(_read(path))
+    _at_most("polynomial degree", P.degree, MAX_POLY_DEGREE)
+    return P
+
+
 def cmd_check(args):
     H = parse_matrix(_read(args.matrix))
     ok = is_inner_harmonic(H)
@@ -124,17 +129,15 @@ def cmd_interpolate(args):
 
 def cmd_eval(args):
     L = _at_most("--size", args.size, MAX_EVAL_SIZE)
-    P = parse_poly(_read(args.poly))
-    _write(args, format_matrix(evaluate_on_lattice(P, L)))
+    _write(args, format_matrix(evaluate_on_lattice(_read_poly(args.poly), L)))
     return EXIT_OK
 
 
 def cmd_laplacian(args):
-    text = _read(args.input)
     if args.poly:
-        _emit_poly(args, discrete_laplacian_poly(parse_poly(text)))
+        _emit_poly(args, discrete_laplacian_poly(_read_poly(args.input)))
     else:
-        _write(args, format_matrix(discrete_laplacian_matrix(parse_matrix(text))))
+        _write(args, format_matrix(discrete_laplacian_matrix(parse_matrix(_read(args.input)))))
     return EXIT_OK
 
 
@@ -213,7 +216,7 @@ def _build_parser():
     p.set_defaults(func=cmd_interpolate)
 
     p = sub.add_parser("eval", help="evaluate a polynomial file on the lattice")
-    p.add_argument("poly", help="polynomial file (JSON or text), or - for stdin")
+    p.add_argument("poly", help=f"polynomial file, - for stdin (degree at most {MAX_POLY_DEGREE})")
     p.add_argument(
         "--size", type=int, required=True, help=f"lattice size L (at most {MAX_EVAL_SIZE})"
     )
@@ -222,7 +225,9 @@ def _build_parser():
 
     p = sub.add_parser("laplacian", help="apply the five-point operator")
     p.add_argument("input", help="matrix CSV (or polynomial file with --poly), - for stdin")
-    p.add_argument("--poly", action="store_true", help="treat the input as a polynomial")
+    p.add_argument(
+        "--poly", action="store_true", help=f"read a polynomial of degree at most {MAX_POLY_DEGREE}"
+    )
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.add_argument("-o", "--output", help="output path (default stdout)")
     p.set_defaults(func=cmd_laplacian)

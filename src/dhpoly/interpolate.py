@@ -45,23 +45,11 @@ def _base_inverse():
 
 def interpolate_3x3(A):
     """Discrete harmonic polynomial of degree <= 4 matching a 3x3
-    inner-harmonic matrix everywhere on the 3-lattice.
-
-    The eight border values determine the basis coefficients through a fixed
-    nonsingular 8x8 system, inverted once; the center then matches
-    automatically because both sides satisfy the stencil there.  With A's
-    entries as integers over their common denominator D (A._integer_form),
-    the whole polynomial is one integer product over d * D.
-    """
+    inner-harmonic matrix everywhere on the 3-lattice: telescopic's base case
+    with no enlargement step, checked like every telescopic result."""
     if A.size != 3:
         raise SizeError("base-case interpolation requires a 3x3 matrix")
-    if not is_inner_harmonic(A):
-        raise PreconditionError("matrix is not inner-harmonic")
-    d, inverse = _base_inverse()
-    D, rows = A._integer_form()
-    rhs = [rows[i - 1][j - 1] for i, j in border_positions(3)]
-    coeffs = [sum(a * b for a, b in zip(row, rhs)) for row in inverse]
-    return BiPoly._from_ints(d * D, _combine(coeffs, (p._num for p in _BASE_BASIS)))
+    return telescopic(A)
 
 
 @dataclass(frozen=True)
@@ -235,18 +223,23 @@ def telescopic(H):
     """Discrete harmonic polynomial of degree <= 2(L-1) interpolating an
     inner-harmonic matrix of size L >= 3.
 
-    Starts from the 3x3 lower-left block (every intermediate block stays
-    inner-harmonic) and extends one size at a time up to L.  Only H is
-    checked; the steps hold by construction and run unchecked.  The result is
-    verified on the border (see _matches_on_border); a failure there is a
-    bug, not bad input, and raises InvariantError.
+    The first stage is the base case: H's eight border values on the 3x3
+    lower-left block fix the _BASE_BASIS coefficients through the fixed 8x8
+    inverse (the center follows, both sides satisfying the stencil there), as
+    one integer product over d * D, D the common denominator of H.  Every
+    larger block stays inner-harmonic; the steps extend one size at a time up
+    to L.  Only H is checked (a size below 3 raises SizeError); the stages
+    run unchecked.  The result is verified on the border (see
+    _matches_on_border); a failure there is a bug and raises InvariantError.
     """
-    L = H.size
-    if L < 3:
-        raise SizeError("interpolation needs size at least 3")
     if not is_inner_harmonic(H):
         raise PreconditionError("matrix is not inner-harmonic")
-    chi = interpolate_3x3(H.lower_left_minor(3))
+    L = H.size
+    d, inverse = _base_inverse()
+    D, rows = H._integer_form()
+    rhs = [rows[L - 1 - y][x] for x, y in _block_border_sites(3)]
+    coeffs = [sum(a * b for a, b in zip(row, rhs)) for row in inverse]
+    chi = BiPoly._from_ints(d * D, _combine(coeffs, (p._num for p in _BASE_BASIS)))
     for m in range(3, L):
         chi = _extend(chi, H, build_impulse_set(m))
     if not (is_discrete_harmonic(chi) and _matches_on_border(chi, L, H.at)):

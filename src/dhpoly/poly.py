@@ -133,11 +133,11 @@ class BiPoly:
         P(x, y) = (1/D) * sum_b y^b * sum_a num_ab x^a: the inner sums run
         Horner in x over the integer rows, the outer sum Horner in y, and D
         divides once at the end.  That only regroups the term-by-term sum in
-        exact int or Fraction arithmetic, so the value is the same.  Floats
-        raise TypeError.
+        exact int or Fraction arithmetic, so the value is the same.  Any
+        coordinate but an int or a Fraction raises TypeError.
         """
-        if isinstance(px, float) or isinstance(py, float):
-            raise TypeError("float arguments are not allowed")
+        if not (isinstance(px, (int, Fraction)) and isinstance(py, (int, Fraction))):
+            raise TypeError("points must have int or Fraction coordinates")
         if self._horner is None:
             self._horner = self._horner_rows()
         acc = 0

@@ -20,6 +20,7 @@ from dhpoly.cli import (
     MAX_COMPLETE_SIZE,
     MAX_EVAL_SIZE,
     MAX_INTERPOLATE_SIZE,
+    MAX_POLY_DEGREE,
     MAX_SANDPILE_SIZE,
     MAX_SANDPILE_STEPS,
     _build_parser,
@@ -233,6 +234,26 @@ class TestLaplacian:
         assert capsys.readouterr().out.strip() == "[]"
 
 
+class TestPolyDegreeLimit:
+    COMMANDS = [["eval", "--size", "3"], ["laplacian", "--poly"]]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_above_limit_is_input_error(self, command, tmp_path, capsys):
+        path = tmp_path / "p.txt"
+        path.write_text(f"1*x^{MAX_POLY_DEGREE + 1}")
+        assert main([*command, str(path)]) == 2
+        _assert_input_error(capsys)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_total_degree_at_limit_runs(self, command, tmp_path, capsys):
+        half = MAX_POLY_DEGREE // 2
+        path = tmp_path / "p.txt"
+        path.write_text(f"1*x^{half}*y^{MAX_POLY_DEGREE - half}")
+        assert main([*command, str(path)]) == 0
+        path.write_text(f"1*x^{half + 1}*y^{MAX_POLY_DEGREE - half}")
+        assert main([*command, str(path)]) == 2
+
+
 class TestBasis:
     def test_json_output(self, capsys):
         assert main(["basis", "--degree", "2"]) == 0
@@ -344,10 +365,11 @@ class TestUsage:
         "command, limits",
         [
             ("basis", [MAX_BASIS_DEGREE]),
-            ("eval", [MAX_EVAL_SIZE]),
+            ("eval", [MAX_EVAL_SIZE, MAX_POLY_DEGREE]),
             ("sandpile-verify", [MAX_SANDPILE_SIZE, MAX_SANDPILE_STEPS]),
             ("interpolate", [MAX_INTERPOLATE_SIZE]),
             ("complete", [MAX_COMPLETE_SIZE]),
+            ("laplacian", [MAX_POLY_DEGREE]),
         ],
     )
     def test_help_shows_limits(self, command, limits, capsys):

@@ -110,6 +110,15 @@ class TestInterpolate3x3:
         for A in fixtures + randoms:
             assert interpolate_3x3(A) == solve_3x3(A)
 
+    def test_corrupt_base_inverse_raises_invariant_error(self, monkeypatch):
+        # the base case is checked like every telescopic result
+        d, inverse = _base_inverse()
+        corrupt = [list(row) for row in inverse]
+        corrupt[0][0] += 1
+        monkeypatch.setattr("dhpoly.interpolate._base_inverse", lambda: (d, corrupt))
+        with pytest.raises(InvariantError):
+            interpolate_3x3(WORKED_MINOR_3X3)
+
     def test_telescopic_solves_no_system(self, monkeypatch):
         real, calls = linalg.solve, []
 
@@ -173,6 +182,16 @@ class TestBuildImpulseSet:
     def test_pair_antisymmetry(self, L):
         xi4 = build_impulse_set(L).polys[3]
         assert xi4.evaluate(L - 1, L) == -xi4.evaluate(L, L - 1)
+
+    @pytest.mark.parametrize("L", range(3, 13))
+    def test_mirror_symmetry(self, L):
+        # the normalisation point (L, L+1) makes impulse 2 the mirror of
+        # impulse 0, and the dipole its own negated mirror
+        impulses = build_impulse_set(L)
+        polys, values = impulses.polys, impulses.values
+        assert polys[2] == -polys[0].swap_xy()
+        assert values[2] == -values[0]
+        assert polys[3] == -polys[3].swap_xy()
 
     @pytest.mark.parametrize("L", range(3, 13))
     def test_matches_search_oracle(self, L):
@@ -365,10 +384,10 @@ class TestTelescopic:
         for name in calls:
             monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
         telescopic(H)
-        assert calls == {"is_inner_harmonic": 2, "is_discrete_harmonic": 1, "extend": 0}
+        assert calls == {"is_inner_harmonic": 1, "is_discrete_harmonic": 1, "extend": 0}
 
     @pytest.mark.parametrize("L", [4, 7, 10])
-    def test_builds_one_minor(self, L, monkeypatch):
+    def test_builds_no_minor(self, L, monkeypatch):
         H = random_inner_harmonic(random.Random(79), L)
         real = RatMatrix.lower_left_minor
         sizes = []
@@ -379,7 +398,7 @@ class TestTelescopic:
 
         monkeypatch.setattr(RatMatrix, "lower_left_minor", counting)
         telescopic(H)
-        assert sizes == [3]
+        assert sizes == []
 
 
 class TestBilinear:

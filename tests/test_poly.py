@@ -79,6 +79,13 @@ class TestBiPoly:
         with pytest.raises(TypeError):
             X.evaluate(0.5, 1)
 
+    @pytest.mark.parametrize("P", [BiPoly.zero(), BiPoly.constant(3), X])
+    @pytest.mark.parametrize("point", [Decimal("0.5"), "abc", None])
+    def test_evaluate_rejects_non_rational_points(self, P, point):
+        for args in ((point, 1), (1, point)):
+            with pytest.raises(TypeError):
+                P.evaluate(*args)
+
     def test_swap(self):
         assert (X**2 * Y).swap_xy() == X * Y**2
 
