@@ -20,7 +20,7 @@ from functools import lru_cache
 from . import linalg
 from .completion import border_positions
 from .errors import ConstructionError, InvariantError, PreconditionError, SizeError
-from .grid import RatMatrix, is_inner_harmonic, matrix_to_lattice
+from .grid import is_inner_harmonic, matrix_to_lattice
 from .poly import X, Y, BiPoly, _combine, _linear_combination, generate_basis, is_discrete_harmonic
 
 #: Basis used for the 3x3 base case: the canonical elements of degree <= 3
@@ -30,9 +30,12 @@ _BASE_BASIS = generate_basis(4).elements[:8]
 
 
 @lru_cache(maxsize=None)
-def _base_inverse():
-    """(d, N), N integer, with N / d the inverse of the fixed base-case
-    matrix (element k at border site i of the 3-lattice in row i, column k)."""
+def _base_cardinals():
+    """The eight polynomials in the span of _BASE_BASIS that are 1 at one
+    border site of the 3-lattice and 0 at the other seven, in
+    _block_border_sites(3) order: the columns of the inverse of the fixed
+    base-case matrix (element k at site i in row i, column k), each combined
+    with _BASE_BASIS."""
     sites = _block_border_sites(3)
     n = len(sites)
     system = [
@@ -40,7 +43,8 @@ def _base_inverse():
         for i, (x, y) in enumerate(sites)
     ]
     rows, _ = linalg.rref(system)
-    return RatMatrix([row[n:] for row in rows])._integer_form()
+    inverse = [row[n:] for row in rows]
+    return tuple(_linear_combination(column, _BASE_BASIS) for column in zip(*inverse))
 
 
 def interpolate_3x3(A):
@@ -224,22 +228,17 @@ def telescopic(H):
     inner-harmonic matrix of size L >= 3.
 
     The first stage is the base case: H's eight border values on the 3x3
-    lower-left block fix the _BASE_BASIS coefficients through the fixed 8x8
-    inverse (the center follows, both sides satisfying the stencil there), as
-    one integer product over d * D, D the common denominator of H.  Every
-    larger block stays inner-harmonic; the steps extend one size at a time up
-    to L.  Only H is checked (a size below 3 raises SizeError); the stages
-    run unchecked.  The result is verified on the border (see
+    lower-left block weight the base cardinals (see _base_cardinals), as one
+    combination; the center follows, both sides satisfying the stencil there.
+    Every larger block stays inner-harmonic; the steps extend one size at a
+    time up to L.  Only H is checked (a size below 3 raises SizeError); the
+    stages run unchecked.  The result is verified on the border (see
     _matches_on_border); a failure there is a bug and raises InvariantError.
     """
     if not is_inner_harmonic(H):
         raise PreconditionError("matrix is not inner-harmonic")
     L = H.size
-    d, inverse = _base_inverse()
-    D, rows = H._integer_form()
-    rhs = [rows[L - 1 - y][x] for x, y in _block_border_sites(3)]
-    coeffs = [sum(a * b for a, b in zip(row, rhs)) for row in inverse]
-    chi = BiPoly._from_ints(d * D, _combine(coeffs, (p._num for p in _BASE_BASIS)))
+    chi = _linear_combination([H.at(x, y) for x, y in _block_border_sites(3)], _base_cardinals())
     for m in range(3, L):
         chi = _extend(chi, H, build_impulse_set(m))
     if not (is_discrete_harmonic(chi) and _matches_on_border(chi, L, H.at)):

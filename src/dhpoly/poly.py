@@ -7,8 +7,9 @@ num[a, b] / D.  D shares no factor with every numerator at once, which makes
 D the lcm of the reduced coefficient denominators and the form canonical:
 equal polynomials store equal (D, numerators).  Arithmetic is therefore
 integer arithmetic plus one gcd per result, and the public API still hands
-out Fraction coefficients, built on request.  Every sum of polynomials is one
-_combine of the numerator maps over their common denominator.
+out Fraction coefficients, built on request.  Every linear combination, from
+P + Q, -P, c * P and P / c to a telescopic stage, is one _linear_combination:
+one integer lcm of the denominators, one _combine of the numerator maps.
 
 Evaluation is nested Horner (x inside y) over the numerators, in rows by
 y-exponent built on first use, divided by D once.  Every step is exact, so it
@@ -163,43 +164,35 @@ class BiPoly:
     def swap_xy(self):
         return BiPoly._from_ints(self._den, {(b, a): n for (a, b), n in self._num.items()})
 
-    def _plus(self, other, sign):
-        """self + sign * other: one lcm, then one _combine of the numerators."""
+    def _signed_sum(self, other, sign):
+        """self + sign * other for a polynomial or number other."""
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        den = math.lcm(self._den, other._den)
-        coeffs = (den // self._den, sign * (den // other._den))
-        return BiPoly._from_ints(den, _combine(coeffs, (self._num, other._num)))
+        return _linear_combination((1, sign), (self, other))
 
     def __add__(self, other):
-        return self._plus(other, 1)
+        return self._signed_sum(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return BiPoly._from_ints(self._den, {key: -n for key, n in self._num.items()})
+        return _linear_combination((-1,), (self,))
 
     def __sub__(self, other):
-        return self._plus(other, -1)
+        return self._signed_sum(other, -1)
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other._plus(self, -1)
-
-    def _scaled(self, p, q):
-        """self * p / q for integers p and q > 0."""
-        if not p:
-            return BiPoly.zero()
-        return BiPoly._from_ints(self._den * q, {key: n * p for key, n in self._num.items()})
+        return other._signed_sum(self, -1)
 
     def __mul__(self, other):
         if isinstance(other, bool):
             raise TypeError("cannot multiply a polynomial by a bool")
         if isinstance(other, (int, Fraction)):
-            return self._scaled(other.numerator, other.denominator)
+            return _linear_combination((other,), (self,))
         if not isinstance(other, BiPoly):
             return NotImplemented
         acc = {}
@@ -216,10 +209,9 @@ class BiPoly:
             raise TypeError("cannot divide a polynomial by a bool")
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        p, q = scalar.numerator, scalar.denominator
-        if not p:
+        if not scalar:
             raise ZeroDivisionError("polynomial division by zero")
-        return self._scaled(q if p > 0 else -q, abs(p))
+        return _linear_combination((Fraction(scalar.denominator, scalar.numerator),), (self,))
 
     def __pow__(self, n):
         n = _exponent(n)
@@ -405,9 +397,14 @@ def _combine(coeffs, maps):
 
 
 def _linear_combination(coeffs, polys):
-    """sum c_k P_k for int or Fraction c_k: each c_k / D_k over one common
-    denominator, then one _combine of the numerator maps."""
-    den, scales = _common_denominator([Fraction(c, p._den) for c, p in zip(coeffs, polys)])
+    """sum c_k P_k for int or Fraction c_k, the one place a combination of
+    polynomials is formed.  In integers: D is the lcm of the products
+    c_k.denominator * D_k, c_k P_k is c_k.numerator * (D // that product)
+    times P_k's numerators over D, and one _combine sums those maps;
+    _from_ints then reduces the result to canonical form."""
+    dens = [c.denominator * p._den for c, p in zip(coeffs, polys)]
+    den = math.lcm(*dens)
+    scales = [c.numerator * (den // d) for c, d in zip(coeffs, dens)]
     return BiPoly._from_ints(den, _combine(scales, (p._num for p in polys)))
 
 
@@ -445,6 +442,7 @@ def generate_basis(N):
     return DHBasis(max_degree=N, elements=elements)
 
 
+@lru_cache(maxsize=None)
 def _build_tabulated():
     F = Fraction
     x, y = X, Y
@@ -482,10 +480,8 @@ def _build_tabulated():
     )
 
 
-_TABULATED = _build_tabulated()
-
-
 def tabulated_basis():
     """Fixed hand-tabulated basis of discrete harmonic polynomials up to
-    degree 9: one constant plus two elements of each degree 1..9."""
-    return DHBasis(max_degree=9, elements=_TABULATED)
+    degree 9: one constant plus two elements of each degree 1..9, built on
+    first use."""
+    return DHBasis(max_degree=9, elements=_build_tabulated())

@@ -26,7 +26,7 @@ from dhpoly import (
     telescopic,
 )
 from dhpoly.formats import poly_to_json
-from dhpoly.interpolate import _base_inverse, _extend
+from dhpoly.interpolate import _base_cardinals, _extend
 from dhpoly.linalg import solve
 
 from helpers import (
@@ -110,12 +110,11 @@ class TestInterpolate3x3:
         for A in fixtures + randoms:
             assert interpolate_3x3(A) == solve_3x3(A)
 
-    def test_corrupt_base_inverse_raises_invariant_error(self, monkeypatch):
+    def test_corrupt_base_cardinal_raises_invariant_error(self, monkeypatch):
         # the base case is checked like every telescopic result
-        d, inverse = _base_inverse()
-        corrupt = [list(row) for row in inverse]
-        corrupt[0][0] += 1
-        monkeypatch.setattr("dhpoly.interpolate._base_inverse", lambda: (d, corrupt))
+        cardinals = _base_cardinals()
+        corrupt = (2 * cardinals[0], *cardinals[1:])
+        monkeypatch.setattr("dhpoly.interpolate._base_cardinals", lambda: corrupt)
         with pytest.raises(InvariantError):
             interpolate_3x3(WORKED_MINOR_3X3)
 
@@ -127,7 +126,7 @@ class TestInterpolate3x3:
             return real(A, b)
 
         monkeypatch.setattr(linalg, "solve", counting)
-        _base_inverse.cache_clear()
+        _base_cardinals.cache_clear()
         assert interpolates(telescopic(WORKED_4X4), WORKED_4X4)
         assert telescopic(WORKED_MINOR_3X3) == MINOR_INTERPOLANT
         assert calls == []
@@ -385,6 +384,26 @@ class TestTelescopic:
             monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
         telescopic(H)
         assert calls == {"is_inner_harmonic": 1, "is_discrete_harmonic": 1, "extend": 0}
+
+    @pytest.mark.parametrize("L", [3, 4, 7, 10])
+    def test_one_linear_combination_per_stage(self, L, monkeypatch):
+        # the base stage (eight cardinals) and each of the L - 3 steps
+        # (chi and four impulses) is one combination
+        import dhpoly.interpolate as mod
+
+        H = random_inner_harmonic(random.Random(80), L)
+        for m in range(3, L):
+            build_impulse_set(m)
+        _base_cardinals()
+        real, calls = mod._linear_combination, []
+
+        def counting(coeffs, polys):
+            calls.append(len(polys))
+            return real(coeffs, polys)
+
+        monkeypatch.setattr(mod, "_linear_combination", counting)
+        telescopic(H)
+        assert calls == [8] + [5] * (L - 3)
 
     @pytest.mark.parametrize("L", [4, 7, 10])
     def test_builds_no_minor(self, L, monkeypatch):

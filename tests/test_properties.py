@@ -408,11 +408,19 @@ MIXED = [
     (0, {}),
 ]
 
+# Both products have denominator 3 * 4 = 2 * 6 = 12, but the sum is 1/4: the
+# lcm of the products is not the result's D = 4 until it is reduced.
+UNREDUCED_LCM = [
+    (Fraction(2, 3), {(1, 0): Fraction(3, 4)}),
+    (Fraction(3, 2), {(1, 0): Fraction(-1, 3), (0, 0): Fraction(1, 6)}),
+]
+
 
 @small
 @given(st.lists(st.tuples(st.one_of(coefficients, st.integers(-5, 5)), term_maps()), max_size=5))
 @example(CANCELLING)
 @example(MIXED)
+@example(UNREDUCED_LCM)
 @example([])
 def test_linear_combination_matches_fraction_oracle(pairs):
     combined = _linear_combination([c for c, _ in pairs], [BiPoly(p) for _, p in pairs])
