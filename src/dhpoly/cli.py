@@ -260,7 +260,7 @@ def _build_parser():
     p.add_argument(
         "--gf",
         required=True,
-        help="weight matrix: i, j, i2-j2, or a CSV path",
+        help="weight matrix: i, j, i2-j2, or a CSV path of integer weights",
     )
     p.set_defaults(func=cmd_sandpile_verify)
 

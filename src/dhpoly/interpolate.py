@@ -21,7 +21,7 @@ from . import linalg
 from .completion import border_positions
 from .errors import ConstructionError, InvariantError, PreconditionError, SizeError
 from .grid import is_inner_harmonic, matrix_to_lattice
-from .poly import X, Y, BiPoly, _combine, _linear_combination, generate_basis, is_discrete_harmonic
+from .poly import X, BiPoly, _linear_combination, generate_basis, is_discrete_harmonic
 
 #: Basis used for the 3x3 base case: the canonical elements of degree <= 3
 #: plus the degree-4 element with pivot x**4, evaluated against the eight
@@ -29,22 +29,30 @@ from .poly import X, Y, BiPoly, _combine, _linear_combination, generate_basis, i
 _BASE_BASIS = generate_basis(4).elements[:8]
 
 
-@lru_cache(maxsize=None)
-def _base_cardinals():
-    """The eight polynomials in the span of _BASE_BASIS that are 1 at one
-    border site of the 3-lattice and 0 at the other seven, in
-    _block_border_sites(3) order: the columns of the inverse of the fixed
-    base-case matrix (element k at site i in row i, column k), each combined
-    with _BASE_BASIS."""
-    sites = _block_border_sites(3)
+def _cardinals(polys, sites):
+    """The polynomials in the span of ``polys`` that are 1 at one site and 0
+    at the others, in ``sites`` order.  With A holding polys[k] at sites[i]
+    in row i, column k, they are the columns of A's inverse, from one rref of
+    [A | I], each combined with ``polys``.  A system that is not square and
+    nonsingular raises ConstructionError."""
     n = len(sites)
+    if len(polys) != n:
+        raise ConstructionError(f"{len(polys)} polynomials for {n} cardinal sites")
     system = [
-        [p.evaluate(x, y) for p in _BASE_BASIS] + [int(i == k) for k in range(n)]
+        [p.evaluate(x, y) for p in polys] + [int(i == k) for k in range(n)]
         for i, (x, y) in enumerate(sites)
     ]
-    rows, _ = linalg.rref(system)
-    inverse = [row[n:] for row in rows]
-    return tuple(_linear_combination(column, _BASE_BASIS) for column in zip(*inverse))
+    rows, pivots = linalg.rref(system)
+    if pivots[:n] != list(range(n)):
+        raise ConstructionError(f"cardinal system over {n} sites is singular")
+    return tuple(_linear_combination(column, polys) for column in zip(*(row[n:] for row in rows)))
+
+
+@lru_cache(maxsize=None)
+def _base_cardinals():
+    """The eight cardinals of _BASE_BASIS at the border sites of the
+    3-lattice, in _block_border_sites(3) order."""
+    return _cardinals(_BASE_BASIS, _block_border_sites(3))
 
 
 def interpolate_3x3(A):
@@ -122,18 +130,18 @@ def build_impulse_set(L):
 
     Candidates are the 4L non-constant elements of the canonical harmonic
     basis up to degree 2L.  One nullspace over the 4L - 4 border sites of the
-    L-lattice gives the five combinations that vanish on that border (the row
-    at the origin is zero, since no candidate has a constant term), and so,
+    L-lattice gives five combinations that vanish on that border (the row at
+    the origin is zero, since no candidate has a constant term), and so,
     being discrete harmonic, on the whole L-lattice (discrete maximum
-    principle).  Impulse k is the single kernel vector of a 4 x 5 system over
-    those combinations: zero at the other three designated sites and at
-    (L+1, L), or at its mirror (L, L+1) for the impulse at (L, 0).  The fourth
-    point only fixes a multiple of the polynomial that vanishes on the whole
-    (L+1)-lattice.  Each result is an integer combination of basis elements,
-    so it is discrete harmonic of degree <= 2L by construction; what is
-    checked is its impulse pattern, on the border of the (L+1)-lattice.  A
-    system without exactly one kernel vector, or a failed check, raises
-    ConstructionError.
+    principle).  Their cardinals at the four designated sites and at
+    (L+1, L) (see _cardinals) give impulses 0, 1 and 3, each scaled by
+    _primitive_poly; the fifth site only fixes a multiple of the polynomial
+    that vanishes on the whole (L+1)-lattice.  Impulse 2 is impulse 0 with x
+    and y swapped: the swap maps the lattice and its border onto themselves,
+    the step sites onto each other and (L+1, L) to (L, L+1).  Each result is
+    discrete harmonic of degree <= 2L by construction; what is checked is
+    its impulse pattern, on the border of the (L+1)-lattice.  A singular
+    cardinal system or a failed check raises ConstructionError.
 
     Results are memoized per size; the cache is safe for concurrent readers.
     """
@@ -141,34 +149,17 @@ def build_impulse_set(L):
         raise SizeError("impulse polynomials need size at least 3")
     basis = [p for p in generate_basis(2 * L).elements if p.degree >= 1]
     rows = [[p.evaluate(x, y) for p in basis] for x, y in _block_border_sites(L)]
-    kernel = [[v.numerator for v in vec] for vec in linalg.nullspace(rows, ncols=len(basis))]
-
-    def values(point):
-        at = [p.evaluate(*point).numerator for p in basis]
-        return [sum(v * a for v, a in zip(vec, at)) for vec in kernel]
-
-    site_values = [values(site) for site in _step_sites(L)[:4]]
-    right, above = values((L + 1, L)), values((L, L + 1))
-    polys = []
-    impulse_values = []
-    for k in range(4):
-        rows = [row for j, row in enumerate(site_values) if j != k]
-        rows.append(above if k == 2 else right)
-        solution = linalg.nullspace(rows, ncols=len(kernel))
-        if len(solution) != 1:
-            raise ConstructionError(
-                f"impulse system for size {L}, index {k} has {len(solution)} kernel vectors"
-            )
-        c = [v.numerator for v in solution[0]]
-        coeffs = [sum(a * b for a, b in zip(c, column)) for column in zip(*kernel)]
-        xi = _primitive_poly(_combine(coeffs, (p._num for p in basis)))
+    kernel = [_linear_combination(vec, basis) for vec in linalg.nullspace(rows, ncols=len(basis))]
+    cardinals = _cardinals(kernel, [*_step_sites(L)[:4], (L + 1, L)])
+    polys = [_primitive_poly(cardinals[k]._num) for k in (0, 1, 3)]
+    polys.insert(2, _primitive_poly(polys[0].swap_xy()._num))
+    values = []
+    for k, xi in enumerate(polys):
         value = _verify_impulse(xi, L, k)
         if value is None:
             raise ConstructionError(f"impulse {k} of size {L} failed verification")
-        polys.append(xi)
-        impulse_values.append(value)
-
-    return ImpulseSet(size=L, polys=tuple(polys), values=tuple(impulse_values))
+        values.append(value)
+    return ImpulseSet(size=L, polys=tuple(polys), values=tuple(values))
 
 
 def extension_coefficients(chi, A, impulses):
@@ -246,27 +237,18 @@ def telescopic(H):
     return chi
 
 
-def _cardinals(V, L):
-    """Lagrange cardinals prod_{j != u} (V - j) / (u - j), u = 0..L-1, in
-    the variable V."""
-    one = BiPoly.constant(1)
-    return [
-        math.prod((V - j for j in range(L) if j != u), start=one)
-        / math.prod(u - j for j in range(L) if j != u)
-        for u in range(L)
-    ]
-
-
 def bilinear(H):
     """Tensor-product Lagrange interpolant of degree 2(L-1) on the lattice:
-    the sum over u of cx_u * sum_v H(u, v) cy_v, with cx and cy the Lagrange
-    cardinals in x and in y.
+    the sum over u of cx_u * sum_v H(u, v) cy_v, with cx the cardinals of
+    1, x, ..., x^(L-1) at (0, 0) .. (L-1, 0), i.e. the Lagrange cardinals in
+    x, and cy their mirrors in y.
 
     Works for any matrix and always interpolates, but its stencil image is
     generally a nonzero polynomial: matching lattice values does not make a
     polynomial discrete harmonic.
     """
     L = H.size
-    cx, cy = _cardinals(X, L), _cardinals(Y, L)
+    cx = _cardinals([X**k for k in range(L)], [(u, 0) for u in range(L)])
+    cy = [c.swap_xy() for c in cx]
     rows = [_linear_combination([H.at(u, v) for v in range(L)], cy) for u in range(L)]
     return _linear_combination([1] * L, [c * row for c, row in zip(cx, rows)])

@@ -9,9 +9,9 @@ which stay constant along orbits when the weight matrix is inner-harmonic
 (demonstrated empirically here for the classic weights i, j and i^2 - j^2).
 
 Both run in integers.  ``step`` moves grains only at the toppling sites.
-``phi`` is one integer dot product of the heights with the weights scaled
-to a common denominator D (the weight matrix's cached integer form),
-reduced mod L*D and divided by D once.
+``phi`` is one integer dot product of the heights with the integer
+weights (the weight matrix's cached integer form), reduced mod L; it
+rejects non-integer weights.
 """
 
 from __future__ import annotations
@@ -114,19 +114,20 @@ def phi(f, config):
     """Weighted height sum, reduced mod L to the representative in [0, L).
 
     The weight matrix and the heights are paired entry by entry, i.e. both
-    are read through the same display/lattice correspondence.  With f's
-    integer form (D, f*D), the sum is S/D for the integer dot product S of
-    f*D with the heights, and (S mod L*D)/D is its representative.
+    are read through the same display/lattice correspondence.  The result
+    is the residue of the integer dot product, as a Fraction.
 
-    The result is a Fraction.  Integer weights give D = 1 and the residue of
-    the sum mod L.  A non-integer weight gives the rational number in [0, L)
-    that differs from the sum by a multiple of L, which is not a residue.
+    The weights must be integers, or PreconditionError is raised: the
+    toppling invariants mod L are statements about integer weights (Dhar
+    1990), and a rational sum has no residue mod L.
     """
     if f.size != config.size:
         raise PreconditionError("weight matrix and configuration sizes differ")
     den, rows = f._integer_form()
+    if den != 1:
+        raise PreconditionError("weights must be integers for a residue mod L")
     total = sum(sum(map(operator.mul, wrow, hrow)) for wrow, hrow in zip(rows, config.heights))
-    return Fraction(total % (config.size * den), den)
+    return Fraction(total % config.size)
 
 
 def check_conservation(f, config, steps):

@@ -313,13 +313,31 @@ class TestSandpileVerify:
         code = main(
             ["sandpile-verify", "--size", "5", "--steps", "12", "--seed", "2", "--gf", str(path)]
         )
+        # phi is a residue mod L only for integer weights
+        assert code == 2
+        _assert_input_error(capsys)
+
+    def test_integer_custom_weights(self, tmp_path, capsys):
+        f = RatMatrix(
+            [
+                [-7, 1, 0, 2, 5],
+                [1, -1, 3, 2, -1],
+                [0, 4, -7, 1, 1],
+                [3, -2, 1, 0, 7],
+                [5, 1, -9, 1, 0],
+            ]
+        )
+        path = tmp_path / "f.csv"
+        path.write_text(format_matrix(f))
+        code = main(
+            ["sandpile-verify", "--size", "5", "--steps", "12", "--seed", "2", "--gf", str(path)]
+        )
         lines = capsys.readouterr().out.splitlines()
         config, expected = random_config(5, 2), []
         for t in range(13):
             expected.append(naive_phi(f, config))
             config = naive_step(config)
         assert lines == [f"{t},{v}" for t, v in enumerate(expected)]
-        assert any("/" in line for line in lines)
         assert code == (0 if len(set(expected)) == 1 else 1)
 
     def test_size_mismatch(self, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -5,11 +6,13 @@ import sympy
 
 from dhpoly import (
     BiPoly,
+    ConstructionError,
     ImpulseSet,
     InvariantError,
     PreconditionError,
     RatMatrix,
     SizeError,
+    X,
     bilinear,
     build_impulse_set,
     complete,
@@ -26,7 +29,14 @@ from dhpoly import (
     telescopic,
 )
 from dhpoly.formats import poly_to_json
-from dhpoly.interpolate import _base_cardinals, _extend
+from dhpoly.interpolate import (
+    _BASE_BASIS,
+    _base_cardinals,
+    _block_border_sites,
+    _cardinals,
+    _extend,
+    _step_sites,
+)
 from dhpoly.linalg import solve
 
 from helpers import (
@@ -50,8 +60,63 @@ from reference_data import (
 )
 
 
+#: SHA-256 digests of deterministic outputs, pinned like the criterion-9
+#: transcript (see TestBuildImpulseSet and TestBilinear).
+IMPULSE_SETS_SHA256 = "ad29b15b65ed8552f6763cf2782ca4955b39f87e42a644718cd8e04e9049c82e"
+BILINEAR_SHA256 = "acc06bf3ac0d886096ca380bf03e89347bdca8a346d5c2e3509cf22a2f18a124"
+
+
 def sympy_rational(v):
     return sympy.Rational(v.numerator, v.denominator)
+
+
+def assert_cardinal(cardinals, sites):
+    # cardinal k is 1 at sites[k] and 0 at every other site
+    assert len(cardinals) == len(sites)
+    for k, c in enumerate(cardinals):
+        assert [c.evaluate(x, y) for x, y in sites] == [int(i == k) for i in range(len(sites))]
+
+
+class TestCardinals:
+    def test_base_sites(self):
+        sites = _block_border_sites(3)
+        assert_cardinal(_cardinals(_BASE_BASIS, sites), sites)
+        assert _base_cardinals() == _cardinals(_BASE_BASIS, sites)
+
+    @pytest.mark.parametrize("L", range(3, 9))
+    def test_impulse_kernel_at_step_sites(self, L, monkeypatch):
+        import dhpoly.interpolate as mod
+
+        real, calls = mod._cardinals, []
+
+        def recording(polys, sites):
+            calls.append((polys, sites, real(polys, sites)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(mod, "_cardinals", recording)
+        build_impulse_set.__wrapped__(L)
+        [(kernel, sites, cardinals)] = calls
+        assert list(sites) == [*_step_sites(L)[:4], (L + 1, L)]
+        assert all(is_discrete_harmonic(p) for p in kernel)
+        assert all(p.evaluate(x, y) == 0 for p in kernel for x, y in _block_border_sites(L))
+        assert_cardinal(cardinals, sites)
+
+    @pytest.mark.parametrize("L", range(1, 9))
+    def test_monomials_at_integers(self, L):
+        sites = [(u, 0) for u in range(L)]
+        cardinals = _cardinals([X**k for k in range(L)], sites)
+        assert_cardinal(cardinals, sites)
+        assert all(c.degree <= L - 1 for c in cardinals)
+
+    def test_repeated_site_raises(self):
+        with pytest.raises(ConstructionError):
+            _cardinals([X**k for k in range(3)], [(0, 0), (1, 0), (1, 0)])
+
+    def test_count_mismatch_raises(self):
+        with pytest.raises(ConstructionError):
+            _cardinals([X**k for k in range(2)], [(0, 0), (1, 0), (2, 0)])
+        with pytest.raises(ConstructionError):
+            _cardinals([X**k for k in range(3)], [(0, 0), (1, 0)])
 
 
 class TestInterpolate3x3:
@@ -184,8 +249,8 @@ class TestBuildImpulseSet:
 
     @pytest.mark.parametrize("L", range(3, 13))
     def test_mirror_symmetry(self, L):
-        # the normalisation point (L, L+1) makes impulse 2 the mirror of
-        # impulse 0, and the dipole its own negated mirror
+        # swapping x and y maps the step sites onto each other, so impulse 2
+        # is the mirror of impulse 0 and the dipole its own negated mirror
         impulses = build_impulse_set(L)
         polys, values = impulses.polys, impulses.values
         assert polys[2] == -polys[0].swap_xy()
@@ -198,6 +263,34 @@ class TestBuildImpulseSet:
         assert built.values == searched.values
         for p, q in zip(built.polys, searched.polys):
             assert (p._den, p._num) == (q._den, q._num)
+
+    @pytest.mark.parametrize("L", range(3, 9))
+    def test_one_nullspace_and_one_rref_per_size(self, L, monkeypatch):
+        calls = []
+
+        def counting(name):
+            real = getattr(linalg, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return counted
+
+        for name in ("nullspace", "rref"):
+            monkeypatch.setattr(linalg, name, counting(name))
+        build_impulse_set.__wrapped__(L)
+        assert sorted(calls) == ["nullspace", "rref"]
+
+    def test_pinned_digest(self):
+        # SHA-256 of the impulse sets 3..16 (polynomials and values); a
+        # change that alters it must say why
+        parts = []
+        for L in range(3, 17):
+            impulses = build_impulse_set(L)
+            parts.extend(poly_to_json(p) for p in impulses.polys)
+            parts.append(repr(impulses.values))
+        assert hashlib.sha256("\n".join(parts).encode()).hexdigest() == IMPULSE_SETS_SHA256
 
     def test_memoized(self):
         assert build_impulse_set(3) is build_impulse_set(3)
@@ -441,6 +534,13 @@ class TestBilinear:
         rng = random.Random(76)
         for L in range(2, 6):
             assert bilinear(random_matrix(rng, L)).degree <= 2 * (L - 1)
+
+    def test_pinned_digest(self):
+        # SHA-256 of bilinear on seeded random matrices at L = 1..16; a
+        # change that alters it must say why
+        rng = random.Random(416)
+        transcript = "\n".join(poly_to_json(bilinear(random_matrix(rng, L))) for L in range(1, 17))
+        assert hashlib.sha256(transcript.encode()).hexdigest() == BILINEAR_SHA256
 
     @pytest.mark.parametrize("L", range(1, 13))
     def test_matches_lagrange_oracle(self, L):

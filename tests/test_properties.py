@@ -19,6 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 from dhpoly import (
     BiPoly,
     BorderSpec,
+    PreconditionError,
     RatMatrix,
     SandConfig,
     SingularMatrixError,
@@ -281,18 +282,20 @@ def sandpiles(draw):
 
 
 @st.composite
-def weighted_sandpiles(draw):
-    """(weights, configuration) of equal size, with rational weights of either
-    sign, integer and non-integer."""
+def weighted_sandpiles(draw, weights=st.integers(-9, 9)):
+    """(weights, configuration) of equal size, with weights of either sign
+    drawn from ``weights``: integers unless another strategy is given."""
     config = draw(sandpiles())
-    return RatMatrix(draw(rational_rows(rationals, config.size, config.size))), config
+    return RatMatrix(draw(rational_rows(weights, config.size, config.size))), config
 
 
-MIXED_WEIGHTS = (
+MIXED_WEIGHTS = (RatMatrix([[1, -7], [5, -1]]), SandConfig(((3, 1), (0, 7))))
+ONE_SITE = (RatMatrix([[-7]]), SandConfig(((5,),)))
+NON_INTEGER_WEIGHTS = (
     RatMatrix([[Fraction(1, 2), Fraction(-7, 3)], [5, Fraction(-1, 6)]]),
     SandConfig(((3, 1), (0, 7))),
 )
-ONE_SITE = (RatMatrix([[Fraction(-7, 3)]]), SandConfig(((5,),)))
+NON_INTEGER_SITE = (RatMatrix([[Fraction(-7, 3)]]), SandConfig(((5,),)))
 
 
 @small
@@ -305,6 +308,19 @@ def test_phi_matches_fraction_sum(case):
     assert type(value) is Fraction
     assert value == naive_phi(f, config)
     assert 0 <= value < config.size
+
+
+@small
+@given(weighted_sandpiles(rationals))
+@example(NON_INTEGER_WEIGHTS)
+@example(NON_INTEGER_SITE)
+def test_phi_rejects_non_integer_weights(case):
+    f, config = case
+    if all(v.denominator == 1 for row in f.rows for v in row):
+        assert phi(f, config) == naive_phi(f, config)
+    else:
+        with pytest.raises(PreconditionError):
+            phi(f, config)
 
 
 @small

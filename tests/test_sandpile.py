@@ -102,10 +102,11 @@ class TestPhi:
             phi(standard_gf(4, "i"), random_config(5, 1))
 
     def test_residue_in_range(self):
-        f = RatMatrix([[Fraction(-7, 3)] * 3 for _ in range(3)])
+        f = RatMatrix([[-7] * 3 for _ in range(3)])
         c = random_config(3, 4)
         value = phi(f, c)
         assert 0 <= value < 3
+        assert value == -7 * c.total % 3
 
 
 class TestStandardWeights:
