@@ -23,6 +23,7 @@ from .errors import (
     SizeError,
 )
 from .formats import (
+    _term_records,
     format_matrix,
     parse_bordered,
     parse_matrix,
@@ -146,11 +147,8 @@ def cmd_basis(args):
     if args.format == "text":
         _write(args, "".join(poly_to_text(p) + "\n" for p in basis.elements))
     else:
-        payload = {
-            "max_degree": basis.max_degree,
-            "elements": [json.loads(poly_to_json(p)) for p in basis.elements],
-        }
-        _write(args, json.dumps(payload) + "\n")
+        elements = [_term_records(p) for p in basis.elements]
+        _write(args, json.dumps({"max_degree": basis.max_degree, "elements": elements}) + "\n")
     return EXIT_OK
 
 

@@ -94,14 +94,45 @@ def format_matrix(H):
     return "\n".join(",".join(str(v) for v in row) for row in H.rows) + "\n"
 
 
-def poly_to_json(P):
-    """Polynomial to a JSON array of term records, canonically ordered.
-    Numerators and denominators are strings so no reader ever rounds them."""
-    records = [
+def _term_records(P):
+    """P's terms as JSON term records, canonically ordered.  Numerators and
+    denominators are strings so no reader ever rounds them."""
+    return [
         {"xexp": a, "yexp": b, "num": str(c.numerator), "den": str(c.denominator)}
         for (a, b), c in P.sorted_terms()
     ]
-    return json.dumps(records)
+
+
+def poly_to_json(P):
+    """Polynomial to a JSON array of term records (see _term_records)."""
+    return json.dumps(_term_records(P))
+
+
+def _poly_from_terms(terms):
+    """BiPoly of the ((a, b), coefficient) pairs a reader parsed, with the
+    one check of the terms themselves: a zero coefficient or a repeated
+    exponent pair raises ParseError."""
+    acc = {}
+    for (a, b), c in terms:
+        if c == 0:
+            raise ParseError(f"zero coefficient for exponents ({a}, {b})")
+        if (a, b) in acc:
+            raise ParseError(f"duplicate term for exponents ({a}, {b})")
+        acc[a, b] = c
+    return BiPoly(acc)
+
+
+def _json_term(rec):
+    """((a, b), coefficient) of one JSON term record."""
+    if not isinstance(rec, dict) or set(rec) != {"xexp", "yexp", "num", "den"}:
+        raise ParseError(f"malformed term record {rec!r}")
+    a, b, num, den = rec["xexp"], rec["yexp"], rec["num"], rec["den"]
+    if not (type(a) is int and type(b) is int) or a < 0 or b < 0:
+        raise ParseError(f"exponents must be nonnegative integers, got {rec!r}")
+    if not (isinstance(num, str) and _NUM_RE.fullmatch(num)
+            and isinstance(den, str) and _DEN_RE.fullmatch(den) and int(den)):
+        raise ParseError(f"malformed coefficient in {rec!r}")
+    return (a, b), Fraction(int(num), int(den))
 
 
 def poly_from_json(text):
@@ -111,26 +142,7 @@ def poly_from_json(text):
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(data, list):
         raise ParseError("polynomial JSON must be an array of term records")
-    terms = {}
-    for rec in data:
-        if not isinstance(rec, dict) or set(rec) != {"xexp", "yexp", "num", "den"}:
-            raise ParseError(f"malformed term record {rec!r}")
-        a, b = rec["xexp"], rec["yexp"]
-        if not (type(a) is int and type(b) is int) or a < 0 or b < 0:
-            raise ParseError(f"exponents must be nonnegative integers, got {rec!r}")
-        num, den = rec["num"], rec["den"]
-        if not (isinstance(num, str) and _NUM_RE.fullmatch(num)
-                and isinstance(den, str) and _DEN_RE.fullmatch(den)):
-            raise ParseError(f"malformed coefficient in {rec!r}")
-        num, den = int(num), int(den)
-        if den <= 0:
-            raise ParseError(f"denominator must be positive in {rec!r}")
-        if num == 0:
-            raise ParseError(f"zero coefficient stored in {rec!r}")
-        if (a, b) in terms:
-            raise ParseError(f"duplicate term for exponents ({a}, {b})")
-        terms[(a, b)] = Fraction(num, den)
-    return BiPoly(terms)
+    return _poly_from_terms(map(_json_term, data))
 
 
 def poly_to_text(P):
@@ -139,25 +151,19 @@ def poly_to_text(P):
     return str(P)
 
 
+def _text_term(part):
+    """((a, b), coefficient) of one "c*x^a*y^b" term."""
+    m = _TERM_RE.fullmatch(part)
+    if not m:
+        raise ParseError(f"malformed polynomial term {part!r}")
+    return (int(m.group("a") or 0), int(m.group("b") or 0)), parse_rational(m.group("c"))
+
+
 def poly_from_text(text):
     s = text.strip()
     if s == "0":
         return BiPoly.zero()
-    terms = {}
-    for part in s.split("+"):
-        part = part.strip()
-        m = _TERM_RE.fullmatch(part)
-        if not m:
-            raise ParseError(f"malformed polynomial term {part!r}")
-        coeff = parse_rational(m.group("c"))
-        a = int(m.group("a") or 0)
-        b = int(m.group("b") or 0)
-        if coeff == 0:
-            raise ParseError(f"zero coefficient in term {part!r}")
-        if (a, b) in terms:
-            raise ParseError(f"duplicate term for exponents ({a}, {b})")
-        terms[(a, b)] = coeff
-    return BiPoly(terms)
+    return _poly_from_terms(map(_text_term, re.split(r"\s*\+\s*", s)))
 
 
 def parse_poly(text):

@@ -130,28 +130,29 @@ def build_impulse_set(L):
 
     Candidates are the 4L non-constant elements of the canonical harmonic
     basis up to degree 2L.  One nullspace over the 4L - 4 border sites of the
-    L-lattice gives five combinations that vanish on that border (the row at
-    the origin is zero, since no candidate has a constant term), and so,
-    being discrete harmonic, on the whole L-lattice (discrete maximum
-    principle).  Their cardinals at the four designated sites and at
-    (L+1, L) (see _cardinals) give impulses 0, 1 and 3, each scaled by
-    _primitive_poly; the fifth site only fixes a multiple of the polynomial
-    that vanishes on the whole (L+1)-lattice.  Impulse 2 is impulse 0 with x
-    and y swapped: the swap maps the lattice and its border onto themselves,
-    the step sites onto each other and (L+1, L) to (L, L+1).  Each result is
-    discrete harmonic of degree <= 2L by construction; what is checked is
-    its impulse pattern, on the border of the (L+1)-lattice.  A singular
-    cardinal system or a failed check raises ConstructionError.
+    L-lattice, (L, 0) and (L+1, L) gives the three combinations that vanish
+    at all of them (the row at the origin is zero, since no candidate has a
+    constant term), and so, being discrete harmonic, on the whole L-lattice
+    (discrete maximum principle).  Their cardinals at (0, L), (L, L) and
+    (L-1, L) (see _cardinals) are impulses 0, 1 and 3, each scaled by
+    _primitive_poly; the zero at (L+1, L) rules out a multiple of the
+    polynomial that vanishes on the whole (L+1)-lattice.  Impulse 2 is
+    impulse 0 with x and y swapped: the swap maps the lattice and its border
+    onto themselves, the step sites onto each other and (L+1, L) to
+    (L, L+1).  Each result is discrete harmonic of degree <= 2L by
+    construction; what is checked is its impulse pattern, on the border of
+    the (L+1)-lattice.  A singular cardinal system or a failed check raises
+    ConstructionError.
 
     Results are memoized per size; the cache is safe for concurrent readers.
     """
     if L < 3:
         raise SizeError("impulse polynomials need size at least 3")
     basis = [p for p in generate_basis(2 * L).elements if p.degree >= 1]
-    rows = [[p.evaluate(x, y) for p in basis] for x, y in _block_border_sites(L)]
+    zeros = (*_block_border_sites(L), (L, 0), (L + 1, L))
+    rows = [[p.evaluate(x, y) for p in basis] for x, y in zeros]
     kernel = [_linear_combination(vec, basis) for vec in linalg.nullspace(rows, ncols=len(basis))]
-    cardinals = _cardinals(kernel, [*_step_sites(L)[:4], (L + 1, L)])
-    polys = [_primitive_poly(cardinals[k]._num) for k in (0, 1, 3)]
+    polys = [_primitive_poly(c._num) for c in _cardinals(kernel, [(0, L), (L, L), (L - 1, L)])]
     polys.insert(2, _primitive_poly(polys[0].swap_xy()._num))
     values = []
     for k, xi in enumerate(polys):

@@ -16,6 +16,11 @@ y-exponent built on first use, divided by D once.  Every step is exact, so it
 equals the term-by-term sum, and at integer points it costs integer
 arithmetic and one Fraction.
 
+Numbers meet polynomials through one operand gate, ``type(v) in _RATIONAL``:
+int or Fraction, so bool fails by construction.  On failure + - * / and ==
+return NotImplemented (a bool, float or Decimal operand raises TypeError, and
+X == True is False) and evaluate raises TypeError.
+
 The Laplacian of a polynomial P is the polynomial identity
 ``4P(x,y) - P(x-1,y) - P(x+1,y) - P(x,y-1) - P(x,y+1)``, computed here
 term-by-term through the one-variable monomial images, so no polynomial
@@ -44,6 +49,9 @@ from functools import lru_cache
 from .grid import _common_denominator, _fraction
 
 _ZERO = Fraction(0)
+
+#: The operand gate (see the module docstring).
+_RATIONAL = (int, Fraction)
 
 
 class BiPoly:
@@ -134,10 +142,10 @@ class BiPoly:
         P(x, y) = (1/D) * sum_b y^b * sum_a num_ab x^a: the inner sums run
         Horner in x over the integer rows, the outer sum Horner in y, and D
         divides once at the end.  That only regroups the term-by-term sum in
-        exact int or Fraction arithmetic, so the value is the same.  Any
-        coordinate but an int or a Fraction raises TypeError.
+        exact int or Fraction arithmetic, so the value is the same.  The
+        operand gate is inlined (the hottest call); a failure raises TypeError.
         """
-        if not (isinstance(px, (int, Fraction)) and isinstance(py, (int, Fraction))):
+        if not (type(px) in _RATIONAL and type(py) in _RATIONAL):
             raise TypeError("points must have int or Fraction coordinates")
         if self._horner is None:
             self._horner = self._horner_rows()
@@ -164,15 +172,16 @@ class BiPoly:
     def swap_xy(self):
         return BiPoly._from_ints(self._den, {(b, a): n for (a, b), n in self._num.items()})
 
-    def _signed_sum(self, other, sign):
-        """self + sign * other for a polynomial or number other."""
-        other = _coerce(other)
-        if other is NotImplemented:
+    def _sum(self, other, a, b):
+        """a * self + b * other for a polynomial or gated number other."""
+        if type(other) in _RATIONAL:
+            other = BiPoly.constant(other)
+        elif not isinstance(other, BiPoly):
             return NotImplemented
-        return _linear_combination((1, sign), (self, other))
+        return _linear_combination((a, b), (self, other))
 
     def __add__(self, other):
-        return self._signed_sum(other, 1)
+        return self._sum(other, 1, 1)
 
     __radd__ = __add__
 
@@ -180,18 +189,13 @@ class BiPoly:
         return _linear_combination((-1,), (self,))
 
     def __sub__(self, other):
-        return self._signed_sum(other, -1)
+        return self._sum(other, 1, -1)
 
     def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other._signed_sum(self, -1)
+        return self._sum(other, -1, 1)
 
     def __mul__(self, other):
-        if isinstance(other, bool):
-            raise TypeError("cannot multiply a polynomial by a bool")
-        if isinstance(other, (int, Fraction)):
+        if type(other) in _RATIONAL:
             return _linear_combination((other,), (self,))
         if not isinstance(other, BiPoly):
             return NotImplemented
@@ -205,9 +209,7 @@ class BiPoly:
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        if isinstance(scalar, bool):
-            raise TypeError("cannot divide a polynomial by a bool")
-        if not isinstance(scalar, (int, Fraction)):
+        if type(scalar) not in _RATIONAL:
             return NotImplemented
         if not scalar:
             raise ZeroDivisionError("polynomial division by zero")
@@ -225,7 +227,7 @@ class BiPoly:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+        if type(other) in _RATIONAL:
             other = BiPoly.constant(other)
         if not isinstance(other, BiPoly):
             return NotImplemented
@@ -261,14 +263,6 @@ def _exponent(e):
     if e < 0:
         raise ValueError(f"negative exponent {e}")
     return e
-
-
-def _coerce(value):
-    if isinstance(value, BiPoly):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return BiPoly.constant(value)
-    return NotImplemented
 
 
 #: Generator polynomials, handy for building expressions: X**2 - Y**2 etc.

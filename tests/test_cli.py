@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -269,6 +270,17 @@ class TestBasis:
     def test_degree_above_limit(self, capsys):
         assert main(["basis", "--degree", str(MAX_BASIS_DEGREE + 1)]) == 2
         _assert_input_error(capsys)
+
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            ("json", "34214712e165380634030814b23e659f09fcd7e5a171c5d8fef691f21a510f46"),
+            ("text", "00f266758121f75b639dd025af2100b5adc0e7194128ab901c6d6d7f8b4c29b7"),
+        ],
+    )
+    def test_largest_basis_is_pinned(self, fmt, digest, capsys):
+        assert main(["basis", "--degree", str(MAX_BASIS_DEGREE), "--format", fmt]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestSandpileVerify:

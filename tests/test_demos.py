@@ -1,4 +1,5 @@
-"""Every demo runs to completion against the package in this checkout."""
+"""Every demo runs to completion against the package in this checkout, and
+the README's library tour does what its comments say."""
 
 import os
 import subprocess
@@ -26,3 +27,18 @@ def test_demo_runs(demo):
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_library_tour():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    ns = {}
+    exec(tour, ns)
+    H, P, B = ns["H"], ns["P"], ns["B"]
+    assert ns["is_inner_harmonic"](H)
+    assert P.degree == 6
+    assert ns["interpolates"](P, H) and ns["is_discrete_harmonic"](P)
+    assert ns["interpolates"](B, H)
+    assert not ns["is_discrete_harmonic"](B)
+    assert ns["complete"](ns["extract_border"](H)) == H
+    assert len(ns["generate_basis"](4)) == 9

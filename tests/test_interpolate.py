@@ -35,7 +35,6 @@ from dhpoly.interpolate import (
     _block_border_sites,
     _cardinals,
     _extend,
-    _step_sites,
 )
 from dhpoly.linalg import solve
 
@@ -96,9 +95,10 @@ class TestCardinals:
         monkeypatch.setattr(mod, "_cardinals", recording)
         build_impulse_set.__wrapped__(L)
         [(kernel, sites, cardinals)] = calls
-        assert list(sites) == [*_step_sites(L)[:4], (L + 1, L)]
+        assert list(sites) == [(0, L), (L, L), (L - 1, L)]
         assert all(is_discrete_harmonic(p) for p in kernel)
-        assert all(p.evaluate(x, y) == 0 for p in kernel for x, y in _block_border_sites(L))
+        zeros = [*_block_border_sites(L), (L, 0), (L + 1, L)]
+        assert all(p.evaluate(x, y) == 0 for p in kernel for x, y in zeros)
         assert_cardinal(cardinals, sites)
 
     @pytest.mark.parametrize("L", range(1, 9))

@@ -130,7 +130,15 @@ class TestBiPoly:
             lambda: X / True,
             lambda: X + True,
             lambda: False - X,
+            lambda: X.evaluate(True, 1),
+            lambda: X.evaluate(1, False),
         ):
+            with pytest.raises(TypeError):
+                operation()
+
+    def test_other_operands_are_not_implemented(self):
+        assert X.__mul__("2") is NotImplemented
+        for operation in (lambda: X + 1.5, lambda: X / Decimal(2)):
             with pytest.raises(TypeError):
                 operation()
 

@@ -88,9 +88,7 @@ def sparse_polynomials(draw):
     return BiPoly(draw(st.dictionaries(exponents, rationals, max_size=8)))
 
 
-points = st.one_of(
-    st.integers(-12, 12), st.booleans(), st.fractions(-9, 9, max_denominator=7)
-)
+points = st.one_of(st.integers(-12, 12), st.fractions(-9, 9, max_denominator=7))
 
 
 @st.composite
@@ -130,7 +128,6 @@ def test_telescopic_degree_bound(H):
 
 @small
 @given(sparse_polynomials(), points, points, st.integers(1, 6))
-@example(BiPoly.zero(), -3, True, 1)
 @example(BiPoly.constant(Fraction(-7, 3)), Fraction(2, 5), -4, 6)
 def test_evaluate_matches_term_by_term_sum(P, x, y, L):
     value = P.evaluate(x, y)
