@@ -32,7 +32,7 @@ from .grid import RatMatrix, _common_denominator, _fraction
 class BorderSpec:
     """The 4L - 4 border values of a size-L matrix, listed clockwise from the
     top-left display corner (top row left to right, right column downward,
-    bottom row right to left, left column upward)."""
+    bottom row right to left, left column upward), each an int or Fraction."""
 
     size: int
     values: tuple

@@ -1,11 +1,13 @@
-"""Text formats shared between the library and the CLI.
+"""Text formats shared between the library and the CLI, and the one place
+numbers are read from text.
 
 Matrices travel as CSV: one display row per line, entries written as decimal
-integers or "p/q" with positive q.  Decimal points are rejected outright --
-there is no approximate path anywhere in the package.  Polynomials travel
-either as a JSON array of term records or as a "c*x^a*y^b + ..." text form;
-both list terms by total degree, then x-exponent, ascending, and both round-
-trip exactly.
+integers or "p/q" with positive q in ASCII digits (_TOKEN, shared with text
+coefficients).  Decimal points are rejected outright -- there is no
+approximate path anywhere in the package.  Polynomials travel either as a
+JSON array of term records or as a "c*x^a*y^b + ..." text form; both list
+terms by total degree, then x-exponent, ascending, and both round-trip
+exactly.
 """
 
 from __future__ import annotations
@@ -16,25 +18,27 @@ from fractions import Fraction
 
 from .completion import BorderSpec, border_positions
 from .errors import ParseError
-from .grid import RatMatrix, _fraction
+from .grid import RatMatrix
 from .poly import BiPoly
 
+_TOKEN = r"(?P<num>[+-]?\d+)(?:/(?P<den>\d+))?"
+_TOKEN_RE = re.compile(_TOKEN, re.ASCII)
+_TERM_RE = re.compile(rf"(?P<c>{_TOKEN})(?:\*x\^(?P<a>\d+))?(?:\*y\^(?P<b>\d+))?", re.ASCII)
 # A JSON term record's "num" and "den" are decimal strings, never JSON numbers.
-_NUM_RE = re.compile(r"[+-]?\d+\Z")
-_DEN_RE = re.compile(r"\d+\Z")
-_TERM_RE = re.compile(
-    r"(?P<c>[+-]?\d+(?:/\d+)?)(?:\*x\^(?P<a>\d+))?(?:\*y\^(?P<b>\d+))?\Z"
-)
+_NUM_RE = re.compile(r"[+-]?\d+", re.ASCII)
+_DEN_RE = re.compile(r"\d+", re.ASCII)
 
 
 def parse_rational(token, line=None, column=None):
+    """Fraction of one integer or "p/q" token; ParseError for anything else."""
     token = token.strip()
-    try:
-        return _fraction(token)
-    except TypeError:
-        raise ParseError(f"malformed rational {token!r}", line, column) from None
-    except ZeroDivisionError:
-        raise ParseError(f"zero denominator in {token!r}", line, column) from None
+    m = _TOKEN_RE.fullmatch(token)
+    if not m:
+        raise ParseError(f"malformed rational {token!r}", line, column)
+    den = int(m["den"] or 1)
+    if not den:
+        raise ParseError(f"zero denominator in {token!r}", line, column)
+    return Fraction(int(m["num"]), den)
 
 
 def _parse_rows(text, allow_holes):

@@ -7,35 +7,30 @@ h on the lattice {0..L-1}^2 via h(j-1, L-i) = H[i,j]: the lower-left corner
 of the display maps to the origin.  Both directions are provided and all
 other operations read matrices through this correspondence.
 
-It also holds what the other modules share: the exactness gate _fraction,
-the one scaling to integers over a common denominator (_common_denominator)
-and the one stencil (_stencil), applied to Fraction and integer rows alike.
+It also holds what the other modules share: the exactness gate (the types
+_RATIONAL and the coercion _fraction), the one scaling to integers over a
+common denominator (_common_denominator) and the one stencil (_stencil),
+applied to Fraction and integer rows alike.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
-import re
 from fractions import Fraction
 
 from .errors import SizeError
 
-
-_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
+#: The exact types, matched exactly: no bool, subclass, numpy int or text.
+_RATIONAL = (int, Fraction)
 
 
 def _fraction(value):
-    """Exact coercion shared by the value constructors: rationals (not bool)
-    and integer or "p/q" strings.  Floats, Decimals, bools and strings with a
-    decimal point or exponent raise TypeError."""
+    """A Fraction as it is, an int as a Fraction; TypeError for the rest."""
     if type(value) is Fraction:
         return value
-    if isinstance(value, str) and _RATIONAL_RE.fullmatch(value.strip()):
+    if type(value) is int:
         return Fraction(value)
-    if isinstance(value, numbers.Rational) and not isinstance(value, bool):
-        return Fraction(value)
-    raise TypeError(f"{value!r} is not exact; use int, Fraction or a 'p/q' string")
+    raise TypeError(f"{type(value).__name__} {value!r} is not an int or Fraction")
 
 
 def _common_denominator(values):

@@ -19,11 +19,11 @@ from .grid import _common_denominator, _fraction
 
 
 def _integer_rows(A):
-    """Rows of A coerced exactly and scaled each by the lcm of its
-    denominators, in one pass; row scaling preserves solution sets and row
-    spaces.  int entries (not bool) are taken as they are, anything else goes
-    through grid._fraction, so floats, Decimals and bools raise TypeError.
-    Ragged rows raise ValueError."""
+    """Rows of A through the one exactness gate and scaled each by the lcm of
+    its denominators, in one pass; row scaling preserves solution sets and row
+    spaces.  int entries are taken as they are, anything else goes through
+    grid._fraction, so strings, floats, Decimals, bools and int or Fraction
+    subclasses raise TypeError.  Ragged rows raise ValueError."""
     out = []
     for row in A:
         out.append(_common_denominator([v if type(v) is int else _fraction(v) for v in row])[1])
@@ -147,8 +147,8 @@ def rank(A, ncols=None):
 
 def primitive(vec):
     """Scale a rational vector to coprime integers with positive first nonzero
-    entry.  The zero vector is returned unchanged.  Entries are coerced as in
-    solve, rref and nullspace, so floats, Decimals and bools raise TypeError."""
+    entry.  The zero vector is returned unchanged.  Entries pass the gate of
+    solve, rref and nullspace: int or Fraction, else TypeError."""
     [ints] = _integer_rows([vec])
     if not any(ints):
         return tuple(Fraction(v) for v in ints)

@@ -16,10 +16,11 @@ y-exponent built on first use, divided by D once.  Every step is exact, so it
 equals the term-by-term sum, and at integer points it costs integer
 arithmetic and one Fraction.
 
-Numbers meet polynomials through one operand gate, ``type(v) in _RATIONAL``:
-int or Fraction, so bool fails by construction.  On failure + - * / and ==
-return NotImplemented (a bool, float or Decimal operand raises TypeError, and
-X == True is False) and evaluate raises TypeError.
+Numbers meet polynomials through grid's one gate, ``type(v) in _RATIONAL``:
+int or Fraction by exact type, so bool and subclasses fail by construction.
+BiPoly(...) applies it through grid._fraction.  On failure + - * / and ==
+return NotImplemented (a bool, float or Decimal operand raises TypeError,
+and X == True is False) and evaluate raises TypeError.
 
 The Laplacian of a polynomial P is the polynomial identity
 ``4P(x,y) - P(x-1,y) - P(x+1,y) - P(x,y-1) - P(x,y+1)``, computed here
@@ -46,12 +47,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .grid import _common_denominator, _fraction
+from .grid import _RATIONAL, _common_denominator, _fraction
 
 _ZERO = Fraction(0)
-
-#: The operand gate (see the module docstring).
-_RATIONAL = (int, Fraction)
 
 
 class BiPoly:
@@ -65,6 +63,8 @@ class BiPoly:
     """
 
     __slots__ = ("_den", "_num", "_horner", "_fractions")
+    # Opts out of NumPy's operator dispatch, which unboxes NumPy ints past the gate.
+    __array_ufunc__ = None
 
     def __init__(self, terms=()):
         acc = {}
@@ -413,10 +413,9 @@ def generate_basis(N):
     parts, so they are already reduced on their pivot columns x^n and
     x^(n-1) y; subtracting multiples of the lower-degree elements clears the
     other pivot columns.  Returns 2N + 1 elements by ascending degree, the
-    x^n pivot before the x^(n-1) y one.
+    x^n pivot before the x^(n-1) y one.  N passes the exponent check.
     """
-    if N < 0:
-        raise ValueError("degree bound must be nonnegative")
+    _exponent(N)
     cf = _central_factorials(N)
     # (pivot monomial, its coefficient, integer term map) per element
     rows = [((0, 0), 1, {(0, 0): 1})]

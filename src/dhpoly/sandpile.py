@@ -30,7 +30,7 @@ THRESHOLD = 4
 
 @dataclass(frozen=True)
 class SandConfig:
-    """Heights on a size-L torus, stored in display order like RatMatrix."""
+    """Heights on a size-L torus, non-negative ints in display order."""
 
     heights: tuple
 
@@ -38,10 +38,10 @@ class SandConfig:
         rows = tuple(tuple(h for h in row) for row in self.heights)
         if not rows or any(len(row) != len(rows) for row in rows):
             raise SizeError("height grid must be square and nonempty")
-        for row in rows:
-            for h in row:
-                if not isinstance(h, int) or isinstance(h, bool) or h < 0:
-                    raise ValueError("heights must be nonnegative integers")
+        if any(type(h) is not int for row in rows for h in row):
+            raise TypeError("heights must be ints")
+        if min(map(min, rows)) < 0:
+            raise ValueError("heights must be nonnegative")
         object.__setattr__(self, "heights", rows)
 
     @classmethod

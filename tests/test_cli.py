@@ -85,6 +85,16 @@ class TestCheck:
         assert record["code"] == "parse-error"
         assert record["location"] == {"line": 1, "column": 2}
 
+    def test_non_ascii_digits_are_parse_errors(self, tmp_path, capsys):
+        # Arabic-Indic 1..9 would read as an inner-harmonic matrix under \d.
+        path = tmp_path / "arabic.csv"
+        rows = ("\u0661,\u0662,\u0663", "\u0664,\u0665,\u0666", "\u0667,\u0668,\u0669")
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        assert main(["check", str(path)]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["code"] == "parse-error"
+        assert record["location"] == {"line": 1, "column": 1}
+
     def test_missing_file(self, capsys):
         assert main(["check", "/nonexistent/path.csv"]) == 2
         assert json.loads(capsys.readouterr().err)["code"] == "io-error"
@@ -269,6 +279,10 @@ class TestBasis:
 
     def test_degree_above_limit(self, capsys):
         assert main(["basis", "--degree", str(MAX_BASIS_DEGREE + 1)]) == 2
+        _assert_input_error(capsys)
+
+    def test_negative_degree(self, capsys):
+        assert main(["basis", "--degree", "-1"]) == 2
         _assert_input_error(capsys)
 
     @pytest.mark.parametrize(

@@ -58,7 +58,8 @@ class TestBorderSpec:
 
 def dense_sympy_completion(border):
     """Oracle independent of dhpoly.linalg: one unknown per inner site, the
-    stencil equation at each, solved by sympy."""
+    stencil equation at each, solved by sympy.  The sympy values become
+    Fractions, the only rationals RatMatrix takes."""
     L = border.size
     h = {pos: sympy.Rational(v.numerator, v.denominator)
          for pos, v in zip(border_positions(L), border.values)}
@@ -70,7 +71,10 @@ def dense_sympy_completion(border):
     ]
     (solution,) = sympy.linsolve(equations, [h[site] for site in inner])
     h.update(zip(inner, solution))
-    return RatMatrix([[h[(i, j)] for j in range(1, L + 1)] for i in range(1, L + 1)])
+    return RatMatrix(
+        [[Fraction(int(h[(i, j)].p), int(h[(i, j)].q)) for j in range(1, L + 1)]
+         for i in range(1, L + 1)]
+    )
 
 
 class TestBuildSystem:

@@ -26,7 +26,9 @@ class TestParseRational:
         assert parse_rational("-7/2") == Fraction(-7, 2)
         assert parse_rational(" 4/6 ") == Fraction(2, 3)
 
-    @pytest.mark.parametrize("bad", ["1.5", "3/-4", "a", "", "1/2/3", "1e3"])
+    @pytest.mark.parametrize(
+        "bad", ["1.5", "3/-4", "a", "", "1/2/3", "1e3", "1_0", "\u0661", "1/\u0662", "\uff13"]
+    )
     def test_rejects_non_rationals(self, bad):
         with pytest.raises(ParseError):
             parse_rational(bad)
@@ -115,7 +117,20 @@ class TestPolyText:
             p = random_poly(rng, max_degree=8, n_terms=6)
             assert poly_from_text(poly_to_text(p)) == p
 
-    @pytest.mark.parametrize("bad", ["x^2", "1*x^-2", "1*y^2*x^2", "2 + + 3", "1*x^1 + 1*x^1"])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "x^2",
+            "1*x^-2",
+            "1*y^2*x^2",
+            "2 + + 3",
+            "1*x^1 + 1*x^1",
+            "\u0661*x^1",
+            "1/\u0662*x^1",
+            "1*x^\u0661",
+            "1*y^\u0662",
+        ],
+    )
     def test_malformed_rejected(self, bad):
         with pytest.raises(ParseError):
             poly_from_text(bad)
@@ -177,6 +192,9 @@ class TestPolyJson:
             '[{"xexp": 0, "yexp": 0, "num": "1", "den": "-2"}]',
             '[{"xexp": 0, "yexp": 0, "num": "1", "den": "+2"}]',
             '[{"xexp": 0, "yexp": 0, "num": "1/2", "den": "1"}]',
+            '[{"xexp": 0, "yexp": 0, "num": "\u0661", "den": "1"}]',
+            '[{"xexp": 0, "yexp": 0, "num": "1", "den": "\u0662"}]',
+            '[{"xexp": \u0661, "yexp": 0, "num": "1", "den": "1"}]',
             '[{"xexp": 0, "yexp": 0, "num": "1", "den": "1"},'
             ' {"xexp": 0, "yexp": 0, "num": "2", "den": "1"}]',
         ],

@@ -1,12 +1,16 @@
 import random
 from decimal import Decimal
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
 
 from dhpoly import (
+    BorderSpec,
     RatMatrix,
+    SandConfig,
     SizeError,
+    X,
     complete,
     discrete_laplacian_matrix,
     evaluate_on_lattice,
@@ -16,6 +20,7 @@ from dhpoly import (
     matrix_to_lattice,
     tabulated_basis,
 )
+from dhpoly.linalg import nullspace, primitive, rank, rref, solve
 from dhpoly.poly import BiPoly
 
 from helpers import random_border, random_matrix
@@ -38,6 +43,79 @@ def naive_stencil_zero(rows):
             if v != 0:
                 return False
     return True
+
+
+class _One(IntEnum):
+    ONE = 1
+
+
+class _Ratio(Fraction):
+    pass
+
+
+def _np_int64():
+    return pytest.importorskip("numpy").int64(3)
+
+
+#: Values outside the one exactness gate: name -> (factory, is an integer).
+NOT_EXACT = {
+    "ratio-string": (lambda: "1/2", False),
+    "IntEnum": (lambda: _One.ONE, True),
+    "Fraction-subclass": (lambda: _Ratio(1, 2), False),
+    "float": (lambda: 0.5, False),
+    "Decimal": (lambda: Decimal("0.5"), False),
+    "bool": (lambda: True, True),
+    "numpy-int64": (_np_int64, True),
+}
+
+#: Every entry point that takes numbers: name -> (call, integers only).
+GATED = {
+    "RatMatrix": (lambda v: RatMatrix([[v]]), False),
+    "BorderSpec": (lambda v: BorderSpec(3, (0,) * 7 + (v,)), False),
+    "BiPoly": (lambda v: BiPoly({(0, 0): v}), False),
+    "X+v": (lambda v: X + v, False),
+    "v+X": (lambda v: v + X, False),
+    "X-v": (lambda v: X - v, False),
+    "v-X": (lambda v: v - X, False),
+    "X*v": (lambda v: X * v, False),
+    "v*X": (lambda v: v * X, False),
+    "X/v": (lambda v: X / v, False),
+    "evaluate-x": (lambda v: X.evaluate(v, 0), False),
+    "evaluate-y": (lambda v: X.evaluate(0, v), False),
+    "solve-A": (lambda v: solve([[v]], [1]), False),
+    "solve-b": (lambda v: solve([[1]], [v]), False),
+    "rref": (lambda v: rref([[v]]), False),
+    "rank": (lambda v: rank([[v]]), False),
+    "nullspace": (lambda v: nullspace([[v]]), False),
+    "primitive": (lambda v: primitive([v]), False),
+    "SandConfig": (lambda v: SandConfig(((v,),)), True),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, value",
+    [
+        (entry, value)
+        for entry, (_, integers_only) in GATED.items()
+        for value, (_, integer) in NOT_EXACT.items()
+        if integer or not integers_only
+    ],
+)
+def test_exactness_gate(entry, value):
+    """int and Fraction by exact type are the only numbers any entry point
+    takes; text is read by formats, never by the constructors."""
+    call, make = GATED[entry][0], NOT_EXACT[value][0]
+    with pytest.raises(TypeError):
+        call(make())
+
+
+def test_fixed_width_integers_are_rejected():
+    # In int64 the stencil at a centre of 2**62 is 2**64, which wraps to 0, so
+    # this matrix would read as inner-harmonic; in Python ints it is not.
+    np = pytest.importorskip("numpy")
+    with pytest.raises(TypeError):
+        RatMatrix([[np.int64(v) for v in row] for row in ((0, 0, 0), (0, 2**62, 0), (0, 0, 0))])
+    assert not is_inner_harmonic(RatMatrix([[0, 0, 0], [0, 2**62, 0], [0, 0, 0]]))
 
 
 class TestCorrespondence:
@@ -81,11 +159,11 @@ class TestRatMatrix:
             with pytest.raises(TypeError):
                 RatMatrix([[value]])
 
-    def test_accepts_integer_and_ratio_strings(self):
-        assert RatMatrix([["-3", "1/2"], [" 4 ", 0]]).rows == (
-            (Fraction(-3), Fraction(1, 2)),
-            (Fraction(4), Fraction(0)),
-        )
+    def test_rejects_integer_and_ratio_strings(self):
+        # Text is read by formats.parse_matrix / parse_rational, never here.
+        for value in ("-3", "1/2", " 4 "):
+            with pytest.raises(TypeError):
+                RatMatrix([[value]])
 
     def test_lattice_access(self):
         H = RatMatrix([[1, 2], [3, 4]])
@@ -101,8 +179,8 @@ class TestRatMatrix:
         assert WORKED_4X4.lower_left_minor(4) == WORKED_4X4
 
     def test_hash_and_set_membership(self):
-        H = RatMatrix([[1, "1/2"], [3, 4]])
-        same = RatMatrix([[Fraction(1), Fraction(1, 2)], ["3", 4]])
+        H = RatMatrix([[1, Fraction(1, 2)], [3, 4]])
+        same = RatMatrix([[Fraction(1), Fraction(2, 4)], [Fraction(3), 4]])
         assert hash(H) == hash(same)
         assert {H, same, RatMatrix.identity(2)} == {H, RatMatrix.identity(2)}
         assert {H: "h"}[same] == "h"

@@ -292,6 +292,11 @@ class TestGenerateBasis:
         with pytest.raises(ValueError):
             generate_basis(-1)
 
+    @pytest.mark.parametrize("N", [True, 2.0])
+    def test_non_int_degree_rejected(self, N):
+        with pytest.raises(TypeError):
+            generate_basis(N)
+
 
 @pytest.fixture(scope="module")
 def nullspace_basis_22():

@@ -66,7 +66,7 @@ class TestSandConfig:
             SandConfig(((0, -1), (0, 0)))
 
     def test_rejects_non_integer(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             SandConfig(((Fraction(1, 2), 0), (0, 0)))
 
     def test_rejects_ragged(self):
