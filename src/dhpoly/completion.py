@@ -8,9 +8,10 @@ the entry below and its two side neighbours; so the bottom two rows and the
 side columns determine the matrix.  One scalar march (``_march``) does that
 in integers, and ``complete`` runs it three ways: on unit vectors, once per
 size, for the response matrix R(L) that takes the L - 2 unknown inner values
-of the second-lowest row to the top row's inner values; on the border with
-the unknowns at zero, for the constant part; and, once the (L-2) x (L-2)
-system against the top row is solved, on the values themselves.  Marching
+of the second-lowest row to the top row's inner values, whose fraction-free
+factorisation is kept per size; on the border with the unknowns at zero, for
+the constant part; and, once the (L-2) x (L-2) system against the top row is
+solved with that factorisation, on the values themselves.  Marching
 loses accuracy in floating point, but here every entry is an integer: the
 border is scaled once by the lcm D of its denominators, the solution's
 denominators add one more common factor d, and each entry of the value
@@ -91,7 +92,6 @@ def _march(rows, sides):
     return rows
 
 
-@lru_cache(maxsize=None)
 def _response(L):
     """The response matrix R(L): column k holds the inner values of the top
     row marched from a zero border with a 1 at inner site k of display row
@@ -102,6 +102,13 @@ def _response(L):
         for k in range(L - 2)
     ]
     return tuple(zip(*columns))
+
+
+@lru_cache(maxsize=None)
+def _response_factor(L):
+    """linalg.factor of R(L), made once per size; R(L) is nonsingular (see
+    complete)."""
+    return linalg.factor(_response(L))
 
 
 def complete(border):
@@ -116,11 +123,15 @@ def complete(border):
     march of the border with the unknowns at zero.  Matching the top border
     is the n x n system R x = top - c.  R is nonsingular: a kernel vector
     would march, from a zero border, to a nonzero inner-harmonic matrix with
-    zero border, which uniqueness rules out; linalg.solve would raise
-    SingularMatrixError otherwise.  With d the lcm of the solution's
-    denominators, d * D times every entry is an integer, so the values
-    themselves march a second time, and each entry below the top row becomes
-    one Fraction over d * D at the end.
+    zero border, which uniqueness rules out; linalg.factor would raise
+    SingularMatrixError otherwise.  R depends on L alone, so its
+    linalg.factor is made on the first request of each size and kept
+    (_response_factor); a request then costs O(L^2) integer operations (two
+    marches and one forward and back substitution), not an O(L^3)
+    elimination.  With d the lcm of the solution's denominators, d * D times
+    every entry is an integer, so the values themselves march a second time,
+    and each entry below the top row becomes one Fraction over d * D at the
+    end.
     """
     L = border.size
     D, ints = _common_denominator(border.values)
@@ -128,7 +139,7 @@ def complete(border):
     bottom = [value[(L, j)] for j in range(1, L + 1)]
     sides = [(value[(i, 1)], value[(i, L)]) for i in range(L - 2, 0, -1)]
     c = _march([bottom, [value[(L - 1, 1)], *[0] * (L - 2), value[(L - 1, L)]]], sides)[-1]
-    x = linalg.solve(_response(L), [value[(1, j)] - c[j - 1] for j in range(2, L)])
+    x = _response_factor(L).solve([value[(1, j)] - c[j - 1] for j in range(2, L)])
 
     d, inner = _common_denominator(x)
     # rows[k] holds d * D times display row L - k, up to row 2

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -13,12 +14,18 @@ from dhpoly import (
     complete,
     extract_border,
     is_inner_harmonic,
+    linalg,
 )
 
-from dhpoly.completion import _response
+from dhpoly.completion import _response, _response_factor
+from dhpoly.formats import format_matrix
 
 from helpers import affine_march, random_border, random_inner_harmonic, random_rational
 from reference_data import SAMPLE_7X7, WORKED_MINOR_3X3
+
+#: SHA-256 of the CSV text of complete() on seeded borders of sizes 3..40
+#: (see TestResponseFactor); a change that alters it must say why.
+COMPLETIONS_SHA256 = "4e705ee868d31e82acf3ed5be83661648fcfca2371938868d684408dacfa5c8c"
 
 
 class TestBorderSpec:
@@ -110,6 +117,33 @@ class TestBuildSystem:
             H = complete(BorderSpec(L, tuple(rng.randint(-9, 9) for _ in range(4 * L - 4))))
             assert is_inner_harmonic(H)
         assert calls == []
+
+
+class TestResponseFactor:
+    """complete() factors R(L) once per size and reuses the factorisation."""
+
+    def test_pinned_digest(self):
+        rng = random.Random(340)
+        text = "".join(format_matrix(complete(random_border(rng, L))) for L in range(3, 41))
+        assert hashlib.sha256(text.encode()).hexdigest() == COMPLETIONS_SHA256
+
+    def test_repeat_request_does_no_elimination(self, monkeypatch):
+        real, calls = linalg._ff_echelon, []
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[0]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "_ff_echelon", counting)
+        rng = random.Random(341)
+        first, second = random_border(rng, 12), random_border(rng, 12)
+        _response_factor.cache_clear()
+        cold = complete(second)
+        _response_factor.cache_clear()
+        complete(first)
+        assert calls == [10, 10]
+        assert complete(second) == cold
+        assert calls == [10, 10]
 
 
 class TestComplete:
