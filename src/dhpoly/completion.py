@@ -8,24 +8,25 @@ the entry below and its two side neighbours; so the bottom two rows and the
 side columns determine the matrix.  One scalar march (``_march``) does that
 in integers, and ``complete`` runs it three ways: on unit vectors, once per
 size, for the response matrix R(L) that takes the L - 2 unknown inner values
-of the second-lowest row to the top row's inner values, whose fraction-free
-factorisation is kept per size; on the border with the unknowns at zero, for
-the constant part; and, once the (L-2) x (L-2) system against the top row is
-solved with that factorisation, on the values themselves.  Marching
-loses accuracy in floating point, but here every entry is an integer: the
-border is scaled once by the lcm D of its denominators, the solution's
-denominators add one more common factor d, and each entry of the value
-march over d * D becomes one Fraction at the end.
+of the second-lowest row to the top row's inner values, whose inverse has a
+closed form in its first column and is kept per size; on the border with the
+unknowns at zero, for the constant part; and, once that inverse has matched
+the top row, on the values themselves, up to the top row as a check.
+Marching loses accuracy in floating point, but here every entry is an
+integer: the border is scaled once by the lcm D of its denominators, the
+solution's denominators add one more common multiplier d, and each entry of
+the value march over d * D becomes one Fraction at the end.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .errors import SizeError
+from .errors import InvariantError, SizeError
 from .grid import RatMatrix, _common_denominator, _fraction
 
 
@@ -39,6 +40,8 @@ class BorderSpec:
     values: tuple
 
     def __post_init__(self):
+        if type(self.size) is not int:
+            raise TypeError(f"border size must be an int, got {type(self.size).__name__}")
         if self.size < 3:
             raise SizeError("border completion needs size at least 3")
         values = tuple(_fraction(v) for v in self.values)
@@ -105,10 +108,28 @@ def _response(L):
 
 
 @lru_cache(maxsize=None)
-def _response_factor(L):
-    """linalg.factor of R(L), made once per size; R(L) is nonsingular (see
-    complete)."""
-    return linalg.factor(_response(L))
+def _response_inverse(L):
+    """(d, M) with M = d * R(L)^-1 in integers, made once per size.
+
+    R(L) = U_{L-2}(T/2), a Chebyshev polynomial in the Dirichlet matrix
+    T = tridiag(-1, 4, -1) of size n = L - 2 (each march step is
+    h[i-1] = T h[i] - h[i+1]), so R(L) and its inverse lie in the tau algebra
+    of T: entry (a, b) of the inverse, for 1 <= a, b <= n, is
+    G(|a - b|) - G(a + b) with G(2n + 2 - s) = G(s).  One linalg.solve gives
+    the first column c = d * R(L)^-1 e_1, whose entry a is G(a - 1) - G(a + 1);
+    a constant and (-1)^s cancel in every such difference, so G(0) = G(1) = 0
+    may be fixed and G(a + 1) = G(a - 1) - c_a gives the rest.  R(L) is
+    nonsingular (see complete); linalg.solve would raise SingularMatrixError
+    otherwise.
+    """
+    n = L - 2
+    d, c = _common_denominator(linalg.solve(_response(L), [1] + [0] * (n - 1)))
+    G = [0, 0]
+    for a in range(1, n + 1):
+        G.append(G[a - 1] - c[a - 1])
+    G += G[n:1:-1]
+    span = range(1, n + 1)
+    return d, tuple(tuple(G[abs(a - b)] - G[a + b] for b in span) for a in span)
 
 
 def complete(border):
@@ -121,17 +142,16 @@ def complete(border):
     _march).  The march is linear, so the top row's inner values are R x + c:
     R = R(L) is the response to each unknown alone (see _response) and c the
     march of the border with the unknowns at zero.  Matching the top border
-    is the n x n system R x = top - c.  R is nonsingular: a kernel vector
-    would march, from a zero border, to a nonzero inner-harmonic matrix with
-    zero border, which uniqueness rules out; linalg.factor would raise
-    SingularMatrixError otherwise.  R depends on L alone, so its
-    linalg.factor is made on the first request of each size and kept
-    (_response_factor); a request then costs O(L^2) integer operations (two
-    marches and one forward and back substitution), not an O(L^3)
-    elimination.  With d the lcm of the solution's denominators, d * D times
-    every entry is an integer, so the values themselves march a second time,
-    and each entry below the top row becomes one Fraction over d * D at the
-    end.
+    is the n x n system R x = t, t = top - c.  R is nonsingular: a kernel
+    vector would march, from a zero border, to a nonzero inner-harmonic
+    matrix with zero border, which uniqueness rules out.  R depends on L
+    alone, so d * R^-1 in integers is made on the first request of each size
+    and kept (_response_inverse); a request then costs O(L^2) integer
+    operations (two marches and n dot products).  Cancelling the gcd g of d
+    and d * R^-1 t leaves x over its least common denominator d / g, so the
+    values themselves march a second time, scaled by d / g, up to the top
+    row, which must come out as the border's (InvariantError otherwise); each
+    entry below it becomes one Fraction over D * d / g.
     """
     L = border.size
     D, ints = _common_denominator(border.values)
@@ -139,14 +159,18 @@ def complete(border):
     bottom = [value[(L, j)] for j in range(1, L + 1)]
     sides = [(value[(i, 1)], value[(i, L)]) for i in range(L - 2, 0, -1)]
     c = _march([bottom, [value[(L - 1, 1)], *[0] * (L - 2), value[(L - 1, L)]]], sides)[-1]
-    x = _response_factor(L).solve([value[(1, j)] - c[j - 1] for j in range(2, L)])
-
-    d, inner = _common_denominator(x)
-    # rows[k] holds d * D times display row L - k, up to row 2
+    t = [value[(1, j)] - c[j - 1] for j in range(2, L)]
+    d, M = _response_inverse(L)
+    dx = [sum(m * v for m, v in zip(row, t)) for row in M]
+    g = math.gcd(d, *dx)
+    d, inner = d // g, [v // g for v in dx]
+    # rows[k] holds d * D times display row L - k
     rows = _march(
         [[d * v for v in bottom], [d * value[(L - 1, 1)], *inner, d * value[(L - 1, L)]]],
-        [(d * left, d * right) for left, right in sides[:-1]],
+        [(d * left, d * right) for left, right in sides],
     )
+    if rows.pop() != [d * value[(1, j)] for j in range(1, L + 1)]:
+        raise InvariantError("completed matrix does not march to the top border")
     den = d * D
     grid = [border.values[:L]]
     grid += [[Fraction(v, den) for v in row] for row in reversed(rows)]

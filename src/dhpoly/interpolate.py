@@ -222,7 +222,7 @@ def telescopic(H):
     The first stage is the base case: H's eight border values on the 3x3
     lower-left block weight the base cardinals (see _base_cardinals), as one
     combination; the center follows, both sides satisfying the stencil there.
-    Every larger block stays inner-harmonic; the steps extend one size at a
+    Every larger block stays inner-harmonic; each later stage adds one size at a
     time up to L.  Only H is checked (a size below 3 raises SizeError); the
     stages run unchecked.  The result is verified on the border (see
     _matches_on_border); a failure there is a bug and raises InvariantError.

@@ -7,76 +7,58 @@ back-substitution scaled by the last pivot finishes the reduction.  Each output
 entry becomes one Fraction at the end, so entry growth stays polynomial and no
 rational arithmetic runs inside the elimination.  Pivoting is always "first
 nonzero in row order", so two runs on the same input produce identical output.
-
-``factor`` keeps the elimination of a nonsingular square matrix, so that each
-later right-hand side costs an O(n^2) fraction-free forward and back
-substitution instead of an O(n^3) elimination; ``solve`` is one factor and
-one such substitution.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SingularMatrixError
 from .grid import _common_denominator, _fraction
 
 
-def _exact(values):
-    """values through the one exactness gate: int entries as they are,
-    anything else through grid._fraction, so strings, floats, Decimals, bools
-    and int or Fraction subclasses raise TypeError."""
-    return [v if type(v) is int else _fraction(v) for v in values]
-
-
-def _integer_rows(A, scales=None):
-    """Rows of A through the exactness gate (_exact) and scaled each by the
-    lcm of its denominators, in one pass; row scaling preserves solution sets
-    and row spaces.  When ``scales`` is a list, each row's lcm is appended to
-    it.  Ragged rows raise ValueError."""
+def _integer_rows(A):
+    """Rows of A through the one exactness gate and scaled each by the lcm of
+    its denominators, in one pass; row scaling preserves solution sets and row
+    spaces.  int entries are taken as they are, anything else goes through
+    grid._fraction, so strings, floats, Decimals, bools and int or Fraction
+    subclasses raise TypeError.  Ragged rows raise ValueError."""
     out = []
     for row in A:
-        D, ints = _common_denominator(_exact(row))
-        out.append(ints)
-        if scales is not None:
-            scales.append(D)
+        out.append(_common_denominator([v if type(v) is int else _fraction(v) for v in row])[1])
     if any(len(r) != len(out[0]) for r in out):
         raise ValueError("ragged matrix")
     return out
 
 
-def _ff_echelon(m, pivot_cols, steps=None):
+def _ff_echelon(m, ncols):
     """Fraction-free row echelon over the integers, in place.
 
-    Only columns in ``pivot_cols`` are eligible as pivots; all columns are
-    updated.  Returns the list of (row, col) pivots.  When ``steps`` is a
-    list, each pivot appends (the row swapped into the pivot row, the pivot,
-    the previous pivot, the entries below the pivot before elimination): all
-    that Factorization.solve needs to replay the step on another column.
+    Only the first ``ncols`` columns are eligible as pivots.  Returns the list
+    of (row, col) pivots.  Below each pivot only the columns right of it are
+    updated: left of it those rows are already zero, since every earlier
+    column is either cleared below its pivot or was zero there when skipped.
     """
     nrows = len(m)
-    ncols = len(m[0]) if m else 0
+    width = len(m[0]) if m else 0
     pivots = []
     prev = 1
     r = 0
-    for c in pivot_cols:
+    for c in range(ncols):
         pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
         if pr is None:
             continue
         if pr != r:
             m[r], m[pr] = m[pr], m[r]
-        piv = m[r][c]
-        if steps is not None:
-            steps.append((pr, piv, prev, tuple(m[i][c] for i in range(r + 1, nrows))))
+        top = m[r]
+        piv = top[c]
         for i in range(r + 1, nrows):
-            mic = m[i][c]
-            for j in range(ncols):
-                if j == c:
-                    continue
-                m[i][j] = (piv * m[i][j] - mic * m[r][j]) // prev
-            m[i][c] = 0
+            row = m[i]
+            mic = row[c]
+            for j in range(c + 1, width):
+                row[j] = (piv * row[j] - mic * top[j]) // prev
+            row[c] = 0
         pivots.append((r, c))
         prev = piv
         r += 1
@@ -123,72 +105,24 @@ def _primitive_ints(ints):
     return tuple(Fraction(v // g) for v in ints)
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Fraction-free LU factorisation of a nonsingular square matrix A, made
-    by factor.  ``scales`` holds the lcm each row of A was scaled by,
-    ``echelon`` the upper-triangular integer form _ff_echelon left, and
-    ``steps`` each elimination step as _ff_echelon records it."""
-
-    scales: tuple
-    echelon: tuple
-    steps: tuple
-
-    def solve(self, b):
-        """Exact solution of A x = b.
-
-        The scaled b, over one common denominator D, goes through the
-        integer operations it would have gone through as an augmented column
-        of the elimination (forward substitution), then through the
-        back-substitution rref and nullspace use; each entry of x becomes
-        one Fraction at the end.  b passes the exactness gate, so a float,
-        bool or string raises TypeError; a length other than A's size raises
-        ValueError.
-        """
-        b = _exact(b)
-        n = len(self.scales)
-        if len(b) != n:
-            raise ValueError("right-hand side length must match the matrix size")
-        D, y = _common_denominator([s * v for s, v in zip(self.scales, b)])
-        for r, (swap, piv, prev, below) in enumerate(self.steps):
-            if swap != r:
-                y[r], y[swap] = y[swap], y[r]
-            t = y[r]
-            for i, mic in enumerate(below, r + 1):
-                y[i] = (piv * y[i] - mic * t) // prev
-        augmented = [(*row, t) for row, t in zip(self.echelon, y)]
-        d, reduced = _back_substitute(augmented, [(k, k) for k in range(n)], [n])
-        den = d * D
-        return [Fraction(row[0], den) for row in reduced]
-
-
-def factor(A):
-    """Factorisation of the nonsingular square matrix A, for solving A x = b
-    for many b (see Factorization.solve).
-
-    One fraction-free elimination of A, recorded step by step.  A is not
-    modified.  Entries pass the exactness gate (TypeError otherwise); a
-    matrix that is not square and nonempty raises ValueError, and a singular
-    one SingularMatrixError carrying the rank of A.
-    """
-    scales = []
-    m = _integer_rows(A, scales)
-    n = len(m)
-    if n == 0 or len(m[0]) != n:
-        raise ValueError("a square nonempty matrix is required")
-    steps = []
-    pivots = _ff_echelon(m, range(n), steps)
-    if len(pivots) < n:
-        raise SingularMatrixError(len(pivots))
-    return Factorization(tuple(scales), tuple(map(tuple, m)), tuple(steps))
-
-
 def solve(A, b):
-    """Exact solution of the square system A x = b: factor(A).solve(b).
+    """Exact solution of the square system A x = b, by one fraction-free
+    elimination of the augmented matrix [A | b].
 
     Raises SingularMatrixError (carrying the rank of A) when A is singular.
     """
-    return factor(A).solve(b)
+    A, b = list(A), list(b)
+    n = len(A)
+    if len(b) != n:
+        raise ValueError("right-hand side length must match the matrix size")
+    aug = _integer_rows([*row, t] for row, t in zip(A, b))
+    if n == 0 or len(aug[0]) != n + 1:
+        raise ValueError("solve requires a square nonempty matrix")
+    pivots = _ff_echelon(aug, n)
+    if len(pivots) < n:
+        raise SingularMatrixError(len(pivots))
+    d, reduced = _back_substitute(aug, pivots, [n])
+    return [Fraction(row[0], d) for row in reduced]
 
 
 def rref(A, ncols=None):
@@ -201,7 +135,7 @@ def rref(A, ncols=None):
     m = _integer_rows(A)
     if ncols is None:
         ncols = len(m[0]) if m else 0
-    pivots = _ff_echelon(m, range(ncols))
+    pivots = _ff_echelon(m, ncols)
     d, reduced = _back_substitute(m, pivots, range(ncols))
     return [tuple(Fraction(v, d) for v in row) for row in reduced], [c for _, c in pivots]
 
@@ -211,7 +145,7 @@ def rank(A, ncols=None):
     m = _integer_rows(A)
     if ncols is None:
         ncols = len(m[0]) if m else 0
-    return len(_ff_echelon(m, range(ncols)))
+    return len(_ff_echelon(m, ncols))
 
 
 def primitive(vec):
@@ -237,7 +171,7 @@ def nullspace(A, ncols=None):
         if not m:
             raise ValueError("ncols is required for a matrix with no rows")
         ncols = len(m[0])
-    pivots = _ff_echelon(m, range(ncols))
+    pivots = _ff_echelon(m, ncols)
     pivot_cols = {c for _, c in pivots}
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
     # d * R gives each kernel vector in integers: d at its free column and

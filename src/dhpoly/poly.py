@@ -3,7 +3,7 @@ lattice Laplacian acting on them.
 
 A polynomial is stored as one positive denominator D and a map from exponent
 pairs to nonzero integer numerators, the coefficient of x^a y^b being
-num[a, b] / D.  D shares no factor with every numerator at once, which makes
+num[a, b] / D.  The gcd of D and all the numerators is 1, which makes
 D the lcm of the reduced coefficient denominators and the form canonical:
 equal polynomials store equal (D, numerators).  Arithmetic is therefore
 integer arithmetic plus one gcd per result, and the public API still hands

@@ -16,7 +16,7 @@ from dhpoly import (
     generate_basis,
     linalg,
 )
-from dhpoly.errors import ConstructionError, SingularMatrixError
+from dhpoly.errors import ConstructionError
 from dhpoly.grid import _fraction
 from dhpoly.interpolate import (
     _BASE_BASIS,
@@ -25,7 +25,7 @@ from dhpoly.interpolate import (
     _primitive_poly,
     _verify_impulse,
 )
-from dhpoly.linalg import _back_substitute, _ff_echelon, _integer_rows
+from dhpoly.linalg import _ff_echelon, _integer_rows
 from dhpoly.poly import DHBasis, _exponent
 
 
@@ -213,32 +213,12 @@ def naive_step(config):
     return SandConfig(tuple(tuple(row) for row in new))
 
 
-def augmented_solve(A, b):
-    """Exact solution of the square system A x = b by one fraction-free
-    elimination of the augmented matrix [A | b], each row scaled to integers
-    with its entry of b: the reference that linalg.factor(A).solve(b) is
-    checked against.  Raises SingularMatrixError (carrying the rank of A)
-    when A is singular."""
-    A, b = list(A), list(b)
-    n = len(A)
-    if len(b) != n:
-        raise ValueError("right-hand side length must match the matrix size")
-    aug = _integer_rows([*row, t] for row, t in zip(A, b))
-    if n == 0 or len(aug[0]) != n + 1:
-        raise ValueError("solve requires a square nonempty matrix")
-    pivots = _ff_echelon(aug, range(n))
-    if len(pivots) < n:
-        raise SingularMatrixError(len(pivots))
-    d, reduced = _back_substitute(aug, pivots, [n])
-    return [Fraction(row[0], d) for row in reduced]
-
-
 def fraction_rref(rows, ncols):
     """RREF by Fraction back-substitution over the fraction-free echelon form:
     the reference that linalg.rref's integer back-substitution is checked
     against.  Returns (rows, pivot_columns) like linalg.rref."""
     m = _integer_rows(rows)
-    pivots = _ff_echelon(m, range(ncols))
+    pivots = _ff_echelon(m, ncols)
     reduced = [[Fraction(v) for v in row] for row in m]
     for r, c in reversed(pivots):
         piv = reduced[r][c]

@@ -100,18 +100,37 @@ class TestCheck:
         assert json.loads(capsys.readouterr().err)["code"] == "io-error"
 
 
+@pytest.fixture
+def holes_csv(tmp_path):
+    """SAMPLE_7X7 with its interior replaced by '?'."""
+    L = SAMPLE_7X7.size
+    rows = SAMPLE_7X7.to_lists()
+    for i in range(1, L - 1):
+        for j in range(1, L - 1):
+            rows[i][j] = "?"
+    path = tmp_path / "holes.csv"
+    path.write_text("\n".join(",".join(str(v) for v in row) for row in rows))
+    return str(path)
+
+
 class TestComplete:
-    def test_fills_interior(self, tmp_path, capsys):
-        L = SAMPLE_7X7.size
-        rows = SAMPLE_7X7.to_lists()
-        for i in range(1, L - 1):
-            for j in range(1, L - 1):
-                rows[i][j] = "?"
-        text = "\n".join(",".join(str(v) for v in row) for row in rows)
-        path = tmp_path / "holes.csv"
-        path.write_text(text)
-        assert main(["complete", str(path)]) == 0
+    def test_fills_interior(self, holes_csv, capsys):
+        assert main(["complete", holes_csv]) == 0
         assert parse_matrix(capsys.readouterr().out) == SAMPLE_7X7
+
+    def test_wrong_inverse_exits_three(self, holes_csv, capsys, monkeypatch):
+        from dhpoly import completion
+
+        d, M = completion._response_inverse(SAMPLE_7X7.size)
+        monkeypatch.setattr(
+            completion,
+            "_response_inverse",
+            lambda L: (d, tuple(tuple(2 * m for m in row) for row in M)),
+        )
+        assert main(["complete", holes_csv]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["code"] == "internal-error"
 
     def test_stdin(self, capsys, monkeypatch):
         import io

@@ -8,23 +8,25 @@ import sympy
 
 from dhpoly import (
     BorderSpec,
+    InvariantError,
     RatMatrix,
     SizeError,
     border_positions,
     complete,
+    completion,
     extract_border,
     is_inner_harmonic,
     linalg,
 )
 
-from dhpoly.completion import _response, _response_factor
+from dhpoly.completion import _response, _response_inverse
 from dhpoly.formats import format_matrix
 
 from helpers import affine_march, random_border, random_inner_harmonic, random_rational
 from reference_data import SAMPLE_7X7, WORKED_MINOR_3X3
 
 #: SHA-256 of the CSV text of complete() on seeded borders of sizes 3..40
-#: (see TestResponseFactor); a change that alters it must say why.
+#: (see TestResponseInverse); a change that alters it must say why.
 COMPLETIONS_SHA256 = "4e705ee868d31e82acf3ed5be83661648fcfca2371938868d684408dacfa5c8c"
 
 
@@ -36,6 +38,16 @@ class TestBorderSpec:
     def test_size_enforced(self):
         with pytest.raises(SizeError):
             BorderSpec(2, (1, 2, 3, 4))
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: 4.0, lambda: True, lambda: pytest.importorskip("numpy").int64(4)],
+        ids=["float", "bool", "numpy-int64"],
+    )
+    def test_size_must_be_int(self, make):
+        # 12 values fit size 4, so only the type of the size can fail
+        with pytest.raises(TypeError):
+            BorderSpec(make(), tuple(range(12)))
 
     @pytest.mark.parametrize("value", [0.5, "0.5", "1e3", Decimal("0.5"), True], ids=repr)
     def test_rejects_floats(self, value):
@@ -119,13 +131,30 @@ class TestBuildSystem:
         assert calls == []
 
 
-class TestResponseFactor:
-    """complete() factors R(L) once per size and reuses the factorisation."""
+class TestResponseInverse:
+    """complete() inverts R(L) once per size, through the closed form of
+    _response_inverse, and reuses the inverse."""
 
     def test_pinned_digest(self):
         rng = random.Random(340)
         text = "".join(format_matrix(complete(random_border(rng, L))) for L in range(3, 41))
         assert hashlib.sha256(text.encode()).hexdigest() == COMPLETIONS_SHA256
+
+    @pytest.mark.parametrize("L", range(3, 41))
+    def test_inverts_response(self, L):
+        d, M = _response_inverse(L)
+        R, n = _response(L), L - 2
+        assert [[sum(M[a][k] * R[k][b] for k in range(n)) for b in range(n)] for a in range(n)] == [
+            [d * (a == b) for b in range(n)] for a in range(n)
+        ]
+
+    @pytest.mark.parametrize("L", range(3, 17))
+    def test_columns_match_solve(self, L):
+        d, M = _response_inverse(L)
+        n = L - 2
+        for k in range(n):
+            column = linalg.solve(_response(L), [int(j == k) for j in range(n)])
+            assert [Fraction(row[k], d) for row in M] == column
 
     def test_repeat_request_does_no_elimination(self, monkeypatch):
         real, calls = linalg._ff_echelon, []
@@ -137,13 +166,23 @@ class TestResponseFactor:
         monkeypatch.setattr(linalg, "_ff_echelon", counting)
         rng = random.Random(341)
         first, second = random_border(rng, 12), random_border(rng, 12)
-        _response_factor.cache_clear()
+        _response_inverse.cache_clear()
         cold = complete(second)
-        _response_factor.cache_clear()
+        _response_inverse.cache_clear()
         complete(first)
         assert calls == [10, 10]
         assert complete(second) == cold
         assert calls == [10, 10]
+
+    def test_wrong_inverse_raises(self, monkeypatch):
+        d, M = _response_inverse(7)
+        monkeypatch.setattr(
+            completion,
+            "_response_inverse",
+            lambda L: (d, tuple(tuple(2 * m for m in row) for row in M)),
+        )
+        with pytest.raises(InvariantError):
+            complete(extract_border(SAMPLE_7X7))
 
 
 class TestComplete:

@@ -20,7 +20,7 @@ from dhpoly import (
     matrix_to_lattice,
     tabulated_basis,
 )
-from dhpoly.linalg import factor, nullspace, primitive, rank, rref, solve
+from dhpoly.linalg import nullspace, primitive, rank, rref, solve
 from dhpoly.poly import BiPoly
 
 from helpers import random_border, random_matrix
@@ -84,8 +84,6 @@ GATED = {
     "evaluate-y": (lambda v: X.evaluate(0, v), False),
     "solve-A": (lambda v: solve([[v]], [1]), False),
     "solve-b": (lambda v: solve([[1]], [v]), False),
-    "factor-A": (lambda v: factor([[v]]), False),
-    "factor-b": (lambda v: factor([[1]]).solve([v]), False),
     "rref": (lambda v: rref([[v]]), False),
     "rank": (lambda v: rank([[v]]), False),
     "nullspace": (lambda v: nullspace([[v]]), False),

@@ -1,15 +1,14 @@
 import copy
 import random
-from dataclasses import FrozenInstanceError
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 from dhpoly import SingularMatrixError, complete, generate_basis, is_inner_harmonic
-from dhpoly.linalg import factor, nullspace, primitive, rank, rref, solve
+from dhpoly.linalg import nullspace, primitive, rank, rref, solve
 
-from helpers import augmented_solve, random_border, random_rational
+from helpers import random_border, random_rational
 from reference_data import BASE_SYSTEM_MATRIX, BASE_SYSTEM_RHS, MINOR_COEFFS
 
 
@@ -36,6 +35,9 @@ class TestSolve:
         with pytest.raises(SingularMatrixError) as err:
             solve([[1, 2], [2, 4]], [1, 0])
         assert err.value.rank == 1
+        with pytest.raises(SingularMatrixError) as err:
+            solve([[0]], [1])
+        assert err.value.rank == 0
 
     def test_singular_rank_counts_later_pivots(self):
         with pytest.raises(SingularMatrixError) as err:
@@ -62,6 +64,14 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve([[1]], [1, 2])
 
+    def test_inputs_not_modified(self):
+        A = [[Fraction(1, 2), 3, 0], [4, Fraction(-5, 3), 1], [0, 7, 2]]
+        b = [1, Fraction(2, 3), -4]
+        A_copy, b_copy = copy.deepcopy(A), list(b)
+        x = solve(A, b)
+        assert (A, b) == (A_copy, b_copy)
+        assert x == solve(A_copy, b_copy)
+
     def test_rejects_floats_and_decimals(self):
         for value in (0.5, Decimal("0.5"), True, "1/2"):
             with pytest.raises(TypeError):
@@ -69,76 +79,31 @@ class TestSolve:
             with pytest.raises(TypeError):
                 solve([[1]], [value])
             with pytest.raises(TypeError):
-                factor([[1, 0], [0, value]])
-            with pytest.raises(TypeError):
-                factor([[1, 0], [0, 1]]).solve([1, value])
-            with pytest.raises(TypeError):
                 nullspace([[value, 1]])
             with pytest.raises(TypeError):
                 primitive([value, 1])
 
 
 class TestFactor:
+    """The elimination that factors A inside solve: the rank a singular A
+    reports, and the shapes of A and b it rejects."""
+
     @pytest.mark.parametrize(
         "A, expected_rank",
         [([[0]], 0), ([[1, 2], [2, 4]], 1), ([[1, 0, 0], [0, 0, 1], [0, 0, 2]], 2)],
     )
     def test_singular_raises_with_true_rank(self, A, expected_rank):
         with pytest.raises(SingularMatrixError) as err:
-            factor(A)
+            solve(A, [1] * len(A))
         assert err.value.rank == expected_rank
 
     def test_shape_validation(self):
         for A in ([], [[1, 2]], [[1, 2], [3]], [[1], [2]]):
             with pytest.raises(ValueError):
-                factor(A)
+                solve(A, [1] * len(A))
         for b in ([1], [1, 2, 3]):
             with pytest.raises(ValueError):
-                factor([[1, 0], [0, 1]]).solve(b)
-
-    def test_inputs_not_modified(self):
-        A = [[Fraction(1, 2), 3, 0], [4, Fraction(-5, 3), 1], [0, 7, 2]]
-        b = [1, Fraction(2, 3), -4]
-        A_copy, b_copy = copy.deepcopy(A), list(b)
-        x = factor(A).solve(b)
-        assert (A, b) == (A_copy, b_copy)
-        assert x == solve(A_copy, b_copy)
-
-    def test_factorisation_is_immutable(self):
-        f = factor([[2, 1], [1, 3]])
-        with pytest.raises(FrozenInstanceError):
-            f.steps = ()
-        assert isinstance(f.echelon, tuple) and all(isinstance(r, tuple) for r in f.echelon)
-
-    def test_one_factorisation_many_right_hand_sides(self):
-        rng = random.Random(34)
-        A, _ = random_system(rng, 9)
-        f = factor(A)
-        for _ in range(6):
-            b = [random_rational(rng, 1000, 1000) for _ in range(9)]
-            x = f.solve(b)
-            for row, t in zip(A, b):
-                assert sum(a * v for a, v in zip(row, x)) == t
-            assert f.solve(b) == x
-
-    @pytest.mark.parametrize("n", range(1, 21))
-    def test_matches_augmented_oracle(self, n):
-        rng = random.Random(800 + n)
-        systems = [
-            ([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)],
-             [rng.randint(-99, 99) for _ in range(n)]),
-            random_system(rng, n),
-        ]
-        for A, b in systems:
-            try:
-                expected = augmented_solve(A, b)
-            except SingularMatrixError as err:
-                with pytest.raises(SingularMatrixError) as mine:
-                    factor(A)
-                assert mine.value.rank == err.rank
-                continue
-            assert factor(A).solve(b) == expected
-            assert solve(A, b) == expected
+                solve([[1, 0], [0, 1]], b)
 
 
 class TestNullspace:
@@ -203,8 +168,8 @@ class TestDeterminism:
 class TestCompletionSystemConditioning:
     @pytest.mark.parametrize("L", range(3, 11))
     def test_never_singular(self, L):
-        # complete() solves its (L-2) x (L-2) marching system through
-        # linalg.factor, which raises SingularMatrixError on a singular system
+        # complete() inverts its (L-2) x (L-2) marching system through
+        # linalg.solve, which raises SingularMatrixError on a singular system
         rng = random.Random(L)
         assert is_inner_harmonic(complete(random_border(rng, L)))
 
