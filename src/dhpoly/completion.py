@@ -6,16 +6,16 @@ inner-harmonic matrix with zero border is zero, so the filling is unique.
 The stencil at an inner site gives the entry above it from the entry itself,
 the entry below and its two side neighbours; so the bottom two rows and the
 side columns determine the matrix.  One scalar march (``_march``) does that
-in integers, and ``complete`` runs it three ways: on unit vectors, once per
-size, for the response matrix R(L) that takes the L - 2 unknown inner values
-of the second-lowest row to the top row's inner values, whose inverse has a
-closed form in its first column and is kept per size; on the border with the
-unknowns at zero, for the constant part; and, once that inverse has matched
-the top row, on the values themselves, up to the top row as a check.
-Marching loses accuracy in floating point, but here every entry is an
-integer: the border is scaled once by the lcm D of its denominators, the
-solution's denominators add one more common multiplier d, and each entry of
-the value march over d * D becomes one Fraction at the end.
+in integers, and ``complete`` runs it three ways: on one unit vector, once
+per size, for the response matrix R(L) that takes the L - 2 unknown inner
+values of the second-lowest row to the top row's inner values (R(L) and its
+inverse are fixed by their first columns, see _tau; the inverse is kept per
+size); on the border with the unknowns at zero, for the constant part; and,
+once that inverse has matched the top row, on the values themselves, up to
+the top row as a check.  Marching loses accuracy in floating point, but here
+every entry is an integer: the border is scaled once by the lcm D of its
+denominators, the solution's denominators add one more common multiplier d,
+and each entry of the value march over d * D becomes one Fraction at the end.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from functools import lru_cache
 
 from . import linalg
 from .errors import InvariantError, SizeError
-from .grid import RatMatrix, _common_denominator, _fraction
+from .grid import RatMatrix, _common_denominator, _count, _fraction
 
 
 @dataclass(frozen=True)
@@ -40,10 +40,7 @@ class BorderSpec:
     values: tuple
 
     def __post_init__(self):
-        if type(self.size) is not int:
-            raise TypeError(f"border size must be an int, got {type(self.size).__name__}")
-        if self.size < 3:
-            raise SizeError("border completion needs size at least 3")
+        _count(self.size, 3, SizeError)
         values = tuple(_fraction(v) for v in self.values)
         if len(values) != 4 * self.size - 4:
             raise SizeError(
@@ -65,8 +62,7 @@ class BorderSpec:
 
 def border_positions(L):
     """Display positions (i, j) of the border walk, clockwise from (1, 1)."""
-    if L < 3:
-        raise SizeError("border walk needs size at least 3")
+    _count(L, 3, SizeError)
     top = [(1, j) for j in range(1, L + 1)]
     right = [(i, L) for i in range(2, L)]
     corner = [(L, L)]
@@ -95,41 +91,42 @@ def _march(rows, sides):
     return rows
 
 
+def _tau(column):
+    """The matrix with this first column in the tau algebra of the Dirichlet
+    matrix T = tridiag(-1, 4, -1) of size n (Bini and Capovani 1983).  Its
+    entry (a, b), 1 <= a, b <= n, is G(|a - b|) - G(a + b) with
+    G(2n + 2 - s) = G(s), so column entry a is G(a - 1) - G(a + 1); a
+    constant and (-1)^s cancel in every such difference, so G(0) = G(1) = 0
+    may be fixed and G(a + 1) = G(a - 1) - column[a - 1] gives the rest."""
+    n = len(column)
+    G = [0, 0]
+    for a in range(1, n + 1):
+        G.append(G[a - 1] - column[a - 1])
+    G += G[n:1:-1]
+    span = range(1, n + 1)
+    return tuple(tuple(G[abs(a - b)] - G[a + b] for b in span) for a in span)
+
+
 def _response(L):
     """The response matrix R(L): column k holds the inner values of the top
     row marched from a zero border with a 1 at inner site k of display row
-    L - 1.  Integer, and fixed by L alone."""
+    L - 1.  Each march step is h[i-1] = T h[i] - h[i+1], so R(L) =
+    U_{L-2}(T/2), a Chebyshev polynomial in T, lies in the tau algebra of T
+    and one march, for its first column, fixes it."""
     zero = [0] * L
-    columns = [
-        _march([zero, [int(j == k + 1) for j in range(L)]], [(0, 0)] * (L - 2))[-1][1:-1]
-        for k in range(L - 2)
-    ]
-    return tuple(zip(*columns))
+    return _tau(_march([zero, [int(j == 1) for j in range(L)]], [(0, 0)] * (L - 2))[-1][1:-1])
 
 
 @lru_cache(maxsize=None)
 def _response_inverse(L):
     """(d, M) with M = d * R(L)^-1 in integers, made once per size.
 
-    R(L) = U_{L-2}(T/2), a Chebyshev polynomial in the Dirichlet matrix
-    T = tridiag(-1, 4, -1) of size n = L - 2 (each march step is
-    h[i-1] = T h[i] - h[i+1]), so R(L) and its inverse lie in the tau algebra
-    of T: entry (a, b) of the inverse, for 1 <= a, b <= n, is
-    G(|a - b|) - G(a + b) with G(2n + 2 - s) = G(s).  One linalg.solve gives
-    the first column c = d * R(L)^-1 e_1, whose entry a is G(a - 1) - G(a + 1);
-    a constant and (-1)^s cancel in every such difference, so G(0) = G(1) = 0
-    may be fixed and G(a + 1) = G(a - 1) - c_a gives the rest.  R(L) is
+    R(L)^-1 lies in the tau algebra with R(L), so one linalg.solve gives its
+    first column, scaled to integers by d, and _tau the rest.  R(L) is
     nonsingular (see complete); linalg.solve would raise SingularMatrixError
-    otherwise.
-    """
-    n = L - 2
-    d, c = _common_denominator(linalg.solve(_response(L), [1] + [0] * (n - 1)))
-    G = [0, 0]
-    for a in range(1, n + 1):
-        G.append(G[a - 1] - c[a - 1])
-    G += G[n:1:-1]
-    span = range(1, n + 1)
-    return d, tuple(tuple(G[abs(a - b)] - G[a + b] for b in span) for a in span)
+    otherwise."""
+    d, c = _common_denominator(linalg.solve(_response(L), [1] + [0] * (L - 3)))
+    return d, _tau(c)
 
 
 def complete(border):

@@ -7,9 +7,10 @@ h on the lattice {0..L-1}^2 via h(j-1, L-i) = H[i,j]: the lower-left corner
 of the display maps to the origin.  Both directions are provided and all
 other operations read matrices through this correspondence.
 
-It also holds what the other modules share: the exactness gate (the types
-_RATIONAL and the coercion _fraction), the one scaling to integers over a
-common denominator (_common_denominator) and the one stencil (_stencil),
+It also holds what the other modules share: the exactness gate for values
+(the types _RATIONAL and the coercion _fraction), the count gate for sizes,
+degrees and step counts (_count), the one scaling to integers over a common
+denominator (_common_denominator) and the stencil on matrices (_stencil),
 applied to Fraction and integer rows alike.
 """
 
@@ -31,6 +32,16 @@ def _fraction(value):
     if type(value) is int:
         return Fraction(value)
     raise TypeError(f"{type(value).__name__} {value!r} is not an int or Fraction")
+
+
+def _count(value, least, error):
+    """value if it is an int, by exact type, and at least ``least``; TypeError
+    for any other type, the caller's ``error`` class below the bound."""
+    if type(value) is not int:
+        raise TypeError(f"{type(value).__name__} {value!r} is not an int count")
+    if value < least:
+        raise error(f"{value} is below the minimum {least}")
+    return value
 
 
 def _common_denominator(values):
@@ -56,14 +67,12 @@ class RatMatrix:
 
     @classmethod
     def zero(cls, L):
-        if L < 1:
-            raise SizeError("size must be positive")
+        L = _count(L, 1, SizeError)
         return cls([[0] * L for _ in range(L)])
 
     @classmethod
     def identity(cls, L):
-        if L < 1:
-            raise SizeError("size must be positive")
+        L = _count(L, 1, SizeError)
         return cls([[1 if i == j else 0 for j in range(L)] for i in range(L)])
 
     @property
@@ -89,7 +98,7 @@ class RatMatrix:
     def lower_left_minor(self, m):
         """The m x m block in the lower-left corner of the display."""
         L = self.size
-        if not (1 <= m <= L):
+        if _count(m, 1, SizeError) > L:
             raise SizeError(f"minor size {m} outside 1..{L}")
         return RatMatrix([row[:m] for row in self._rows[L - m:]])
 
@@ -163,8 +172,7 @@ def is_inner_harmonic(H):
 
 def evaluate_on_lattice(P, L):
     """Restrict a polynomial to the size-L lattice, as a matrix."""
-    if L < 1:
-        raise SizeError("size must be positive")
+    L = _count(L, 1, SizeError)
     return RatMatrix([[P.evaluate(j - 1, L - i) for j in range(1, L + 1)] for i in range(1, L + 1)])
 
 

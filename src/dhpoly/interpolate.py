@@ -20,7 +20,7 @@ from functools import lru_cache
 from . import linalg
 from .completion import border_positions
 from .errors import ConstructionError, InvariantError, PreconditionError, SizeError
-from .grid import is_inner_harmonic, matrix_to_lattice
+from .grid import _count, is_inner_harmonic, matrix_to_lattice
 from .poly import X, BiPoly, _linear_combination, generate_basis, is_discrete_harmonic
 
 #: Basis used for the 3x3 base case: the canonical elements of degree <= 3
@@ -146,8 +146,7 @@ def build_impulse_set(L):
 
     Results are memoized per size; the cache is safe for concurrent readers.
     """
-    if L < 3:
-        raise SizeError("impulse polynomials need size at least 3")
+    _count(L, 3, SizeError)
     basis = [p for p in generate_basis(2 * L).elements if p.degree >= 1]
     zeros = (*_block_border_sites(L), (L, 0), (L + 1, L))
     rows = [[p.evaluate(x, y) for p in basis] for x, y in zeros]

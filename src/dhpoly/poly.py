@@ -18,9 +18,10 @@ arithmetic and one Fraction.
 
 Numbers meet polynomials through grid's one gate, ``type(v) in _RATIONAL``:
 int or Fraction by exact type, so bool and subclasses fail by construction.
-BiPoly(...) applies it through grid._fraction.  On failure + - * / and ==
-return NotImplemented (a bool, float or Decimal operand raises TypeError,
-and X == True is False) and evaluate raises TypeError.
+BiPoly(...) applies it through grid._fraction, and grid._count to the
+exponents.  On failure + - * / and == return NotImplemented (a bool, float
+or Decimal operand raises TypeError, and X == True is False) and evaluate
+raises TypeError.
 
 The Laplacian of a polynomial P is the polynomial identity
 ``4P(x,y) - P(x-1,y) - P(x+1,y) - P(x,y-1) - P(x,y+1)``, computed here
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .grid import _RATIONAL, _common_denominator, _fraction
+from .grid import _RATIONAL, _common_denominator, _count, _fraction
 
 _ZERO = Fraction(0)
 
@@ -70,7 +71,7 @@ class BiPoly:
         acc = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for (a, b), c in items:
-            key = (_exponent(a), _exponent(b))
+            key = (_count(a, 0, ValueError), _count(b, 0, ValueError))
             acc[key] = acc.get(key, _ZERO) + _fraction(c)
         self._den, nums = _common_denominator(list(acc.values()))
         self._num = {key: n for key, n in zip(acc, nums) if n}
@@ -216,7 +217,7 @@ class BiPoly:
         return _linear_combination((Fraction(scalar.denominator, scalar.numerator),), (self,))
 
     def __pow__(self, n):
-        n = _exponent(n)
+        n = _count(n, 0, ValueError)
         result = BiPoly.constant(1)
         base = self
         while n:
@@ -256,15 +257,6 @@ class BiPoly:
         return f"BiPoly({self})"
 
 
-def _exponent(e):
-    """A non-negative int (not bool) exponent; TypeError or ValueError otherwise."""
-    if type(e) is not int:
-        raise TypeError(f"exponent {e!r} is not an int")
-    if e < 0:
-        raise ValueError(f"negative exponent {e}")
-    return e
-
-
 #: Generator polynomials, handy for building expressions: X**2 - Y**2 etc.
 X = BiPoly.monomial(1, 0)
 Y = BiPoly.monomial(0, 1)
@@ -285,9 +277,8 @@ def laplacian_monomial(n, variable="x"):
     """
     if variable not in ("x", "y"):
         raise ValueError("variable must be 'x' or 'y'")
-    return BiPoly(
-        {((k, 0) if variable == "x" else (0, k)): d for k, d in _laplacian_table(n)}
-    )
+    table = _laplacian_table(_count(n, 0, ValueError))
+    return BiPoly({((k, 0) if variable == "x" else (0, k)): d for k, d in table})
 
 
 def _laplacian_ints(num):
@@ -413,10 +404,10 @@ def generate_basis(N):
     parts, so they are already reduced on their pivot columns x^n and
     x^(n-1) y; subtracting multiples of the lower-degree elements clears the
     other pivot columns.  Returns 2N + 1 elements by ascending degree, the
-    x^n pivot before the x^(n-1) y one.  N passes the exponent check.
+    x^n pivot before the x^(n-1) y one.  N passes the count gate with
+    ValueError, like an exponent.
     """
-    _exponent(N)
-    cf = _central_factorials(N)
+    cf = _central_factorials(_count(N, 0, ValueError))
     # (pivot monomial, its coefficient, integer term map) per element
     rows = [((0, 0), 1, {(0, 0): 1})]
     for n in range(1, N + 1):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError, SizeError
-from .grid import RatMatrix, evaluate_on_lattice, lattice_to_matrix
+from .grid import RatMatrix, _count, evaluate_on_lattice, lattice_to_matrix
 from .poly import BiPoly
 
 THRESHOLD = 4
@@ -97,8 +97,7 @@ def step(config):
 def _orbit(config, steps):
     """Yield config, step(config), ..., step^steps(config) one at a time, so
     a caller that only reads each configuration holds one at once."""
-    if steps < 0:
-        raise PreconditionError(f"step count must be non-negative, got {steps}")
+    _count(steps, 0, PreconditionError)
     yield config
     for _ in range(steps):
         config = step(config)
@@ -150,7 +149,6 @@ def standard_gf(L, name):
 
 def random_config(L, seed, max_height=4):
     """Seeded uniform random heights in 0..max_height (mean 2 by default)."""
+    L, max_height = _count(L, 1, SizeError), _count(max_height, 0, ValueError)
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    return SandConfig(
-        tuple(tuple(rng.randint(0, max_height) for _ in range(L)) for _ in range(L))
-    )
+    return SandConfig(tuple(tuple(rng.randint(0, max_height) for _ in range(L)) for _ in range(L)))

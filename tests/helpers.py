@@ -17,7 +17,7 @@ from dhpoly import (
     linalg,
 )
 from dhpoly.errors import ConstructionError
-from dhpoly.grid import _fraction
+from dhpoly.grid import _count, _fraction
 from dhpoly.interpolate import (
     _BASE_BASIS,
     ImpulseSet,
@@ -26,7 +26,7 @@ from dhpoly.interpolate import (
     _verify_impulse,
 )
 from dhpoly.linalg import _ff_echelon, _integer_rows
-from dhpoly.poly import DHBasis, _exponent
+from dhpoly.poly import DHBasis
 
 
 def random_rational(rng, max_num=9, max_den=5):
@@ -342,7 +342,7 @@ class FractionPoly:
         acc = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for (a, b), c in items:
-            key = (_exponent(a), _exponent(b))
+            key = (_count(a, 0, ValueError), _count(b, 0, ValueError))
             acc[key] = acc.get(key, _ZERO) + _fraction(c)
         self._terms = {key: c for key, c in acc.items() if c}
 

@@ -108,7 +108,7 @@ class TestBuildSystem:
         with pytest.raises(SizeError):
             border_positions(2)
 
-    @pytest.mark.parametrize("L", range(3, 25))
+    @pytest.mark.parametrize("L", range(3, 41))
     def test_response_matches_affine_march(self, L):
         _, _, top = affine_march(random_border(random.Random(200 + L), L))
         assert _response(L) == tuple(tuple(f[: L - 2]) for f in top)

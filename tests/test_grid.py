@@ -7,17 +7,26 @@ import pytest
 
 from dhpoly import (
     BorderSpec,
+    PreconditionError,
     RatMatrix,
     SandConfig,
     SizeError,
     X,
+    border_positions,
+    build_impulse_set,
+    check_conservation,
     complete,
     discrete_laplacian_matrix,
     evaluate_on_lattice,
+    generate_basis,
     interpolates,
     is_inner_harmonic,
+    laplacian_monomial,
     lattice_to_matrix,
     matrix_to_lattice,
+    orbit,
+    random_config,
+    standard_gf,
     tabulated_basis,
 )
 from dhpoly.linalg import nullspace, primitive, rank, rref, solve
@@ -107,6 +116,62 @@ def test_exactness_gate(entry, value):
     call, make = GATED[entry][0], NOT_EXACT[value][0]
     with pytest.raises(TypeError):
         call(make())
+
+
+#: Counts of a wrong type: bool, float, text and numpy integers.
+NOT_COUNTS = {
+    "bool": lambda: True,
+    "float": lambda: 2.0,
+    "string": lambda: "3",
+    "numpy-int64": _np_int64,
+}
+
+_CONFIG = SandConfig(((1, 2, 0), (3, 0, 1), (2, 2, 4)))
+
+#: Every entry point that takes a size, degree or step count: name ->
+#: (call, least count, exception below it).
+COUNTED = {
+    "RatMatrix.zero": (RatMatrix.zero, 1, SizeError),
+    "RatMatrix.identity": (RatMatrix.identity, 1, SizeError),
+    "lower_left_minor": (lambda n: WORKED_4X4.lower_left_minor(n), 1, SizeError),
+    "evaluate_on_lattice": (lambda n: evaluate_on_lattice(X, n), 1, SizeError),
+    "standard_gf": (lambda n: standard_gf(n, "i"), 1, SizeError),
+    "BorderSpec": (lambda n: BorderSpec(n, (0,) * 8), 3, SizeError),
+    "border_positions": (border_positions, 3, SizeError),
+    "build_impulse_set": (build_impulse_set, 3, SizeError),
+    "random_config-L": (lambda n: random_config(n, 1), 1, SizeError),
+    "random_config-max_height": (lambda n: random_config(3, 1, n), 0, ValueError),
+    "orbit": (lambda n: orbit(_CONFIG, n), 0, PreconditionError),
+    "check_conservation": (
+        lambda n: check_conservation(standard_gf(3, "i"), _CONFIG, n), 0, PreconditionError
+    ),
+    "BiPoly-x": (lambda n: BiPoly({(n, 0): 1}), 0, ValueError),
+    "BiPoly-y": (lambda n: BiPoly({(0, n): 1}), 0, ValueError),
+    "monomial": (lambda n: BiPoly.monomial(0, n), 0, ValueError),
+    "pow": (lambda n: X**n, 0, ValueError),
+    "generate_basis": (generate_basis, 0, ValueError),
+    "laplacian_monomial": (laplacian_monomial, 0, ValueError),
+}
+
+
+@pytest.mark.parametrize("entry", COUNTED)
+@pytest.mark.parametrize("value", NOT_COUNTS)
+def test_count_gate_type(entry, value):
+    """Sizes, degrees and step counts are ints by exact type, like values."""
+    with pytest.raises(TypeError):
+        COUNTED[entry][0](NOT_COUNTS[value]())
+
+
+@pytest.mark.parametrize("entry", COUNTED)
+def test_count_gate_minimum(entry):
+    """A count below the minimum keeps the entry point's own exception, and
+    the message names the count and the bound; the minimum itself passes."""
+    call, least, error = COUNTED[entry]
+    with pytest.raises(error) as caught:
+        call(least - 1)
+    assert caught.type is error
+    assert f"{least - 1} is below the minimum {least}" in str(caught.value)
+    call(least)
 
 
 def test_fixed_width_integers_are_rejected():
