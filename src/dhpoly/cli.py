@@ -23,6 +23,7 @@ from .errors import (
     SizeError,
 )
 from .formats import (
+    _csv_line,
     _term_records,
     format_matrix,
     parse_bordered,
@@ -31,7 +32,7 @@ from .formats import (
     poly_to_json,
     poly_to_text,
 )
-from .grid import discrete_laplacian_matrix, evaluate_on_lattice, interpolates, is_inner_harmonic
+from .grid import _count, _lattice_rows, discrete_laplacian_matrix, interpolates, is_inner_harmonic
 from .interpolate import bilinear, telescopic
 from .poly import discrete_laplacian_poly, generate_basis
 from .sandpile import _orbit, phi, random_config, standard_gf
@@ -72,20 +73,22 @@ def _read(path):
         return fh.read()
 
 
-def _write(args, text):
+def _write(args, chunks):
+    """Write the strings of chunks in order, to the file named by --output or
+    to stdout; chunks may be a generator, so output can stream."""
     out = getattr(args, "output", None)
     if out and out != "-":
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _emit_poly(args, P):
     if args.format == "text":
-        _write(args, poly_to_text(P) + "\n")
+        _write(args, [poly_to_text(P) + "\n"])
     else:
-        _write(args, poly_to_json(P) + "\n")
+        _write(args, [poly_to_json(P) + "\n"])
 
 
 def _at_most(flag, value, bound):
@@ -110,7 +113,7 @@ def cmd_check(args):
 def cmd_complete(args):
     border = parse_bordered(_read(args.matrix))
     _at_most("matrix size", border.size, MAX_COMPLETE_SIZE)
-    _write(args, format_matrix(complete(border)))
+    _write(args, [format_matrix(complete(border))])
     return EXIT_OK
 
 
@@ -130,7 +133,10 @@ def cmd_interpolate(args):
 
 def cmd_eval(args):
     L = _at_most("--size", args.size, MAX_EVAL_SIZE)
-    _write(args, format_matrix(evaluate_on_lattice(_read_poly(args.poly), L)))
+    P = _read_poly(args.poly)
+    _count(L, 1, SizeError)
+    # Each row is written as it is computed: the lattice is never held whole.
+    _write(args, (_csv_line(row, P._den) for row in _lattice_rows(P, L)))
     return EXIT_OK
 
 
@@ -138,17 +144,17 @@ def cmd_laplacian(args):
     if args.poly:
         _emit_poly(args, discrete_laplacian_poly(_read_poly(args.input)))
     else:
-        _write(args, format_matrix(discrete_laplacian_matrix(parse_matrix(_read(args.input)))))
+        _write(args, [format_matrix(discrete_laplacian_matrix(parse_matrix(_read(args.input))))])
     return EXIT_OK
 
 
 def cmd_basis(args):
     basis = generate_basis(_at_most("--degree", args.degree, MAX_BASIS_DEGREE))
     if args.format == "text":
-        _write(args, "".join(poly_to_text(p) + "\n" for p in basis.elements))
+        _write(args, (poly_to_text(p) + "\n" for p in basis.elements))
     else:
         elements = [_term_records(p) for p in basis.elements]
-        _write(args, json.dumps({"max_degree": basis.max_degree, "elements": elements}) + "\n")
+        _write(args, [json.dumps({"max_degree": basis.max_degree, "elements": elements}) + "\n"])
     return EXIT_OK
 
 

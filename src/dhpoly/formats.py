@@ -93,9 +93,17 @@ def parse_bordered(text):
     return BorderSpec(L, values)
 
 
+def _csv_line(values, den=1):
+    """One CSV matrix row of the values v / den, for int or Fraction v and
+    an int den > 0: each entry in lowest terms, "p/q" or an integer."""
+    if den != 1:
+        values = [Fraction(v, den) for v in values]
+    return ",".join([str(v) for v in values]) + "\n"
+
+
 def format_matrix(H):
     """RatMatrix to CSV text (one row per line, entries as "p/q" or integers)."""
-    return "\n".join(",".join(str(v) for v in row) for row in H.rows) + "\n"
+    return "".join(map(_csv_line, H.rows))
 
 
 def _term_records(P):

@@ -10,12 +10,14 @@ other operations read matrices through this correspondence.
 It also holds what the other modules share: the exactness gate for values
 (the types _RATIONAL and the coercion _fraction), the count gate for sizes,
 degrees and step counts (_count), the one scaling to integers over a common
-denominator (_common_denominator) and the stencil on matrices (_stencil),
-applied to Fraction and integer rows alike.
+denominator (_common_denominator), the stencil on matrices (_stencil),
+applied to Fraction and integer rows alike, and the one restriction of a
+polynomial to the lattice (_lattice_rows), in integers row by row.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -52,7 +54,11 @@ def _common_denominator(values):
 
 
 class RatMatrix:
-    """Immutable square matrix of exact rationals in display order."""
+    """Immutable square matrix of exact rationals in display order.
+
+    It holds its Fraction rows, its integer form (see _integer_form) or both;
+    whichever is missing is built from the other on first use and kept.
+    """
 
     __slots__ = ("_rows", "_integer")
 
@@ -66,6 +72,20 @@ class RatMatrix:
         self._integer = None
 
     @classmethod
+    def _from_ints(cls, den, rows):
+        """rows / den for den > 0 and a square, nonempty tuple of tuples of
+        ints, reduced by one gcd to the canonical integer form (see
+        _integer_form).  The Fraction rows are built on first read."""
+        g = math.gcd(den, *itertools.chain.from_iterable(rows))
+        if g != 1:
+            den //= g
+            rows = tuple(tuple(v // g for v in row) for row in rows)
+        out = cls.__new__(cls)
+        out._rows = None
+        out._integer = den, rows
+        return out
+
+    @classmethod
     def zero(cls, L):
         L = _count(L, 1, SizeError)
         return cls([[0] * L for _ in range(L)])
@@ -77,30 +97,39 @@ class RatMatrix:
 
     @property
     def size(self):
-        return len(self._rows)
+        return len(self._integer[1] if self._rows is None else self._rows)
 
     @property
     def rows(self):
+        if self._rows is None:
+            den, ints = self._integer
+            self._rows = tuple(tuple(Fraction(v, den) for v in row) for row in ints)
         return self._rows
 
     def entry(self, i, j):
         """Entry at display position (i, j), 1-based from the top-left."""
-        L = self.size
-        if not (1 <= i <= L and 1 <= j <= L):
-            raise IndexError(f"position ({i}, {j}) outside a size-{L} matrix")
-        return self._rows[i - 1][j - 1]
+        rows = self.rows
+        matrix_to_lattice(i, j, len(rows))
+        return rows[i - 1][j - 1]
 
     def at(self, x, y):
-        """Value of the corresponding lattice function at (x, y)."""
-        i, j = lattice_to_matrix(x, y, self.size)
-        return self._rows[i - 1][j - 1]
+        """Value of the corresponding lattice function at (x, y): the entry
+        at lattice_to_matrix(x, y, size), with that check inlined (a hot
+        read)."""
+        rows = self._rows or self.rows
+        L = len(rows)
+        if not (type(x) is int and type(y) is int):
+            raise TypeError(f"point ({x!r}, {y!r}) is not a pair of ints")
+        if not (0 <= x < L and 0 <= y < L):
+            raise IndexError(f"point ({x}, {y}) outside the size-{L} lattice")
+        return rows[L - 1 - y][x]
 
     def lower_left_minor(self, m):
         """The m x m block in the lower-left corner of the display."""
         L = self.size
         if _count(m, 1, SizeError) > L:
             raise SizeError(f"minor size {m} outside 1..{L}")
-        return RatMatrix([row[:m] for row in self._rows[L - m:]])
+        return RatMatrix([row[:m] for row in self.rows[L - m:]])
 
     def _integer_form(self):
         """(D, rows): D is the lcm of the entry denominators and rows holds
@@ -111,23 +140,26 @@ class RatMatrix:
         return self._integer
 
     def to_lists(self):
-        return [list(row) for row in self._rows]
+        return [list(row) for row in self.rows]
 
     def __eq__(self, other):
         if not isinstance(other, RatMatrix):
             return NotImplemented
-        return self._rows == other._rows
+        return self._integer_form() == other._integer_form()
 
     def __hash__(self):
-        return hash(self._rows)
+        return hash(self._integer_form())
 
     def __repr__(self):
-        body = "; ".join(",".join(str(v) for v in row) for row in self._rows)
+        body = "; ".join(",".join(str(v) for v in row) for row in self.rows)
         return f"RatMatrix({self.size}x{self.size}: {body})"
 
 
 def matrix_to_lattice(i, j, L):
     """Lattice point carrying display entry (i, j) of a size-L matrix."""
+    L = _count(L, 1, SizeError)
+    if not (type(i) is int and type(j) is int):
+        raise TypeError(f"position ({i!r}, {j!r}) is not a pair of ints")
     if not (1 <= i <= L and 1 <= j <= L):
         raise IndexError(f"position ({i}, {j}) outside a size-{L} matrix")
     return (j - 1, L - i)
@@ -136,7 +168,10 @@ def matrix_to_lattice(i, j, L):
 def lattice_to_matrix(x, y, L):
     """Display position carrying the lattice value at (x, y); inverse of
     matrix_to_lattice."""
-    if not (0 <= x <= L - 1 and 0 <= y <= L - 1):
+    L = _count(L, 1, SizeError)
+    if not (type(x) is int and type(y) is int):
+        raise TypeError(f"point ({x!r}, {y!r}) is not a pair of ints")
+    if not (0 <= x < L and 0 <= y < L):
         raise IndexError(f"point ({x}, {y}) outside the size-{L} lattice")
     return (L - y, x + 1)
 
@@ -170,12 +205,42 @@ def is_inner_harmonic(H):
     return not any(any(row) for row in _stencil(H._integer_form()[1]))
 
 
+def _lattice_rows(P, L):
+    """Yield the display rows of P on the size-L lattice, top row first, each
+    a list of the integer numerators of the values over P's denominator.
+
+    For each lattice row y, P collapses once to a polynomial in x, each
+    coefficient an integer Horner sum in y; one Horner pass in x over the
+    whole row then gives its values.  That only regroups the term-by-term
+    sum in integers, so every value is exact.
+    """
+    by_x = {}
+    for (a, b), n in P._num.items():
+        by_x.setdefault(a, {})[b] = n
+    # columns[k] holds the numerators of x^(d-k) y^b, d the top power of x,
+    # for b from its highest down to 0 with gaps as 0: Horner order in y.
+    columns = [
+        [col.get(b, 0) for b in range(max(col, default=-1), -1, -1)]
+        for col in (by_x.get(a, {}) for a in range(max(by_x, default=-1), -1, -1))
+    ]
+    xs = range(L)
+    for y in range(L - 1, -1, -1):
+        row = [0] * L
+        for col in columns:
+            c = 0
+            for n in col:
+                c = c * y + n
+            row = [v * x + c for v, x in zip(row, xs)]
+        yield row
+
+
 def evaluate_on_lattice(P, L):
     """Restrict a polynomial to the size-L lattice, as a matrix."""
     L = _count(L, 1, SizeError)
-    return RatMatrix([[P.evaluate(j - 1, L - i) for j in range(1, L + 1)] for i in range(1, L + 1)])
+    return RatMatrix._from_ints(P._den, tuple(map(tuple, _lattice_rows(P, L))))
 
 
 def interpolates(P, H):
-    """True iff P agrees with H at every lattice point (exact equality)."""
-    return evaluate_on_lattice(P, H.size) == H
+    """True iff P agrees with H at every lattice point (exact equality of
+    the two canonical integer forms)."""
+    return evaluate_on_lattice(P, H.size)._integer == H._integer_form()

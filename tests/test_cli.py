@@ -1,15 +1,19 @@
 import hashlib
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import dhpoly
 from dhpoly import (
+    BiPoly,
     ConstructionError,
     ImpulseSet,
     RatMatrix,
+    X,
     build_impulse_set,
     evaluate_on_lattice,
     interpolates,
@@ -29,7 +33,7 @@ from dhpoly.cli import (
 )
 from dhpoly.formats import format_matrix, parse_matrix, poly_from_json, poly_to_json
 
-from helpers import naive_phi, naive_step
+from helpers import naive_phi, naive_step, random_poly
 from reference_data import (
     BILINEAR_INTERPOLANT,
     FULL_INTERPOLANT,
@@ -250,6 +254,54 @@ class TestEval:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err)["code"] == "parse-error"
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_streamed_rows_match_format_matrix(self, seed, tmp_path, capsys):
+        """The rows eval writes one by one are, byte for byte, the CSV of the
+        whole restriction, for rational, integer-valued and zero polynomials."""
+        rng = random.Random(seed)
+        P = [FULL_INTERPOLANT, BiPoly.zero(), (X**2 - X) / 2][seed % 3]
+        if seed >= 3:
+            P = random_poly(rng, max_degree=rng.randint(0, 12), n_terms=9, max_num=99, max_den=30)
+        poly_path = tmp_path / "p.json"
+        poly_path.write_text(poly_to_json(P))
+        for W in (1, 2, rng.randint(3, 30)):
+            assert main(["eval", str(poly_path), "--size", str(W)]) == 0
+            assert capsys.readouterr().out == format_matrix(evaluate_on_lattice(P, W))
+            out = tmp_path / "out.csv"
+            assert main(["eval", str(poly_path), "--size", str(W), "-o", str(out)]) == 0
+            assert out.read_text() == format_matrix(evaluate_on_lattice(P, W))
+
+    def test_pinned_digest(self, tmp_path, capsys):
+        poly_path = tmp_path / "p.json"
+        poly_path.write_text(poly_to_json(FULL_INTERPOLANT))
+        assert main(["eval", str(poly_path), "--size", "60"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "396cc54957581d466790d7e73a488032a5c32b3801f566de1f3c10ccd2707ad5"
+
+    def test_never_builds_the_whole_matrix(self, tmp_path, capsys, monkeypatch):
+        """eval streams its rows: it neither restricts to a RatMatrix nor
+        formats one, in any namespace."""
+
+        def refuse(*args):
+            raise AssertionError("eval built the whole matrix")
+
+        for module in (dhpoly, dhpoly.grid, dhpoly.cli, dhpoly.formats):
+            for name in ("evaluate_on_lattice", "format_matrix"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        poly_path = tmp_path / "p.json"
+        poly_path.write_text(poly_to_json(FULL_INTERPOLANT))
+        assert main(["eval", str(poly_path), "--size", "4"]) == 0
+        assert parse_matrix(capsys.readouterr().out) == WORKED_4X4
+
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_size_below_one_writes_nothing(self, size, tmp_path, capsys):
+        poly_path = tmp_path / "p.txt"
+        poly_path.write_text("1*x^1*y^1")
+        out = tmp_path / "out.csv"
+        assert main(["eval", str(poly_path), "--size", size, "-o", str(out)]) == 2
+        _assert_input_error(capsys)
+        assert not out.exists()
 
 
 class TestLaplacian:

@@ -25,6 +25,7 @@ from dhpoly import (
     lattice_to_matrix,
     matrix_to_lattice,
     orbit,
+    phi,
     random_config,
     standard_gf,
     tabulated_basis,
@@ -32,7 +33,7 @@ from dhpoly import (
 from dhpoly.linalg import nullspace, primitive, rank, rref, solve
 from dhpoly.poly import BiPoly
 
-from helpers import random_border, random_matrix
+from helpers import naive_evaluate, random_border, random_matrix, random_poly
 from reference_data import (
     BILINEAR_INTERPOLANT,
     CUBIC_RESTRICTION_7X7,
@@ -211,6 +212,42 @@ class TestCorrespondence:
         with pytest.raises(IndexError):
             lattice_to_matrix(0, 4, 4)
 
+    @pytest.mark.parametrize("value", ["bool", "float", "numpy-int64"])
+    def test_positions_pass_the_exact_int_gate(self, value):
+        """A position is an int by exact type, like a count: True is not row
+        1 and 1.5 is no column."""
+        v = {**NOT_COUNTS, "float": lambda: 1.5}[value]()
+        H = RatMatrix.identity(3)
+        for read in (
+            lambda: matrix_to_lattice(v, 1, 3),
+            lambda: matrix_to_lattice(1, v, 3),
+            lambda: lattice_to_matrix(v, 0, 3),
+            lambda: lattice_to_matrix(0, v, 3),
+            lambda: H.entry(v, 1),
+            lambda: H.entry(1, v),
+            lambda: H.at(v, 0),
+            lambda: H.at(0, v),
+            lambda: _CONFIG.at(v, 0),
+        ):
+            with pytest.raises(TypeError):
+                read()
+
+    @pytest.mark.parametrize("value", NOT_COUNTS)
+    def test_size_passes_the_count_gate(self, value):
+        size = {**NOT_COUNTS, "float": lambda: 2.5}[value]()
+        for convert in (matrix_to_lattice, lattice_to_matrix):
+            with pytest.raises(TypeError):
+                convert(1, 1, size)
+
+    def test_reads_out_of_range(self):
+        H = RatMatrix([[1, 2], [3, 4]])
+        for i, j in [(0, 1), (1, 0), (3, 1), (1, 3)]:
+            with pytest.raises(IndexError):
+                H.entry(i, j)
+        for x, y in [(-1, 0), (0, -1), (2, 0), (0, 2)]:
+            with pytest.raises(IndexError):
+                H.at(x, y)
+
 
 class TestRatMatrix:
     def test_rejects_non_square(self):
@@ -360,6 +397,60 @@ class TestEvaluateOnLattice:
         with pytest.raises(SizeError):
             evaluate_on_lattice(BiPoly.zero(), 0)
 
+    @pytest.mark.parametrize(
+        "max_degree, n_terms, sizes",
+        [
+            (0, 1, (1, 2)),
+            (3, 4, (1, 2, 5)),
+            (6, 8, (1, 3, 7)),
+            (12, 20, (4, 9)),
+            (46, 60, (1, 6, 11)),
+        ],
+    )
+    def test_matches_naive_evaluate_at_every_site(self, max_degree, n_terms, sizes):
+        """Each entry equals the term-by-term Fraction sum at its site, for
+        rational and negative coefficients up to the largest degree the CLI
+        reads (46); the kept integer form is the canonical one RatMatrix
+        builds from those Fractions."""
+        rng = random.Random(900 + max_degree)
+        for _ in range(4):
+            P = random_poly(rng, max_degree, n_terms, max_num=10**4, max_den=60)
+            for L in sizes:
+                M = evaluate_on_lattice(P, L)
+                expected = [
+                    [naive_evaluate(P, x, y) for x in range(L)] for y in range(L - 1, -1, -1)
+                ]
+                assert [list(row) for row in M.rows] == expected
+                assert M._integer_form() == RatMatrix(expected)._integer_form()
+
+    @pytest.mark.parametrize("L", [1, 2, 6])
+    def test_zero_polynomial_matches_naive_evaluate(self, L):
+        Z = BiPoly.zero()
+        M = evaluate_on_lattice(Z, L)
+        assert M._integer_form() == (1, ((0,) * L,) * L)
+        assert M.rows == ((naive_evaluate(Z, 0, 0),) * L,) * L
+
+    def test_integer_form_is_canonical(self):
+        """(x^2 - x)/2 takes integer values only, so its restriction has
+        denominator 1 although the polynomial's is 2; phi accepts it."""
+        P = (X**2 - X) / 2
+        assert P._den == 2
+        M = evaluate_on_lattice(P, 5)
+        den, rows = M._integer_form()
+        assert den == 1
+        assert rows[-1] == (0, 0, 1, 3, 6)
+        config = random_config(5, 3)
+        assert phi(M, config) == phi(RatMatrix(M.rows), config)
+        # An odd-valued polynomial over 4 keeps the 4; a shared factor 3 of all values goes.
+        assert evaluate_on_lattice((3 * X + 3) / 4, 2)._integer_form() == (4, ((3, 6), (3, 6)))
+
+    def test_weights_are_never_built_as_fractions(self):
+        f = standard_gf(24, "i2-j2")
+        phi(f, random_config(24, 5))
+        assert f._rows is None
+        assert f.size == 24
+        assert f == RatMatrix(f.rows) and hash(f) == hash(RatMatrix(f.to_lists()))
+
 
 class TestInterpolates:
     def test_full_interpolant(self):
@@ -370,3 +461,22 @@ class TestInterpolates:
 
     def test_zero_does_not_interpolate_sample(self):
         assert not interpolates(BiPoly.zero(), SAMPLE_7X7)
+
+    def test_agrees_with_fraction_row_comparison(self):
+        """On matching pairs and on pairs that differ at one site by 1/q,
+        including q dividing neither denominator, interpolates answers as a
+        comparison of the naive Fraction rows does."""
+        rng = random.Random(77)
+        answers = []
+        for _ in range(30):
+            P = random_poly(rng, max_degree=rng.randint(0, 10), n_terms=6, max_num=50, max_den=12)
+            L = rng.randint(1, 7)
+            naive = [[naive_evaluate(P, x, y) for x in range(L)] for y in range(L - 1, -1, -1)]
+            rows = [row[:] for row in naive]
+            if rng.random() < 0.5:
+                step = Fraction(rng.choice((1, -1)), rng.choice((1, 2, 7)))
+                rows[rng.randrange(L)][rng.randrange(L)] += step
+            H = RatMatrix(rows)
+            answers.append(interpolates(P, H))
+            assert answers[-1] == (H.rows == tuple(map(tuple, naive)))
+        assert 5 < answers.count(True) < 25
