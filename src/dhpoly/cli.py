@@ -132,9 +132,8 @@ def cmd_interpolate(args):
 
 
 def cmd_eval(args):
-    L = _at_most("--size", args.size, MAX_EVAL_SIZE)
+    L = _count(_at_most("--size", args.size, MAX_EVAL_SIZE), 1, SizeError)
     P = _read_poly(args.poly)
-    _count(L, 1, SizeError)
     # Each row is written as it is computed: the lattice is never held whole.
     _write(args, (_csv_line(row, P._den) for row in _lattice_rows(P, L)))
     return EXIT_OK

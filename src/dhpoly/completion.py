@@ -15,14 +15,14 @@ once that inverse has matched the top row, on the values themselves, up to
 the top row as a check.  Marching loses accuracy in floating point, but here
 every entry is an integer: the border is scaled once by the lcm D of its
 denominators, the solution's denominators add one more common multiplier d,
-and each entry of the value march over d * D becomes one Fraction at the end.
+and the value march over d * D, top row included, is the completed matrix's
+integer form up to one gcd.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
@@ -147,8 +147,9 @@ def complete(border):
     operations (two marches and n dot products).  Cancelling the gcd g of d
     and d * R^-1 t leaves x over its least common denominator d / g, so the
     values themselves march a second time, scaled by d / g, up to the top
-    row, which must come out as the border's (InvariantError otherwise); each
-    entry below it becomes one Fraction over D * d / g.
+    row, which must come out as the border's (InvariantError otherwise); the
+    marched rows over D * d / g, reduced by one gcd, are the result's stored
+    integer form.
     """
     L = border.size
     D, ints = _common_denominator(border.values)
@@ -166,9 +167,6 @@ def complete(border):
         [[d * v for v in bottom], [d * value[(L - 1, 1)], *inner, d * value[(L - 1, L)]]],
         [(d * left, d * right) for left, right in sides],
     )
-    if rows.pop() != [d * value[(1, j)] for j in range(1, L + 1)]:
+    if rows[-1] != [d * value[(1, j)] for j in range(1, L + 1)]:
         raise InvariantError("completed matrix does not march to the top border")
-    den = d * D
-    grid = [border.values[:L]]
-    grid += [[Fraction(v, den) for v in row] for row in reversed(rows)]
-    return RatMatrix(grid)
+    return RatMatrix._from_ints(d * D, rows[::-1])

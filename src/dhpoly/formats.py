@@ -13,6 +13,7 @@ exactly.
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -93,17 +94,19 @@ def parse_bordered(text):
     return BorderSpec(L, values)
 
 
-def _csv_line(values, den=1):
-    """One CSV matrix row of the values v / den, for int or Fraction v and
-    an int den > 0: each entry in lowest terms, "p/q" or an integer."""
-    if den != 1:
-        values = [Fraction(v, den) for v in values]
-    return ",".join([str(v) for v in values]) + "\n"
+def _csv_line(values, den):
+    """One CSV matrix row of the values v / den, for int v and an int
+    den > 0: each entry in lowest terms, "p/q" or an integer."""
+    return ",".join([
+        str(v // g) if (g := math.gcd(v, den)) == den else f"{v // g}/{den // g}"
+        for v in values
+    ]) + "\n"
 
 
 def format_matrix(H):
     """RatMatrix to CSV text (one row per line, entries as "p/q" or integers)."""
-    return "".join(map(_csv_line, H.rows))
+    den, rows = H._integer
+    return "".join([_csv_line(row, den) for row in rows])
 
 
 def _term_records(P):

@@ -10,9 +10,9 @@ other operations read matrices through this correspondence.
 It also holds what the other modules share: the exactness gate for values
 (the types _RATIONAL and the coercion _fraction), the count gate for sizes,
 degrees and step counts (_count), the one scaling to integers over a common
-denominator (_common_denominator), the stencil on matrices (_stencil),
-applied to Fraction and integer rows alike, and the one restriction of a
-polynomial to the lattice (_lattice_rows), in integers row by row.
+denominator (_common_denominator), the stencil on the integer rows of a
+matrix (_stencil), and the one restriction of a polynomial to the lattice
+(_lattice_rows), in integers row by row.
 """
 
 from __future__ import annotations
@@ -56,8 +56,9 @@ def _common_denominator(values):
 class RatMatrix:
     """Immutable square matrix of exact rationals in display order.
 
-    It holds its Fraction rows, its integer form (see _integer_form) or both;
-    whichever is missing is built from the other on first use and kept.
+    Its one stored form is the canonical integer form _integer = (D, rows):
+    D is the lcm of the entry denominators and rows the entries times D, as
+    ints.  The Fraction rows are kept when given, else built on first read.
     """
 
     __slots__ = ("_rows", "_integer")
@@ -68,36 +69,37 @@ class RatMatrix:
             raise SizeError("matrix must be nonempty")
         if any(len(row) != len(mat) for row in mat):
             raise SizeError("matrix must be square")
+        den, ints = _common_denominator([v for row in mat for v in row])
         self._rows = mat
-        self._integer = None
+        self._integer = den, tuple(zip(*[iter(ints)] * len(mat)))
 
     @classmethod
     def _from_ints(cls, den, rows):
-        """rows / den for den > 0 and a square, nonempty tuple of tuples of
-        ints, reduced by one gcd to the canonical integer form (see
-        _integer_form).  The Fraction rows are built on first read."""
+        """rows / den for den > 0 and a square, nonempty sequence of int
+        rows, reduced by one gcd to the canonical integer form.  The
+        Fraction rows are built on first read."""
         g = math.gcd(den, *itertools.chain.from_iterable(rows))
         if g != 1:
             den //= g
-            rows = tuple(tuple(v // g for v in row) for row in rows)
+            rows = [[v // g for v in row] for row in rows]
         out = cls.__new__(cls)
         out._rows = None
-        out._integer = den, rows
+        out._integer = den, tuple(map(tuple, rows))
         return out
 
     @classmethod
     def zero(cls, L):
         L = _count(L, 1, SizeError)
-        return cls([[0] * L for _ in range(L)])
+        return cls._from_ints(1, [[0] * L] * L)
 
     @classmethod
     def identity(cls, L):
         L = _count(L, 1, SizeError)
-        return cls([[1 if i == j else 0 for j in range(L)] for i in range(L)])
+        return cls._from_ints(1, [[int(i == j) for j in range(L)] for i in range(L)])
 
     @property
     def size(self):
-        return len(self._integer[1] if self._rows is None else self._rows)
+        return len(self._integer[1])
 
     @property
     def rows(self):
@@ -126,18 +128,10 @@ class RatMatrix:
 
     def lower_left_minor(self, m):
         """The m x m block in the lower-left corner of the display."""
-        L = self.size
-        if _count(m, 1, SizeError) > L:
-            raise SizeError(f"minor size {m} outside 1..{L}")
-        return RatMatrix([row[:m] for row in self.rows[L - m:]])
-
-    def _integer_form(self):
-        """(D, rows): D is the lcm of the entry denominators and rows holds
-        the entries times D, as ints.  Built on first use and kept."""
-        if self._integer is None:
-            den, ints = _common_denominator([v for row in self._rows for v in row])
-            self._integer = den, tuple(zip(*[iter(ints)] * len(self._rows)))
-        return self._integer
+        den, rows = self._integer
+        if _count(m, 1, SizeError) > len(rows):
+            raise SizeError(f"minor size {m} outside 1..{len(rows)}")
+        return RatMatrix._from_ints(den, [row[:m] for row in rows[-m:]])
 
     def to_lists(self):
         return [list(row) for row in self.rows]
@@ -145,10 +139,10 @@ class RatMatrix:
     def __eq__(self, other):
         if not isinstance(other, RatMatrix):
             return NotImplemented
-        return self._integer_form() == other._integer_form()
+        return self._integer == other._integer
 
     def __hash__(self):
-        return hash(self._integer_form())
+        return hash(self._integer)
 
     def __repr__(self):
         body = "; ".join(",".join(str(v) for v in row) for row in self.rows)
@@ -177,9 +171,9 @@ def lattice_to_matrix(x, y, L):
 
 
 def _stencil(rows):
-    """Five-point stencil values at the inner sites of square display rows,
-    (L-2) lists of L-2.  The correspondence maps display neighbors to lattice
-    neighbors, so the stencil is taken directly in display coordinates."""
+    """Five-point stencil values at the inner sites of square display rows
+    of ints, (L-2) lists of L-2.  The correspondence maps display neighbors
+    to lattice neighbors, so the stencil is taken in display coordinates."""
     L = len(rows)
     if L < 3:
         raise SizeError("the stencil needs at least one inner site (size > 2)")
@@ -195,14 +189,15 @@ def _stencil(rows):
 def discrete_laplacian_matrix(H):
     """Five-point stencil values at the inner sites, as an (L-2) x (L-2)
     matrix under the same display convention."""
-    return RatMatrix(_stencil(H.rows))
+    den, rows = H._integer
+    return RatMatrix._from_ints(den, _stencil(rows))
 
 
 def is_inner_harmonic(H):
     """True iff the stencil vanishes at every inner site, tested on the
     integer rows of H over their common denominator.  Sizes below 3 have no
     inner sites and are rejected rather than vacuously accepted."""
-    return not any(any(row) for row in _stencil(H._integer_form()[1]))
+    return not any(any(row) for row in _stencil(H._integer[1]))
 
 
 def _lattice_rows(P, L):
@@ -237,10 +232,10 @@ def _lattice_rows(P, L):
 def evaluate_on_lattice(P, L):
     """Restrict a polynomial to the size-L lattice, as a matrix."""
     L = _count(L, 1, SizeError)
-    return RatMatrix._from_ints(P._den, tuple(map(tuple, _lattice_rows(P, L))))
+    return RatMatrix._from_ints(P._den, list(_lattice_rows(P, L)))
 
 
 def interpolates(P, H):
     """True iff P agrees with H at every lattice point (exact equality of
     the two canonical integer forms)."""
-    return evaluate_on_lattice(P, H.size)._integer == H._integer_form()
+    return evaluate_on_lattice(P, H.size)._integer == H._integer

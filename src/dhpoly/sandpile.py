@@ -122,7 +122,7 @@ def phi(f, config):
     """
     if f.size != config.size:
         raise PreconditionError("weight matrix and configuration sizes differ")
-    den, rows = f._integer_form()
+    den, rows = f._integer
     if den != 1:
         raise PreconditionError("weights must be integers for a residue mod L")
     total = sum(sum(map(operator.mul, wrow, hrow)) for wrow, hrow in zip(rows, config.heights))

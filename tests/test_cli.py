@@ -303,6 +303,15 @@ class TestEval:
         _assert_input_error(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("size", ["0", "-3", str(MAX_EVAL_SIZE + 1)])
+    def test_size_is_checked_before_the_polynomial_is_read(self, size, tmp_path, capsys):
+        """A --size out of range is an input error even when the polynomial
+        file would not parse."""
+        poly_path = tmp_path / "p.txt"
+        poly_path.write_text("1.5*x^1")
+        assert main(["eval", str(poly_path), "--size", size]) == 2
+        _assert_input_error(capsys)
+
 
 class TestLaplacian:
     def test_matrix_input(self, sample_csv, capsys):

@@ -20,7 +20,7 @@ from dhpoly import (
 )
 
 from dhpoly.completion import _response, _response_inverse
-from dhpoly.formats import format_matrix
+from dhpoly.formats import format_matrix, parse_matrix
 
 from helpers import affine_march, random_border, random_inner_harmonic, random_rational
 from reference_data import SAMPLE_7X7, WORKED_MINOR_3X3
@@ -197,6 +197,19 @@ class TestComplete:
         completed = complete(extract_border(WORKED_MINOR_3X3))
         assert completed.entry(2, 2) == -2
         assert completed == WORKED_MINOR_3X3
+
+    def test_result_is_stored_in_integers(self):
+        """complete hands its marched integer rows to the result: neither it
+        nor format_matrix builds Fraction rows, and the CSV is the one the
+        Fraction rows give."""
+        rng = random.Random(59)
+        for L in (3, 4, 7, 12):
+            H = complete(random_border(rng, L))
+            assert H._rows is None
+            text = format_matrix(H)
+            assert H._rows is None
+            assert parse_matrix(text) == H
+            assert text == "".join(",".join(map(str, row)) + "\n" for row in H.rows)
 
     def test_result_is_inner_harmonic(self):
         rng = random.Random(55)

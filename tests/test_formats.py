@@ -5,6 +5,7 @@ import pytest
 
 from dhpoly import BiPoly, ParseError, RatMatrix, X, Y
 from dhpoly.formats import (
+    _csv_line,
     format_matrix,
     parse_bordered,
     parse_matrix,
@@ -72,6 +73,24 @@ class TestParseMatrix:
         for _ in range(20):
             H = random_matrix(rng, rng.randint(1, 6), max_num=50, max_den=20)
             assert parse_matrix(format_matrix(H)) == H
+
+
+class TestCsvLine:
+    @pytest.mark.parametrize("den", [1, 2, 12, 97, 3 * 2**70])
+    def test_matches_fraction_formatting(self, den):
+        """Each entry v / den is written in lowest terms exactly as str of
+        the Fraction, for zero, negatives, multiples of den and of its
+        factors, and for den = 1."""
+        rng = random.Random(den)
+        for _ in range(30):
+            ints = [0, den, -3 * den]
+            ints += [
+                rng.randint(-(10**30), 10**30) * rng.choice((1, 2, 3, 6, den))
+                for _ in range(rng.randint(0, 8))
+            ]
+            rng.shuffle(ints)
+            expected = ",".join(str(Fraction(v, den)) for v in ints) + "\n"
+            assert _csv_line(ints, den) == expected
 
 
 class TestParseBordered:

@@ -1,3 +1,4 @@
+import math
 import random
 from decimal import Decimal
 from enum import IntEnum
@@ -44,15 +45,29 @@ from reference_data import (
 )
 
 
-def naive_stencil_zero(rows):
+def naive_stencil(rows):
     """Independent re-implementation: stencil directly in display indices."""
     L = len(rows)
-    for i in range(1, L - 1):
-        for j in range(1, L - 1):
-            v = 4 * rows[i][j] - rows[i - 1][j] - rows[i + 1][j] - rows[i][j - 1] - rows[i][j + 1]
-            if v != 0:
-                return False
-    return True
+    return [
+        [
+            4 * rows[i][j] - rows[i - 1][j] - rows[i + 1][j] - rows[i][j - 1] - rows[i][j + 1]
+            for j in range(1, L - 1)
+        ]
+        for i in range(1, L - 1)
+    ]
+
+
+def naive_stencil_zero(rows):
+    return not any(any(row) for row in naive_stencil(rows))
+
+
+def assert_stored_form(M, expected):
+    """M's stored form (D, rows) holds the Fraction rows ``expected`` as int
+    rows over D, and D is their least common denominator (canonical)."""
+    den, rows = M._integer
+    assert den == math.lcm(*(v.denominator for row in expected for v in row))
+    assert all(type(v) is int for row in rows for v in row)
+    assert [[Fraction(v, den) for v in row] for row in rows] == expected
 
 
 class _One(IntEnum):
@@ -280,6 +295,33 @@ class TestRatMatrix:
         )
         assert WORKED_4X4.lower_left_minor(4) == WORKED_4X4
 
+    def test_lower_left_minor_matches_fraction_rows(self):
+        """Each minor of a seeded rational matrix is the block of its
+        Fraction rows, stored in canonical form, whether the matrix was
+        built from Fractions or from ints."""
+        rng = random.Random(102)
+        for _ in range(20):
+            L = rng.randint(1, 7)
+            H = random_matrix(rng, L, max_num=30, max_den=12)
+            for source in (H, RatMatrix._from_ints(*H._integer)):
+                for m in range(1, L + 1):
+                    assert_stored_form(
+                        source.lower_left_minor(m), [list(row[:m]) for row in H.rows[L - m:]]
+                    )
+
+    def test_minor_denominators_shrink(self):
+        H = RatMatrix(
+            [
+                [Fraction(1, 6), Fraction(5, 3), 7],
+                [Fraction(1, 2), 2, Fraction(1, 3)],
+                [Fraction(3, 2), -6, 4],
+            ]
+        )
+        assert H._integer[0] == 6
+        assert H.lower_left_minor(2)._integer == (2, ((1, 4), (3, -12)))
+        assert H.lower_left_minor(1)._integer == (2, ((3,),))
+        assert RatMatrix([[Fraction(1, 2), 1], [4, 3]]).lower_left_minor(1)._integer == (1, ((4,),))
+
     def test_hash_and_set_membership(self):
         H = RatMatrix([[1, Fraction(1, 2)], [3, 4]])
         same = RatMatrix([[Fraction(1), Fraction(2, 4)], [Fraction(3), 4]])
@@ -325,6 +367,34 @@ class TestLaplacianMatrix:
                 ]
             )
             assert discrete_laplacian_matrix(combo) == expect
+
+    def test_matches_fraction_row_stencil(self):
+        """On seeded rational matrices, the stencil taken on the integer form
+        equals the stencil taken on the Fraction rows, in canonical form."""
+        rng = random.Random(103)
+        for _ in range(30):
+            H = random_matrix(rng, rng.randint(3, 8), max_num=40, max_den=rng.choice((1, 4, 12)))
+            assert_stored_form(discrete_laplacian_matrix(H), naive_stencil(H.to_lists()))
+
+    def test_denominators_shrink(self):
+        """Stencil values can share a factor with the denominator; it goes."""
+        q, s = Fraction(1, 4), Fraction(1, 6)
+        H = RatMatrix([[0, q, 0], [q, Fraction(1, 2), q], [0, 3 * q, 0]])
+        assert H._integer[0] == 4
+        assert discrete_laplacian_matrix(H)._integer == (2, ((1,),))
+        H = RatMatrix([[0, s, 0], [s, Fraction(1, 2), s], [0, 3 * s, 0]])
+        assert H._integer[0] == 6
+        assert discrete_laplacian_matrix(H)._integer == (1, ((1,),))
+
+    def test_reads_no_fraction_rows(self):
+        """The stencil of a matrix stored in integers builds no Fraction rows,
+        on the input or on the result."""
+        rng = random.Random(104)
+        for L in (3, 5, 9):
+            H = complete(random_border(rng, L))
+            lap = discrete_laplacian_matrix(H)
+            assert lap._integer == (1, ((0,) * (L - 2),) * (L - 2))
+            assert H._rows is None and lap._rows is None
 
 
 class TestInnerHarmonic:
@@ -421,13 +491,13 @@ class TestEvaluateOnLattice:
                     [naive_evaluate(P, x, y) for x in range(L)] for y in range(L - 1, -1, -1)
                 ]
                 assert [list(row) for row in M.rows] == expected
-                assert M._integer_form() == RatMatrix(expected)._integer_form()
+                assert M._integer == RatMatrix(expected)._integer
 
     @pytest.mark.parametrize("L", [1, 2, 6])
     def test_zero_polynomial_matches_naive_evaluate(self, L):
         Z = BiPoly.zero()
         M = evaluate_on_lattice(Z, L)
-        assert M._integer_form() == (1, ((0,) * L,) * L)
+        assert M._integer == (1, ((0,) * L,) * L)
         assert M.rows == ((naive_evaluate(Z, 0, 0),) * L,) * L
 
     def test_integer_form_is_canonical(self):
@@ -436,13 +506,13 @@ class TestEvaluateOnLattice:
         P = (X**2 - X) / 2
         assert P._den == 2
         M = evaluate_on_lattice(P, 5)
-        den, rows = M._integer_form()
+        den, rows = M._integer
         assert den == 1
         assert rows[-1] == (0, 0, 1, 3, 6)
         config = random_config(5, 3)
         assert phi(M, config) == phi(RatMatrix(M.rows), config)
         # An odd-valued polynomial over 4 keeps the 4; a shared factor 3 of all values goes.
-        assert evaluate_on_lattice((3 * X + 3) / 4, 2)._integer_form() == (4, ((3, 6), (3, 6)))
+        assert evaluate_on_lattice((3 * X + 3) / 4, 2)._integer == (4, ((3, 6), (3, 6)))
 
     def test_weights_are_never_built_as_fractions(self):
         f = standard_gf(24, "i2-j2")
