@@ -32,7 +32,7 @@ from .formats import (
     poly_to_json,
     poly_to_text,
 )
-from .grid import _count, _lattice_rows, discrete_laplacian_matrix, interpolates, is_inner_harmonic
+from .grid import _count, discrete_laplacian_matrix, interpolates, is_inner_harmonic
 from .interpolate import bilinear, telescopic
 from .poly import discrete_laplacian_poly, generate_basis
 from .sandpile import _orbit, phi, random_config, standard_gf
@@ -135,7 +135,7 @@ def cmd_eval(args):
     L = _count(_at_most("--size", args.size, MAX_EVAL_SIZE), 1, SizeError)
     P = _read_poly(args.poly)
     # Each row is written as it is computed: the lattice is never held whole.
-    _write(args, (_csv_line(row, P._den) for row in _lattice_rows(P, L)))
+    _write(args, (_csv_line(row, P._den) for row in P._lattice_rows(L)))
     return EXIT_OK
 
 

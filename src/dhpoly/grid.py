@@ -10,9 +10,9 @@ other operations read matrices through this correspondence.
 It also holds what the other modules share: the exactness gate for values
 (the types _RATIONAL and the coercion _fraction), the count gate for sizes,
 degrees and step counts (_count), the one scaling to integers over a common
-denominator (_common_denominator), the stencil on the integer rows of a
-matrix (_stencil), and the one restriction of a polynomial to the lattice
-(_lattice_rows), in integers row by row.
+denominator (_common_denominator) and the stencil on the integer rows of a
+matrix (_stencil).  The restriction of a polynomial to the lattice, in
+integers row by row, lives in poly as BiPoly._lattice_rows.
 """
 
 from __future__ import annotations
@@ -200,39 +200,10 @@ def is_inner_harmonic(H):
     return not any(any(row) for row in _stencil(H._integer[1]))
 
 
-def _lattice_rows(P, L):
-    """Yield the display rows of P on the size-L lattice, top row first, each
-    a list of the integer numerators of the values over P's denominator.
-
-    For each lattice row y, P collapses once to a polynomial in x, each
-    coefficient an integer Horner sum in y; one Horner pass in x over the
-    whole row then gives its values.  That only regroups the term-by-term
-    sum in integers, so every value is exact.
-    """
-    by_x = {}
-    for (a, b), n in P._num.items():
-        by_x.setdefault(a, {})[b] = n
-    # columns[k] holds the numerators of x^(d-k) y^b, d the top power of x,
-    # for b from its highest down to 0 with gaps as 0: Horner order in y.
-    columns = [
-        [col.get(b, 0) for b in range(max(col, default=-1), -1, -1)]
-        for col in (by_x.get(a, {}) for a in range(max(by_x, default=-1), -1, -1))
-    ]
-    xs = range(L)
-    for y in range(L - 1, -1, -1):
-        row = [0] * L
-        for col in columns:
-            c = 0
-            for n in col:
-                c = c * y + n
-            row = [v * x + c for v, x in zip(row, xs)]
-        yield row
-
-
 def evaluate_on_lattice(P, L):
     """Restrict a polynomial to the size-L lattice, as a matrix."""
     L = _count(L, 1, SizeError)
-    return RatMatrix._from_ints(P._den, list(_lattice_rows(P, L)))
+    return RatMatrix._from_ints(P._den, list(P._lattice_rows(L)))
 
 
 def interpolates(P, H):

@@ -11,10 +11,11 @@ out Fraction coefficients, built on request.  Every linear combination, from
 P + Q, -P, c * P and P / c to a telescopic stage, is one _linear_combination:
 one integer lcm of the denominators, one _combine of the numerator maps.
 
-Evaluation is nested Horner (x inside y) over the numerators, in rows by
-y-exponent built on first use, divided by D once.  Every step is exact, so it
-equals the term-by-term sum, and at integer points it costs integer
-arithmetic and one Fraction.
+Both evaluators read one Horner table, built on first use: the numerators
+by power of x, highest first, each power's by descending y.  evaluate runs
+Horner in y inside Horner in x and divides by D once; the restriction to the
+lattice, _lattice_rows, does the same in integers one lattice row at a time.
+Every step is exact, so each value equals the term-by-term sum.
 
 Numbers meet polynomials through grid's one gate, ``type(v) in _RATIONAL``:
 int or Fraction by exact type, so bool and subclasses fail by construction.
@@ -63,7 +64,7 @@ class BiPoly:
     Immutable; all arithmetic returns new objects.
     """
 
-    __slots__ = ("_den", "_num", "_horner", "_fractions")
+    __slots__ = ("_den", "_num", "_table")
     # Opts out of NumPy's operator dispatch, which unboxes NumPy ints past the gate.
     __array_ufunc__ = None
 
@@ -75,8 +76,7 @@ class BiPoly:
             acc[key] = acc.get(key, _ZERO) + _fraction(c)
         self._den, nums = _common_denominator(list(acc.values()))
         self._num = {key: n for key, n in zip(acc, nums) if n}
-        self._horner = None
-        self._fractions = None
+        self._table = None
 
     @classmethod
     def _from_ints(cls, den, num):
@@ -89,8 +89,7 @@ class BiPoly:
         out = cls.__new__(cls)
         out._den = den
         out._num = num
-        out._horner = None
-        out._fractions = None
+        out._table = None
         return out
 
     @classmethod
@@ -106,12 +105,10 @@ class BiPoly:
         return cls({(a, b): coeff})
 
     def terms(self):
-        """Read-only view of the term map (exponent pair -> Fraction
-        coefficient), built on first use."""
-        if self._fractions is None:
-            den = self._den
-            self._fractions = {key: Fraction(n, den) for key, n in self._num.items()}
-        return self._fractions.items()
+        """View of the term map (exponent pair -> Fraction coefficient),
+        built on each call."""
+        den = self._den
+        return {key: Fraction(n, den) for key, n in self._num.items()}.items()
 
     def sorted_terms(self):
         """Terms in canonical order: total degree, then x-exponent, ascending."""
@@ -140,35 +137,57 @@ class BiPoly:
     def evaluate(self, px, py):
         """Exact value at a rational point, as a Fraction.
 
-        P(x, y) = (1/D) * sum_b y^b * sum_a num_ab x^a: the inner sums run
-        Horner in x over the integer rows, the outer sum Horner in y, and D
-        divides once at the end.  That only regroups the term-by-term sum in
-        exact int or Fraction arithmetic, so the value is the same.  The
-        operand gate is inlined (the hottest call); a failure raises TypeError.
+        P(x, y) = (1/D) * sum_a x^a * sum_b num_ab y^b: the inner sums run
+        Horner in y down the columns of the Horner table, the outer sum
+        Horner in x, and D divides once at the end.  That only regroups the
+        term-by-term sum in exact int or Fraction arithmetic, so the value is
+        the same.  The operand gate and the table check are inlined (the
+        hottest call); a failure raises TypeError.
         """
         if not (type(px) in _RATIONAL and type(py) in _RATIONAL):
             raise TypeError("points must have int or Fraction coordinates")
-        if self._horner is None:
-            self._horner = self._horner_rows()
+        table = self._table
+        if table is None:
+            table = self._horner_table()
         acc = 0
-        for row in self._horner:
+        for column in table:
             inner = 0
-            for c in row:
-                inner = inner * px + c
-            acc = acc * py + inner
+            for c in column:
+                inner = inner * py + c
+            acc = acc * px + inner
         return Fraction(acc, self._den)
 
-    def _horner_rows(self):
-        """rows[k] holds the numerators of y^(top-k), highest x-power first,
-        with zeros in the gaps."""
-        width = {}
-        for a, b in self._num:
-            width[b] = max(width.get(b, 0), a + 1)
-        top = max(width, default=-1)
-        rows = [[0] * width.get(b, 0) for b in range(top, -1, -1)]
-        for (a, b), n in self._num.items():
-            rows[top - b][width[b] - 1 - a] = n
-        return rows
+    def _horner_table(self):
+        """The Horner table, built on first use: column k holds the
+        numerators of x^(d-k) y^b, d the top power of x, for b from its
+        highest down to 0, with zeros in the gaps."""
+        if self._table is None:
+            height = {}
+            for a, b in self._num:
+                height[a] = max(height.get(a, 0), b + 1)
+            top = max(height, default=-1)
+            table = [[0] * height.get(a, 0) for a in range(top, -1, -1)]
+            for (a, b), n in self._num.items():
+                table[top - a][height[a] - 1 - b] = n
+            self._table = table
+        return self._table
+
+    def _lattice_rows(self, L):
+        """Yield the display rows of P on the size-L lattice, top row first,
+        each a list of the integer numerators of the values over P's
+        denominator.  For each lattice row y, P collapses once to a
+        polynomial in x (an integer Horner sum in y per column of the table),
+        and one Horner pass in x over the whole row gives its values."""
+        table = self._horner_table()
+        xs = range(L)
+        for y in range(L - 1, -1, -1):
+            row = [0] * L
+            for column in table:
+                c = 0
+                for n in column:
+                    c = c * y + n
+                row = [v * x + c for v, x in zip(row, xs)]
+            yield row
 
     def swap_xy(self):
         return BiPoly._from_ints(self._den, {(b, a): n for (a, b), n in self._num.items()})

@@ -99,7 +99,8 @@ def affine_complete(border):
 def solve_3x3(A):
     """The base-case interpolant by evaluating the eight base-basis elements
     at the eight border sites and solving that 8x8 system: the reference
-    that interpolate_3x3's cached integer inverse is checked against."""
+    that the combination of the cached base cardinals, _base_cardinals(), is
+    checked against."""
     sites = _block_border_sites(3)
     rows = [[p.evaluate(x, y) for p in _BASE_BASIS] for x, y in sites]
     rhs = [A.at(x, y) for x, y in sites]

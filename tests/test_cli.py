@@ -13,6 +13,7 @@ from dhpoly import (
     ConstructionError,
     ImpulseSet,
     RatMatrix,
+    SizeError,
     X,
     build_impulse_set,
     evaluate_on_lattice,
@@ -29,9 +30,10 @@ from dhpoly.cli import (
     MAX_SANDPILE_SIZE,
     MAX_SANDPILE_STEPS,
     _build_parser,
+    _read_poly,
     main,
 )
-from dhpoly.formats import format_matrix, parse_matrix, poly_from_json, poly_to_json
+from dhpoly.formats import format_matrix, parse_matrix, parse_poly, poly_from_json, poly_to_json
 
 from helpers import naive_phi, naive_step, random_poly
 from reference_data import (
@@ -343,6 +345,24 @@ class TestPolyDegreeLimit:
         assert main([*command, str(path)]) == 0
         path.write_text(f"1*x^{half + 1}*y^{MAX_POLY_DEGREE - half}")
         assert main([*command, str(path)]) == 2
+
+    @pytest.mark.parametrize("read", [False, True], ids=["constructor", "parse_poly"])
+    def test_huge_degree_never_builds_the_horner_table(self, read, tmp_path):
+        """A degree-10^9 monomial answers degree, ==, hash, str and terms(),
+        and fails the degree check, without building its Horner table (10^9
+        + 1 columns): the unit-level guard of a huge degree exiting at once."""
+        text = '[{"xexp": 1000000000, "yexp": 0, "num": "1", "den": "1"}]'
+        P = parse_poly(text) if read else BiPoly({(10**9, 0): 1})
+        assert P.degree == 10**9
+        assert P == BiPoly.monomial(10**9, 0) and P != X
+        assert hash(P) == hash(BiPoly.monomial(10**9, 0))
+        assert str(P) == "1*x^1000000000"
+        assert dict(P.terms()) == {(10**9, 0): 1}
+        path = tmp_path / "huge.json"
+        path.write_text(text)
+        with pytest.raises(SizeError):
+            _read_poly(str(path))
+        assert P._table is None
 
 
 class TestBasis:

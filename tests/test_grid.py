@@ -481,10 +481,14 @@ class TestEvaluateOnLattice:
         """Each entry equals the term-by-term Fraction sum at its site, for
         rational and negative coefficients up to the largest degree the CLI
         reads (46); the kept integer form is the canonical one RatMatrix
-        builds from those Fractions."""
+        builds from those Fractions.  evaluate runs first, at a Fraction and
+        a negative point, so the restriction reads the Horner table that
+        evaluate built."""
         rng = random.Random(900 + max_degree)
         for _ in range(4):
             P = random_poly(rng, max_degree, n_terms, max_num=10**4, max_den=60)
+            for point in ((Fraction(-3, 7), Fraction(5, 2)), (-2, -5)):
+                assert P.evaluate(*point) == naive_evaluate(P, *point)
             for L in sizes:
                 M = evaluate_on_lattice(P, L)
                 expected = [

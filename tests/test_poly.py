@@ -10,6 +10,7 @@ from dhpoly import (
     X,
     Y,
     discrete_laplacian_poly,
+    evaluate_on_lattice,
     generate_basis,
     is_discrete_harmonic,
     laplacian_monomial,
@@ -90,6 +91,8 @@ class TestBiPoly:
         assert (X**2 * Y).swap_xy() == X * Y**2
 
     def test_derived_polynomials_do_not_inherit_the_evaluation_form(self):
+        """Neither evaluate nor the lattice restriction of a polynomial made
+        from P reads P's Horner table, built here before any is made."""
         P = Fraction(3, 4) * X**3 * Y - Fraction(1, 6) * Y**2 + 2
         Q = Fraction(-5, 7) * X * Y**4 + X**2 - Fraction(1, 3)
         P.evaluate(2, -3)
@@ -97,6 +100,11 @@ class TestBiPoly:
         for R in derived:
             for x, y in ((2, -3), (-1, 4), (Fraction(1, 2), 3)):
                 assert R.evaluate(x, y) == naive_evaluate(R, x, y)
+        for R in derived:
+            M = evaluate_on_lattice(R, 4)
+            assert [[M.at(x, y) for x in range(4)] for y in range(4)] == [
+                [naive_evaluate(R, x, y) for x in range(4)] for y in range(4)
+            ]
 
     def test_equal_values_hash_equal(self):
         assert hash(BiPoly.constant(3)) == hash(3)
