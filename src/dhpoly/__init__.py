@@ -14,7 +14,6 @@ from .completion import (
     extract_border,
 )
 from .errors import (
-    ConstructionError,
     InvariantError,
     ParseError,
     PreconditionError,
@@ -66,7 +65,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BiPoly",
     "BorderSpec",
-    "ConstructionError",
     "DHBasis",
     "ImpulseSet",
     "InvariantError",

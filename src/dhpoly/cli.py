@@ -15,7 +15,6 @@ import sys
 from . import __version__
 from .completion import complete
 from .errors import (
-    ConstructionError,
     InvariantError,
     ParseError,
     PreconditionError,
@@ -290,7 +289,7 @@ def main(argv=None):
     except OSError as exc:
         _emit_error("io-error", str(exc))
         return EXIT_USAGE
-    except (InvariantError, ConstructionError, SingularMatrixError) as exc:
+    except (InvariantError, SingularMatrixError) as exc:
         _emit_error("internal-error", str(exc))
         return EXIT_INTERNAL
 

@@ -17,13 +17,9 @@ class SingularMatrixError(ArithmeticError):
         self.rank = rank
 
 
-class ConstructionError(RuntimeError):
-    """An impulse-polynomial system lacked a unique solution, or its solution
-    failed the impulse-pattern check; indicates a bug, not bad input."""
-
-
 class InvariantError(RuntimeError):
-    """An internal consistency condition failed; indicates a bug, not bad input."""
+    """An internal consistency condition failed, such as a singular cardinal
+    system or a result failing its check; a bug, not bad input (CLI exit 3)."""
 
 
 class ParseError(ValueError):

@@ -3,11 +3,13 @@ numbers are read from text.
 
 Matrices travel as CSV: one display row per line, entries written as decimal
 integers or "p/q" with positive q in ASCII digits (_TOKEN, shared with text
-coefficients).  Decimal points are rejected outright -- there is no
-approximate path anywhere in the package.  Polynomials travel either as a
-JSON array of term records or as a "c*x^a*y^b + ..." text form; both list
-terms by total degree, then x-exponent, ascending, and both round-trip
-exactly.
+coefficients and JSON "num"/"den" pairs, all read by parse_rational).
+Decimal points are rejected outright -- there is no approximate path
+anywhere in the package.  No integer read or written may have more digits
+than the interpreter's int string limit (sys.get_int_max_str_digits()).
+Polynomials travel either as a JSON array of term records or as a
+"c*x^a*y^b + ..." text form; both list terms by total degree, then
+x-exponent, ascending, and both round-trip exactly.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 
 from .completion import BorderSpec, border_positions
@@ -25,21 +28,23 @@ from .poly import BiPoly
 _TOKEN = r"(?P<num>[+-]?\d+)(?:/(?P<den>\d+))?"
 _TOKEN_RE = re.compile(_TOKEN, re.ASCII)
 _TERM_RE = re.compile(rf"(?P<c>{_TOKEN})(?:\*x\^(?P<a>\d+))?(?:\*y\^(?P<b>\d+))?", re.ASCII)
-# A JSON term record's "num" and "den" are decimal strings, never JSON numbers.
-_NUM_RE = re.compile(r"[+-]?\d+", re.ASCII)
-_DEN_RE = re.compile(r"\d+", re.ASCII)
 
 
 def parse_rational(token, line=None, column=None):
-    """Fraction of one integer or "p/q" token; ParseError for anything else."""
+    """Fraction of one integer or "p/q" token; ParseError for anything else,
+    also for a number longer than the interpreter's int string limit."""
     token = token.strip()
     m = _TOKEN_RE.fullmatch(token)
     if not m:
         raise ParseError(f"malformed rational {token!r}", line, column)
-    den = int(m["den"] or 1)
+    try:
+        num, den = int(m["num"]), int(m["den"] or 1)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"number longer than the limit of {limit} digits", line, column) from None
     if not den:
         raise ParseError(f"zero denominator in {token!r}", line, column)
-    return Fraction(int(m["num"]), den)
+    return Fraction(num, den)
 
 
 def _parse_rows(text, allow_holes):
@@ -138,16 +143,17 @@ def _poly_from_terms(terms):
 
 
 def _json_term(rec):
-    """((a, b), coefficient) of one JSON term record."""
+    """((a, b), coefficient) of one JSON term record, whose "num" and "den"
+    are strings (never JSON numbers) forming one "num/den" token."""
     if not isinstance(rec, dict) or set(rec) != {"xexp", "yexp", "num", "den"}:
         raise ParseError(f"malformed term record {rec!r}")
     a, b, num, den = rec["xexp"], rec["yexp"], rec["num"], rec["den"]
     if not (type(a) is int and type(b) is int) or a < 0 or b < 0:
         raise ParseError(f"exponents must be nonnegative integers, got {rec!r}")
-    if not (isinstance(num, str) and _NUM_RE.fullmatch(num)
-            and isinstance(den, str) and _DEN_RE.fullmatch(den) and int(den)):
+    token = f"{num}/{den}"
+    if not (isinstance(num, str) and isinstance(den, str) and _TOKEN_RE.fullmatch(token)):
         raise ParseError(f"malformed coefficient in {rec!r}")
-    return (a, b), Fraction(int(num), int(den))
+    return (a, b), parse_rational(token)
 
 
 def poly_from_json(text):

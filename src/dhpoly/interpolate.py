@@ -13,15 +13,13 @@ is generally not discrete harmonic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from . import linalg
-from .completion import border_positions
-from .errors import ConstructionError, InvariantError, PreconditionError, SizeError
-from .grid import _count, is_inner_harmonic, matrix_to_lattice
-from .poly import X, BiPoly, _linear_combination, generate_basis, is_discrete_harmonic
+from .errors import InvariantError, PreconditionError, SizeError
+from .grid import _count, is_inner_harmonic
+from .poly import X, _linear_combination, _primitive_poly, generate_basis, is_discrete_harmonic
 
 #: Basis used for the 3x3 base case: the canonical elements of degree <= 3
 #: plus the degree-4 element with pivot x**4, evaluated against the eight
@@ -34,17 +32,17 @@ def _cardinals(polys, sites):
     at the others, in ``sites`` order.  With A holding polys[k] at sites[i]
     in row i, column k, they are the columns of A's inverse, from one rref of
     [A | I], each combined with ``polys``.  A system that is not square and
-    nonsingular raises ConstructionError."""
+    nonsingular raises InvariantError."""
     n = len(sites)
     if len(polys) != n:
-        raise ConstructionError(f"{len(polys)} polynomials for {n} cardinal sites")
+        raise InvariantError(f"{len(polys)} polynomials for {n} cardinal sites")
     system = [
         [p.evaluate(x, y) for p in polys] + [int(i == k) for k in range(n)]
         for i, (x, y) in enumerate(sites)
     ]
     rows, pivots = linalg.rref(system)
     if pivots[:n] != list(range(n)):
-        raise ConstructionError(f"cardinal system over {n} sites is singular")
+        raise InvariantError(f"cardinal system over {n} sites is singular")
     return tuple(_linear_combination(column, polys) for column in zip(*(row[n:] for row in rows)))
 
 
@@ -86,18 +84,11 @@ def _step_sites(m):
     return ((0, m), (m, m), (m, 0), (m - 1, m), (m, m - 1))
 
 
-def _primitive_poly(terms):
-    """BiPoly of an integer term map with no zero entry, divided by its gcd
-    and signed so the first term in canonical order is positive."""
-    g = math.gcd(*terms.values())
-    if terms[min(terms, key=lambda ab: (ab[0] + ab[1], ab[0]))] < 0:
-        g = -g
-    return BiPoly._from_ints(1, {key: c // g for key, c in terms.items()})
-
-
 def _block_border_sites(L):
-    """Border sites of the L-lattice, i.e. of the lower-left L x L block."""
-    return tuple(matrix_to_lattice(i, j, L) for i, j in border_positions(L))
+    """Border sites of the L-lattice (x or y in {0, L-1}), by x, then y; no
+    result depends on their order (the cardinals and kernel are unique)."""
+    ends = (0, L - 1)
+    return tuple((x, y) for x in range(L) for y in (range(L) if x in ends else ends))
 
 
 def _matches_on_border(P, L, value):
@@ -142,7 +133,7 @@ def build_impulse_set(L):
     (L, L+1).  Each result is discrete harmonic of degree <= 2L by
     construction; what is checked is its impulse pattern, on the border of
     the (L+1)-lattice.  A singular cardinal system or a failed check raises
-    ConstructionError.
+    InvariantError.
 
     Results are memoized per size; the cache is safe for concurrent readers.
     """
@@ -151,13 +142,13 @@ def build_impulse_set(L):
     zeros = (*_block_border_sites(L), (L, 0), (L + 1, L))
     rows = [[p.evaluate(x, y) for p in basis] for x, y in zeros]
     kernel = [_linear_combination(vec, basis) for vec in linalg.nullspace(rows, ncols=len(basis))]
-    polys = [_primitive_poly(c._num) for c in _cardinals(kernel, [(0, L), (L, L), (L - 1, L)])]
-    polys.insert(2, _primitive_poly(polys[0].swap_xy()._num))
+    polys = [_primitive_poly(c) for c in _cardinals(kernel, [(0, L), (L, L), (L - 1, L)])]
+    polys.insert(2, _primitive_poly(polys[0].swap_xy()))
     values = []
     for k, xi in enumerate(polys):
         value = _verify_impulse(xi, L, k)
         if value is None:
-            raise ConstructionError(f"impulse {k} of size {L} failed verification")
+            raise InvariantError(f"impulse {k} of size {L} failed verification")
         values.append(value)
     return ImpulseSet(size=L, polys=tuple(polys), values=tuple(values))
 

@@ -54,6 +54,11 @@ from .grid import _RATIONAL, _common_denominator, _count, _fraction
 _ZERO = Fraction(0)
 
 
+def _term_order(key):
+    """Canonical order of an exponent pair: total degree, then x-exponent."""
+    return key[0] + key[1], key[0]
+
+
 class BiPoly:
     """Polynomial in x and y with exact rational coefficients, stored sparsely
     as integer numerators over one denominator.
@@ -112,7 +117,7 @@ class BiPoly:
 
     def sorted_terms(self):
         """Terms in canonical order: total degree, then x-exponent, ascending."""
-        return sorted(self.terms(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0][0]))
+        return sorted(self.terms(), key=lambda kv: _term_order(kv[0]))
 
     def coefficient(self, a, b):
         n = self._num.get((a, b))
@@ -131,7 +136,7 @@ class BiPoly:
         """Largest term under graded-lex order with x before y, or None."""
         if not self._num:
             return None
-        key = max(self._num, key=lambda ab: (ab[0] + ab[1], ab[0]))
+        key = max(self._num, key=_term_order)
         return key, Fraction(self._num[key], self._den)
 
     def evaluate(self, px, py):
@@ -398,6 +403,16 @@ def _combine(coeffs, maps):
             else:
                 del out[key]
     return out or {}
+
+
+def _primitive_poly(P):
+    """Nonzero P scaled to coprime integer coefficients, signed so its first
+    term in canonical order is positive."""
+    num = P._num
+    g = math.gcd(*num.values())
+    if num[min(num, key=_term_order)] < 0:
+        g = -g
+    return BiPoly._from_ints(1, {key: n // g for key, n in num.items()})
 
 
 def _linear_combination(coeffs, polys):

@@ -16,17 +16,16 @@ from dhpoly import (
     generate_basis,
     linalg,
 )
-from dhpoly.errors import ConstructionError
+from dhpoly.errors import InvariantError
 from dhpoly.grid import _count, _fraction
 from dhpoly.interpolate import (
     _BASE_BASIS,
     ImpulseSet,
     _block_border_sites,
-    _primitive_poly,
     _verify_impulse,
 )
 from dhpoly.linalg import _ff_echelon, _integer_rows
-from dhpoly.poly import DHBasis
+from dhpoly.poly import DHBasis, _primitive_poly
 
 
 def random_rational(rng, max_num=9, max_den=5):
@@ -289,11 +288,11 @@ def _search_impulse(pool, table, constraint_sets, m, k):
                 if v:
                     for key, c in terms.items():
                         acc[key] = acc.get(key, 0) + v.numerator * c
-            xi = _primitive_poly({key: c for key, c in acc.items() if c})
+            xi = _primitive_poly(BiPoly({key: c for key, c in acc.items() if c}))
             value = _verify_impulse(xi, m, k)
             if value is not None:
                 return xi, value
-    raise ConstructionError(f"no impulse polynomial found for size {m}, index {k}")
+    raise InvariantError(f"no impulse polynomial found for size {m}, index {k}")
 
 
 def search_impulse_set(L):
@@ -323,10 +322,10 @@ def search_impulse_set(L):
             constraint_sets.append(border + extra[:3] + (alt,))
         polys[k], values[k] = _search_impulse(pool, table, constraint_sets, L, k)
 
-    swapped = _primitive_poly({(b, a): c for (a, b), c in polys[0]._num.items()})
+    swapped = _primitive_poly(polys[0].swap_xy())
     value = _verify_impulse(swapped, L, 2)
     if value is None:
-        raise ConstructionError(f"swapped impulse polynomial failed verification for size {L}")
+        raise InvariantError(f"swapped impulse polynomial failed verification for size {L}")
     polys[2], values[2] = swapped, value
     return ImpulseSet(size=L, polys=tuple(polys), values=tuple(values))
 

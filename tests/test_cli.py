@@ -10,8 +10,8 @@ import pytest
 import dhpoly
 from dhpoly import (
     BiPoly,
-    ConstructionError,
     ImpulseSet,
+    InvariantError,
     RatMatrix,
     SizeError,
     X,
@@ -42,6 +42,11 @@ from reference_data import (
     SAMPLE_7X7,
     WORKED_4X4,
 )
+
+#: The interpreter's int string limit: no integer with more digits is read
+#: or written.  0, or an interpreter without the limit, means no bound.
+INT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_int_limit = pytest.mark.skipif(not INT_LIMIT, reason="no int string limit")
 
 
 @pytest.fixture
@@ -101,6 +106,17 @@ class TestCheck:
         assert record["code"] == "parse-error"
         assert record["location"] == {"line": 1, "column": 1}
 
+    @needs_int_limit
+    def test_number_past_int_limit_is_located_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "long.csv"
+        path.write_text("9" * (INT_LIMIT + 1) + ",2,3\n4,5,6\n7,8,9\n")
+        assert main(["check", str(path)]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["code"] == "parse-error"
+        assert record["location"] == {"line": 1, "column": 1}
+        # the message names the limit and does not echo the digits
+        assert str(INT_LIMIT) in record["message"] and "9" * 40 not in record["message"]
+
     def test_missing_file(self, capsys):
         assert main(["check", "/nonexistent/path.csv"]) == 2
         assert json.loads(capsys.readouterr().err)["code"] == "io-error"
@@ -144,6 +160,33 @@ class TestComplete:
         monkeypatch.setattr(sys, "stdin", io.StringIO("0,0,0\n0,?,0\n0,0,0\n"))
         assert main(["complete", "-"]) == 0
         assert parse_matrix(capsys.readouterr().out) == RatMatrix.zero(3)
+
+    @needs_int_limit
+    def test_output_past_int_limit_is_input_error(self, tmp_path, capsys):
+        """A valid 8x8 border whose 28 values have denominators of
+        INT_LIMIT // 20 digits (215 by default) fills to entries over the int
+        string limit: exit 2, nothing on stdout.  Lifting the limit lets the
+        same request through; the package itself never lifts it."""
+        rng = random.Random(28)
+        low = 10 ** (INT_LIMIT // 20 - 1)
+        L = 8
+        path = tmp_path / "long.csv"
+        path.write_text("".join(
+            ",".join(
+                str(Fraction(rng.randint(1, 9), rng.randrange(low, 10 * low)))
+                if i in (0, L - 1) or j in (0, L - 1) else "?"
+                for j in range(L)
+            ) + "\n"
+            for i in range(L)
+        ))
+        assert main(["complete", str(path)]) == 2
+        _assert_input_error(capsys)
+        sys.set_int_max_str_digits(0)
+        try:
+            assert main(["complete", str(path)]) == 0
+            assert len(max(capsys.readouterr().out.replace("/", ",").split(","), key=len)) > INT_LIMIT
+        finally:
+            sys.set_int_max_str_digits(INT_LIMIT)
 
     def test_oversized_border_is_input_error(self, tmp_path, capsys):
         L = MAX_COMPLETE_SIZE + 1
@@ -196,7 +239,7 @@ class TestInterpolate:
         build_impulse_set.cache_clear()
         monkeypatch.setattr("dhpoly.interpolate._verify_impulse", lambda xi, m, k: None)
         try:
-            with pytest.raises(ConstructionError):
+            with pytest.raises(InvariantError):
                 build_impulse_set(3)
             assert main(["interpolate", worked_csv]) == 3
             assert json.loads(capsys.readouterr().err)["code"] == "internal-error"

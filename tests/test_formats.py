@@ -211,6 +211,7 @@ class TestPolyJson:
             '[{"xexp": 0, "yexp": 0, "num": "1", "den": "-2"}]',
             '[{"xexp": 0, "yexp": 0, "num": "1", "den": "+2"}]',
             '[{"xexp": 0, "yexp": 0, "num": "1/2", "den": "1"}]',
+            '[{"xexp": 0, "yexp": 0, "num": "1", "den": "1/2"}]',
             '[{"xexp": 0, "yexp": 0, "num": "\u0661", "den": "1"}]',
             '[{"xexp": 0, "yexp": 0, "num": "1", "den": "\u0662"}]',
             '[{"xexp": \u0661, "yexp": 0, "num": "1", "den": "1"}]',

@@ -6,7 +6,6 @@ import sympy
 
 from dhpoly import (
     BiPoly,
-    ConstructionError,
     ImpulseSet,
     InvariantError,
     PreconditionError,
@@ -109,13 +108,13 @@ class TestCardinals:
         assert all(c.degree <= L - 1 for c in cardinals)
 
     def test_repeated_site_raises(self):
-        with pytest.raises(ConstructionError):
+        with pytest.raises(InvariantError):
             _cardinals([X**k for k in range(3)], [(0, 0), (1, 0), (1, 0)])
 
     def test_count_mismatch_raises(self):
-        with pytest.raises(ConstructionError):
+        with pytest.raises(InvariantError):
             _cardinals([X**k for k in range(2)], [(0, 0), (1, 0), (2, 0)])
-        with pytest.raises(ConstructionError):
+        with pytest.raises(InvariantError):
             _cardinals([X**k for k in range(3)], [(0, 0), (1, 0)])
 
 
@@ -291,6 +290,26 @@ class TestBuildImpulseSet:
             parts.extend(poly_to_json(p) for p in impulses.polys)
             parts.append(repr(impulses.values))
         assert hashlib.sha256("\n".join(parts).encode()).hexdigest() == IMPULSE_SETS_SHA256
+
+    def test_construction_ignores_border_order(self, monkeypatch):
+        # the kernel and the cardinals are unique, so walking the border in
+        # reverse changes no impulse set and no interpolant
+        import dhpoly.interpolate as mod
+
+        rng = random.Random(25)
+        matrices = [random_inner_harmonic(rng, L) for L in range(3, 8)]
+        want = [build_impulse_set(L) for L in range(3, 9)], [telescopic(H) for H in matrices]
+        real = mod._block_border_sites
+        monkeypatch.setattr(mod, "_block_border_sites", lambda L: real(L)[::-1])
+        try:
+            build_impulse_set.cache_clear()
+            _base_cardinals.cache_clear()
+            got = [build_impulse_set(L) for L in range(3, 9)], [telescopic(H) for H in matrices]
+        finally:
+            monkeypatch.undo()
+            build_impulse_set.cache_clear()
+            _base_cardinals.cache_clear()
+        assert got == want
 
     def test_memoized(self):
         assert build_impulse_set(3) is build_impulse_set(3)
