@@ -38,7 +38,7 @@ from .interpolate import (
     interpolate_3x3,
     telescopic,
 )
-from .linalg import nullspace, primitive, rank, rref, solve
+from .linalg import solve
 from .poly import (
     BiPoly,
     DHBasis,
@@ -95,13 +95,9 @@ __all__ = [
     "laplacian_monomial",
     "lattice_to_matrix",
     "matrix_to_lattice",
-    "nullspace",
     "orbit",
     "phi",
-    "primitive",
     "random_config",
-    "rank",
-    "rref",
     "solve",
     "standard_gf",
     "step",

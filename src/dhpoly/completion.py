@@ -121,12 +121,13 @@ def _response(L):
 def _response_inverse(L):
     """(d, M) with M = d * R(L)^-1 in integers, made once per size.
 
-    R(L)^-1 lies in the tau algebra with R(L), so one linalg.solve gives its
-    first column, scaled to integers by d, and _tau the rest.  R(L) is
-    nonsingular (see complete); linalg.solve would raise SingularMatrixError
+    R(L)^-1 lies in the tau algebra with R(L), so one integer solve
+    (linalg._integer_solve, which gives d > 0 and the column over its least
+    common denominator) gives its first column and _tau the rest.  R(L) is
+    nonsingular (see complete); the solve would raise SingularMatrixError
     otherwise."""
-    d, c = _common_denominator(linalg.solve(_response(L), [1] + [0] * (L - 3)))
-    return d, _tau(c)
+    d, X = linalg._integer_solve(_response(L), [[1]] + [[0]] * (L - 3))
+    return d, _tau([row[0] for row in X])
 
 
 def complete(border):

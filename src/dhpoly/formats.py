@@ -5,8 +5,9 @@ Matrices travel as CSV: one display row per line, entries written as decimal
 integers or "p/q" with positive q in ASCII digits (_TOKEN, shared with text
 coefficients and JSON "num"/"den" pairs, all read by parse_rational).
 Decimal points are rejected outright -- there is no approximate path
-anywhere in the package.  No integer read or written may have more digits
-than the interpreter's int string limit (sys.get_int_max_str_digits()).
+anywhere in the package.  No integer read or written, exponents included,
+may have more digits than the interpreter's int string limit
+(sys.get_int_max_str_digits()).
 Polynomials travel either as a JSON array of term records or as a
 "c*x^a*y^b + ..." text form; both list terms by total degree, then
 x-exponent, ascending, and both round-trip exactly.
@@ -30,6 +31,13 @@ _TOKEN_RE = re.compile(_TOKEN, re.ASCII)
 _TERM_RE = re.compile(rf"(?P<c>{_TOKEN})(?:\*x\^(?P<a>\d+))?(?:\*y\^(?P<b>\d+))?", re.ASCII)
 
 
+def _too_long(line=None, column=None):
+    """The ParseError for an integer longer than the interpreter's int string
+    limit; it names the limit and does not echo the digits."""
+    limit = sys.get_int_max_str_digits()
+    return ParseError(f"number longer than the limit of {limit} digits", line, column)
+
+
 def parse_rational(token, line=None, column=None):
     """Fraction of one integer or "p/q" token; ParseError for anything else,
     also for a number longer than the interpreter's int string limit."""
@@ -40,8 +48,7 @@ def parse_rational(token, line=None, column=None):
     try:
         num, den = int(m["num"]), int(m["den"] or 1)
     except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise ParseError(f"number longer than the limit of {limit} digits", line, column) from None
+        raise _too_long(line, column) from None
     if not den:
         raise ParseError(f"zero denominator in {token!r}", line, column)
     return Fraction(num, den)
@@ -161,6 +168,9 @@ def poly_from_json(text):
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+    except ValueError:
+        # json.loads raises a plain ValueError for an integer past the limit
+        raise _too_long() from None
     if not isinstance(data, list):
         raise ParseError("polynomial JSON must be an array of term records")
     return _poly_from_terms(map(_json_term, data))
@@ -172,12 +182,21 @@ def poly_to_text(P):
     return str(P)
 
 
+def _exponent(digits):
+    """int of a text exponent's ASCII digits, their count checked against the
+    int string limit (0 lifts it) before int() reads them."""
+    limit = sys.get_int_max_str_digits()
+    if limit and len(digits) > limit:
+        raise _too_long()
+    return int(digits)
+
+
 def _text_term(part):
     """((a, b), coefficient) of one "c*x^a*y^b" term."""
     m = _TERM_RE.fullmatch(part)
     if not m:
         raise ParseError(f"malformed polynomial term {part!r}")
-    return (int(m.group("a") or 0), int(m.group("b") or 0)), parse_rational(m.group("c"))
+    return (_exponent(m["a"] or "0"), _exponent(m["b"] or "0")), parse_rational(m["c"])
 
 
 def poly_from_text(text):

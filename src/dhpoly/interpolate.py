@@ -8,16 +8,19 @@ lattice except one designated border site (an antisymmetric pair for the
 fourth), so they patch the entries the smaller interpolant cannot match
 without disturbing anything already fixed.  A plain bilinear (tensor
 Lagrange) interpolator is included as a contrast: it always interpolates but
-is generally not discrete harmonic.
+is generally not discrete harmonic.  The base case, each size's impulses and
+the bilinear factors are cardinal polynomials, each set of them from one
+square solve (see _cardinals).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .errors import InvariantError, PreconditionError, SizeError
+from .errors import InvariantError, PreconditionError, SingularMatrixError, SizeError
 from .grid import _count, is_inner_harmonic
 from .poly import X, _linear_combination, _primitive_poly, generate_basis, is_discrete_harmonic
 
@@ -27,23 +30,23 @@ from .poly import X, _linear_combination, _primitive_poly, generate_basis, is_di
 _BASE_BASIS = generate_basis(4).elements[:8]
 
 
-def _cardinals(polys, sites):
-    """The polynomials in the span of ``polys`` that are 1 at one site and 0
-    at the others, in ``sites`` order.  With A holding polys[k] at sites[i]
-    in row i, column k, they are the columns of A's inverse, from one rref of
-    [A | I], each combined with ``polys``.  A system that is not square and
-    nonsingular raises InvariantError."""
-    n = len(sites)
-    if len(polys) != n:
-        raise InvariantError(f"{len(polys)} polynomials for {n} cardinal sites")
-    system = [
-        [p.evaluate(x, y) for p in polys] + [int(i == k) for k in range(n)]
-        for i, (x, y) in enumerate(sites)
-    ]
-    rows, pivots = linalg.rref(system)
-    if pivots[:n] != list(range(n)):
-        raise InvariantError(f"cardinal system over {n} sites is singular")
-    return tuple(_linear_combination(column, polys) for column in zip(*(row[n:] for row in rows)))
+def _cardinals(polys, sites, zeros=()):
+    """The polynomials in the span of ``polys`` that vanish at ``zeros`` and
+    are 1 at one of ``sites`` and 0 at the others, in ``sites`` order.  With
+    A holding polys[k] at the i-th site of zeros + sites in row i, column k,
+    their coefficients are the columns of A's inverse past the zero rows,
+    from one solve of A C = [0; I] (linalg._integer_solve), each combined
+    with ``polys``.  A system that is not square and nonsingular raises
+    InvariantError."""
+    n, rows = len(sites), (*zeros, *sites)
+    if len(polys) != len(rows):
+        raise InvariantError(f"{len(polys)} polynomials for {len(rows)} conditions")
+    units = [[0] * n for _ in zeros] + [[int(i == k) for k in range(n)] for i in range(n)]
+    try:
+        d, C = linalg._integer_solve([[p.evaluate(x, y) for p in polys] for x, y in rows], units)
+    except SingularMatrixError:
+        raise InvariantError(f"cardinal system over {len(rows)} sites is singular") from None
+    return tuple(_linear_combination([Fraction(v, d) for v in column], polys) for column in zip(*C))
 
 
 @lru_cache(maxsize=None)
@@ -120,29 +123,30 @@ def build_impulse_set(L):
     """Construct the four impulse polynomials for size parameter L >= 3.
 
     Candidates are the 4L non-constant elements of the canonical harmonic
-    basis up to degree 2L.  One nullspace over the 4L - 4 border sites of the
-    L-lattice, (L, 0) and (L+1, L) gives the three combinations that vanish
-    at all of them (the row at the origin is zero, since no candidate has a
-    constant term), and so, being discrete harmonic, on the whole L-lattice
-    (discrete maximum principle).  Their cardinals at (0, L), (L, L) and
-    (L-1, L) (see _cardinals) are impulses 0, 1 and 3, each scaled by
-    _primitive_poly; the zero at (L+1, L) rules out a multiple of the
-    polynomial that vanishes on the whole (L+1)-lattice.  Impulse 2 is
-    impulse 0 with x and y swapped: the swap maps the lattice and its border
-    onto themselves, the step sites onto each other and (L+1, L) to
-    (L, L+1).  Each result is discrete harmonic of degree <= 2L by
-    construction; what is checked is its impulse pattern, on the border of
-    the (L+1)-lattice.  A singular cardinal system or a failed check raises
-    InvariantError.
+    basis up to degree 2L.  Impulses 0, 1 and 3 are their cardinals (see
+    _cardinals) at (0, L), (L, L) and (L-1, L) that vanish at the 4L - 5
+    border sites of the L-lattice other than the origin, at (L, 0) and at
+    (L+1, L): one square 4L x 4L system, each scaled by _primitive_poly.
+    The origin is left out because its row is zero (no candidate has a
+    constant term).  The system is nonsingular: the zero rows have rank
+    4L - 3, a 3-dimensional kernel, and the three cardinal rows restricted
+    to that kernel form a nonsingular 3x3 system; a singular system raises
+    InvariantError.  Vanishing on the L-lattice border, a discrete harmonic
+    combination vanishes on the whole L-lattice (discrete maximum
+    principle); the zero at (L+1, L) rules out a multiple of the polynomial
+    that vanishes on the whole (L+1)-lattice.  Impulse 2 is impulse 0 with
+    x and y swapped: the swap maps the lattice and its border onto
+    themselves, the step sites onto each other and (L+1, L) to (L, L+1).
+    Each result is discrete harmonic of degree <= 2L by construction; what
+    is checked is its impulse pattern, on the border of the (L+1)-lattice,
+    and a failed check raises InvariantError.
 
     Results are memoized per size; the cache is safe for concurrent readers.
     """
     _count(L, 3, SizeError)
     basis = [p for p in generate_basis(2 * L).elements if p.degree >= 1]
-    zeros = (*_block_border_sites(L), (L, 0), (L + 1, L))
-    rows = [[p.evaluate(x, y) for p in basis] for x, y in zeros]
-    kernel = [_linear_combination(vec, basis) for vec in linalg.nullspace(rows, ncols=len(basis))]
-    polys = [_primitive_poly(c) for c in _cardinals(kernel, [(0, L), (L, L), (L - 1, L)])]
+    zeros = (*(s for s in _block_border_sites(L) if s != (0, 0)), (L, 0), (L + 1, L))
+    polys = [_primitive_poly(c) for c in _cardinals(basis, [(0, L), (L, L), (L - 1, L)], zeros)]
     polys.insert(2, _primitive_poly(polys[0].swap_xy()))
     values = []
     for k, xi in enumerate(polys):

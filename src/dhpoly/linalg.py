@@ -1,12 +1,14 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact dense linear algebra over the rationals: one square solve.
 
-Deterministic solve, RREF and nullspace run entirely in integers: rows are
-scaled to integers up front, fraction-free (Bareiss) elimination reaches row
-echelon form with every intermediate division exact, and an integer
-back-substitution scaled by the last pivot finishes the reduction.  Each output
-entry becomes one Fraction at the end, so entry growth stays polynomial and no
-rational arithmetic runs inside the elimination.  Pivoting is always "first
-nonzero in row order", so two runs on the same input produce identical output.
+It runs entirely in integers: rows are scaled to integers up front,
+fraction-free (Bareiss) elimination reaches row echelon form with every
+intermediate division exact, and an integer back-substitution scaled by the
+last pivot finishes the reduction.  _integer_solve returns the solution of
+A X = B for several right-hand sides at once as integers over one common
+denominator, so entry growth stays polynomial and no rational arithmetic
+runs inside the elimination; solve turns one such column into Fractions.
+Pivoting is always "first nonzero in row order", so two runs on the same
+input produce identical output.
 """
 
 from __future__ import annotations
@@ -96,92 +98,37 @@ def _back_substitute(m, pivots, cols):
     return d, out
 
 
-def _primitive_ints(ints):
-    """Divide a nonzero integer vector by its gcd, signed so the first nonzero
-    entry is positive."""
-    g = math.gcd(*ints)
-    if next(v for v in ints if v) < 0:
-        g = -g
-    return tuple(Fraction(v // g) for v in ints)
-
-
-def solve(A, b):
-    """Exact solution of the square system A x = b, by one fraction-free
-    elimination of the augmented matrix [A | b].
+def _integer_solve(A, B):
+    """(d, X) with A X = B / d: the solution of the square system A X = B for
+    the right-hand-side columns of B (one row per equation), by one
+    fraction-free elimination of [A | B].  X lists one row of ints per
+    unknown; d > 0 and gcd(d, X) == 1, so d is the least common denominator
+    of the solution.
 
     Raises SingularMatrixError (carrying the rank of A) when A is singular.
     """
-    A, b = list(A), list(b)
+    A, B = [list(row) for row in A], list(B)
     n = len(A)
-    if len(b) != n:
+    if len(B) != n:
         raise ValueError("right-hand side length must match the matrix size")
-    aug = _integer_rows([*row, t] for row, t in zip(A, b))
-    if n == 0 or len(aug[0]) != n + 1:
+    if n == 0 or any(len(row) != n for row in A):
         raise ValueError("solve requires a square nonempty matrix")
+    aug = _integer_rows(row + list(rhs) for row, rhs in zip(A, B))
     pivots = _ff_echelon(aug, n)
     if len(pivots) < n:
         raise SingularMatrixError(len(pivots))
-    d, reduced = _back_substitute(aug, pivots, [n])
-    return [Fraction(row[0], d) for row in reduced]
+    d, X = _back_substitute(aug, pivots, range(n, len(aug[0])))
+    g = math.gcd(d, *(v for row in X for v in row))
+    if d < 0:
+        g = -g
+    return d // g, [[v // g for v in row] for row in X]
 
 
-def rref(A, ncols=None):
-    """Reduced row echelon form over the rationals.
+def solve(A, b):
+    """Exact solution of the square system A x = b, as Fractions (see
+    _integer_solve).
 
-    Returns (rows, pivot_columns) where rows is a list of Fraction tuples with
-    zero rows dropped.  The RREF of a row space is unique, so the output is a
-    canonical form of the input's row space.
+    Raises SingularMatrixError (carrying the rank of A) when A is singular.
     """
-    m = _integer_rows(A)
-    if ncols is None:
-        ncols = len(m[0]) if m else 0
-    pivots = _ff_echelon(m, ncols)
-    d, reduced = _back_substitute(m, pivots, range(ncols))
-    return [tuple(Fraction(v, d) for v in row) for row in reduced], [c for _, c in pivots]
-
-
-def rank(A, ncols=None):
-    """Exact rank."""
-    m = _integer_rows(A)
-    if ncols is None:
-        ncols = len(m[0]) if m else 0
-    return len(_ff_echelon(m, ncols))
-
-
-def primitive(vec):
-    """Scale a rational vector to coprime integers with positive first nonzero
-    entry.  The zero vector is returned unchanged.  Entries pass the gate of
-    solve, rref and nullspace: int or Fraction, else TypeError."""
-    [ints] = _integer_rows([vec])
-    if not any(ints):
-        return tuple(Fraction(v) for v in ints)
-    return _primitive_ints(ints)
-
-
-def nullspace(A, ncols=None):
-    """Exact basis of the right kernel of A.
-
-    Basis vectors come from the RREF with free variables taken in column
-    order, each scaled to primitive integers with positive first nonzero
-    entry.  Returns an empty list iff A has full column rank.  ``ncols`` must
-    be given when A has no rows.
-    """
-    m = _integer_rows(A)
-    if ncols is None:
-        if not m:
-            raise ValueError("ncols is required for a matrix with no rows")
-        ncols = len(m[0])
-    pivots = _ff_echelon(m, ncols)
-    pivot_cols = {c for _, c in pivots}
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    # d * R gives each kernel vector in integers: d at its free column and
-    # -d * R[r][f] at pivot column c_r.
-    d, reduced = _back_substitute(m, pivots, free_cols)
-    basis = []
-    for i, f in enumerate(free_cols):
-        v = [0] * ncols
-        v[f] = d
-        for (_, c), row in zip(pivots, reduced):
-            v[c] = -row[i]
-        basis.append(_primitive_ints(v))
-    return basis
+    d, X = _integer_solve(A, [[t] for t in b])
+    return [Fraction(row[0], d) for row in X]

@@ -24,7 +24,7 @@ from dhpoly.interpolate import (
     _block_border_sites,
     _verify_impulse,
 )
-from dhpoly.linalg import _ff_echelon, _integer_rows
+from dhpoly.linalg import _back_substitute, _ff_echelon, _integer_rows
 from dhpoly.poly import DHBasis, _primitive_poly
 
 
@@ -213,10 +213,82 @@ def naive_step(config):
     return SandConfig(tuple(tuple(row) for row in new))
 
 
+def rref(A, ncols=None):
+    """Reduced row echelon form over the rationals, from the integer
+    elimination and back-substitution of dhpoly.linalg.
+
+    Returns (rows, pivot_columns) where rows is a list of Fraction tuples with
+    zero rows dropped.  The RREF of a row space is unique, so the output is a
+    canonical form of the input's row space.
+    """
+    m = _integer_rows(A)
+    if ncols is None:
+        ncols = len(m[0]) if m else 0
+    pivots = _ff_echelon(m, ncols)
+    d, reduced = _back_substitute(m, pivots, range(ncols))
+    return [tuple(Fraction(v, d) for v in row) for row in reduced], [c for _, c in pivots]
+
+
+def rank(A, ncols=None):
+    """Exact rank."""
+    m = _integer_rows(A)
+    if ncols is None:
+        ncols = len(m[0]) if m else 0
+    return len(_ff_echelon(m, ncols))
+
+
+def _primitive_ints(ints):
+    """Divide a nonzero integer vector by its gcd, signed so the first nonzero
+    entry is positive."""
+    g = math.gcd(*ints)
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return tuple(Fraction(v // g) for v in ints)
+
+
+def primitive(vec):
+    """Scale a rational vector to coprime integers with positive first nonzero
+    entry.  The zero vector is returned unchanged.  Entries pass the gate of
+    dhpoly.linalg: int or Fraction, else TypeError."""
+    [ints] = _integer_rows([vec])
+    if not any(ints):
+        return tuple(Fraction(v) for v in ints)
+    return _primitive_ints(ints)
+
+
+def nullspace(A, ncols=None):
+    """Exact basis of the right kernel of A.
+
+    Basis vectors come from the RREF with free variables taken in column
+    order, each scaled to primitive integers with positive first nonzero
+    entry.  Returns an empty list iff A has full column rank.  ``ncols`` must
+    be given when A has no rows.
+    """
+    m = _integer_rows(A)
+    if ncols is None:
+        if not m:
+            raise ValueError("ncols is required for a matrix with no rows")
+        ncols = len(m[0])
+    pivots = _ff_echelon(m, ncols)
+    pivot_cols = {c for _, c in pivots}
+    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+    # d * R gives each kernel vector in integers: d at its free column and
+    # -d * R[r][f] at pivot column c_r.
+    d, reduced = _back_substitute(m, pivots, free_cols)
+    basis = []
+    for i, f in enumerate(free_cols):
+        v = [0] * ncols
+        v[f] = d
+        for (_, c), row in zip(pivots, reduced):
+            v[c] = -row[i]
+        basis.append(_primitive_ints(v))
+    return basis
+
+
 def fraction_rref(rows, ncols):
     """RREF by Fraction back-substitution over the fraction-free echelon form:
-    the reference that linalg.rref's integer back-substitution is checked
-    against.  Returns (rows, pivot_columns) like linalg.rref."""
+    the reference that rref's integer back-substitution is checked against.
+    Returns (rows, pivot_columns) like rref."""
     m = _integer_rows(rows)
     pivots = _ff_echelon(m, ncols)
     reduced = [[Fraction(v) for v in row] for row in m]
@@ -267,12 +339,12 @@ def nullspace_basis(N):
         for key, c in image.terms():
             rows[target_index[key]][col] = c
 
-    kernel = linalg.nullspace(rows, ncols=len(sources))
-    echelon, _ = linalg.rref(kernel, ncols=len(sources))
+    kernel = nullspace(rows, ncols=len(sources))
+    echelon, _ = rref(kernel, ncols=len(sources))
 
     elements = []
     for vec in echelon:
-        vec = linalg.primitive(vec)
+        vec = primitive(vec)
         elements.append(BiPoly({sources[i]: v for i, v in enumerate(vec) if v}))
     # ascending degree; within a degree, descending leading monomial (x first)
     elements.sort(key=lambda p: (p.degree, -p.leading_term()[0][0]))
@@ -282,7 +354,7 @@ def nullspace_basis(N):
 def _search_impulse(pool, table, constraint_sets, m, k):
     for points in constraint_sets:
         rows = [table[point] for point in points]
-        for vec in linalg.nullspace(rows, ncols=len(pool)):
+        for vec in nullspace(rows, ncols=len(pool)):
             acc = {}
             for v, terms in zip(vec, pool):
                 if v:

@@ -292,6 +292,25 @@ class TestEval:
         assert main(["eval", str(poly_path), "--size", str(MAX_EVAL_SIZE + 1)]) == 2
         _assert_input_error(capsys)
 
+    @needs_int_limit
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("p.txt", "1*x^" + "9" * (INT_LIMIT + 1)),
+            ("p.json", '[{"xexp": ' + "9" * (INT_LIMIT + 1) + ', "yexp": 0, "num": "1", "den": "1"}]'),
+        ],
+        ids=["text", "json"],
+    )
+    def test_exponent_past_int_limit_is_parse_error(self, name, text, tmp_path, capsys):
+        poly_path = tmp_path / name
+        poly_path.write_text(text)
+        assert main(["eval", str(poly_path), "--size", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        record = json.loads(captured.err)
+        assert record["code"] == "parse-error"
+        assert str(INT_LIMIT) in record["message"] and "9" * 40 not in record["message"]
+
     def test_float_coefficient_is_parse_error(self, tmp_path, capsys):
         poly_path = tmp_path / "p.json"
         poly_path.write_text('[{"xexp": 1, "yexp": 0, "num": 1.5, "den": "1"}]')

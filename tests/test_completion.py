@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -19,8 +20,9 @@ from dhpoly import (
     linalg,
 )
 
-from dhpoly.completion import _response, _response_inverse
+from dhpoly.completion import _response, _response_inverse, _tau
 from dhpoly.formats import format_matrix, parse_matrix
+from dhpoly.grid import _common_denominator
 
 from helpers import affine_march, random_border, random_inner_harmonic, random_rational
 from reference_data import SAMPLE_7X7, WORKED_MINOR_3X3
@@ -147,6 +149,15 @@ class TestResponseInverse:
         assert [[sum(M[a][k] * R[k][b] for k in range(n)) for b in range(n)] for a in range(n)] == [
             [d * (a == b) for b in range(n)] for a in range(n)
         ]
+
+    @pytest.mark.parametrize("L", range(3, 41))
+    def test_matches_fraction_solve(self, L):
+        # the first column over its least common denominator d > 0: an
+        # unreduced or negative d would enlarge every dot product of complete
+        d, M = _response_inverse.__wrapped__(L)
+        assert d > 0 and math.gcd(d, *(row[0] for row in M)) == 1
+        D, column = _common_denominator(linalg.solve(_response(L), [1] + [0] * (L - 3)))
+        assert (d, M) == (D, _tau(column))
 
     @pytest.mark.parametrize("L", range(3, 17))
     def test_columns_match_solve(self, L):

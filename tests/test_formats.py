@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,11 @@ from dhpoly.formats import (
 from helpers import random_matrix, random_poly
 from reference_data import FULL_INTERPOLANT, SAMPLE_7X7
 
+#: The interpreter's int string limit: no integer with more digits is read,
+#: exponents included.  0, or an interpreter without the limit, means no bound.
+INT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+LONG = "9" * (INT_LIMIT + 1)
+
 
 class TestParseRational:
     def test_integers_and_fractions(self):
@@ -37,6 +43,33 @@ class TestParseRational:
     def test_zero_denominator(self):
         with pytest.raises(ParseError):
             parse_rational("3/0")
+
+
+@pytest.mark.skipif(not INT_LIMIT, reason="no int string limit")
+class TestIntLimit:
+    @pytest.mark.parametrize(
+        "read, text",
+        [
+            (parse_rational, LONG),
+            (parse_rational, f"1/{LONG}"),
+            (poly_from_text, f"1*x^{LONG}"),
+            (poly_from_text, f"1*x^1*y^{LONG}"),
+            (poly_from_text, f"{LONG}*x^1"),
+            (poly_from_json, f'[{{"xexp": {LONG}, "yexp": 0, "num": "1", "den": "1"}}]'),
+            (poly_from_json, f'[{{"xexp": 0, "yexp": {LONG}, "num": "1", "den": "1"}}]'),
+            (poly_from_json, f'[{{"xexp": 0, "yexp": 0, "num": "{LONG}", "den": "1"}}]'),
+        ],
+        ids=["num", "den", "text-xexp", "text-yexp", "text-coeff", "json-xexp", "json-yexp", "json-num"],
+    )
+    def test_past_limit_is_parse_error(self, read, text):
+        # the message names the limit and does not echo the digits
+        with pytest.raises(ParseError) as err:
+            read(text)
+        assert str(INT_LIMIT) in str(err.value) and "9" * 40 not in str(err.value)
+
+    def test_at_limit_is_read(self):
+        assert parse_rational("9" * INT_LIMIT) == 10**INT_LIMIT - 1
+        assert poly_from_text("1*x^" + "0" * (INT_LIMIT - 1) + "1") == X
 
 
 class TestParseMatrix:

@@ -31,10 +31,19 @@ from dhpoly import (
     standard_gf,
     tabulated_basis,
 )
-from dhpoly.linalg import nullspace, primitive, rank, rref, solve
+from dhpoly.linalg import solve
 from dhpoly.poly import BiPoly
 
-from helpers import naive_evaluate, random_border, random_matrix, random_poly
+from helpers import (
+    naive_evaluate,
+    nullspace,
+    primitive,
+    random_border,
+    random_matrix,
+    random_poly,
+    rank,
+    rref,
+)
 from reference_data import (
     BILINEAR_INTERPOLANT,
     CUBIC_RESTRICTION_7X7,

@@ -87,17 +87,19 @@ class TestCardinals:
 
         real, calls = mod._cardinals, []
 
-        def recording(polys, sites):
-            calls.append((polys, sites, real(polys, sites)))
-            return calls[-1][2]
+        def recording(polys, sites, zeros=()):
+            calls.append((polys, sites, zeros, real(polys, sites, zeros)))
+            return calls[-1][3]
 
         monkeypatch.setattr(mod, "_cardinals", recording)
         build_impulse_set.__wrapped__(L)
-        [(kernel, sites, cardinals)] = calls
+        [(polys, sites, zeros, cardinals)] = calls
+        assert len(polys) == 4 * L and all(p.degree >= 1 for p in polys)
         assert list(sites) == [(0, L), (L, L), (L - 1, L)]
-        assert all(is_discrete_harmonic(p) for p in kernel)
-        zeros = [*_block_border_sites(L), (L, 0), (L + 1, L)]
-        assert all(p.evaluate(x, y) == 0 for p in kernel for x, y in zeros)
+        border = set(_block_border_sites(L)) - {(0, 0)}
+        assert sorted(zeros) == sorted([*border, (L, 0), (L + 1, L)])
+        assert all(is_discrete_harmonic(c) for c in cardinals)
+        assert all(c.evaluate(x, y) == 0 for c in cardinals for x, y in [(0, 0), *zeros])
         assert_cardinal(cardinals, sites)
 
     @pytest.mark.parametrize("L", range(1, 9))
@@ -183,16 +185,19 @@ class TestInterpolate3x3:
             interpolate_3x3(WORKED_MINOR_3X3)
 
     def test_telescopic_solves_no_system(self, monkeypatch):
-        real, calls = linalg.solve, []
+        # with the base cardinals and impulse sets built, a request runs no
+        # elimination at all
+        real, calls = linalg._ff_echelon, []
 
-        def counting(A, b):
-            calls.append(len(A))
-            return real(A, b)
+        def counting(m, ncols):
+            calls.append(len(m))
+            return real(m, ncols)
 
-        monkeypatch.setattr(linalg, "solve", counting)
-        _base_cardinals.cache_clear()
-        assert interpolates(telescopic(WORKED_4X4), WORKED_4X4)
-        assert telescopic(WORKED_MINOR_3X3) == MINOR_INTERPOLANT
+        telescopic(WORKED_4X4)
+        monkeypatch.setattr(linalg, "_ff_echelon", counting)
+        for _ in range(3):
+            assert interpolates(telescopic(WORKED_4X4), WORKED_4X4)
+            assert telescopic(WORKED_MINOR_3X3) == MINOR_INTERPOLANT
         assert calls == []
 
 
@@ -265,21 +270,17 @@ class TestBuildImpulseSet:
 
     @pytest.mark.parametrize("L", range(3, 9))
     def test_one_nullspace_and_one_rref_per_size(self, L, monkeypatch):
-        calls = []
+        # one elimination per size, where a nullspace and an rref once ran:
+        # the square 4L x 4L cardinal system with three right-hand sides
+        real, calls = linalg._ff_echelon, []
 
-        def counting(name):
-            real = getattr(linalg, name)
+        def counting(m, ncols):
+            calls.append((len(m), len(m[0]), ncols))
+            return real(m, ncols)
 
-            def counted(*args, **kwargs):
-                calls.append(name)
-                return real(*args, **kwargs)
-
-            return counted
-
-        for name in ("nullspace", "rref"):
-            monkeypatch.setattr(linalg, name, counting(name))
+        monkeypatch.setattr(linalg, "_ff_echelon", counting)
         build_impulse_set.__wrapped__(L)
-        assert sorted(calls) == ["nullspace", "rref"]
+        assert calls == [(4 * L, 4 * L + 3, 4 * L)]
 
     def test_pinned_digest(self):
         # SHA-256 of the impulse sets 3..16 (polynomials and values); a

@@ -1,4 +1,5 @@
 import copy
+import math
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -6,9 +7,9 @@ from fractions import Fraction
 import pytest
 
 from dhpoly import SingularMatrixError, complete, generate_basis, is_inner_harmonic
-from dhpoly.linalg import nullspace, primitive, rank, rref, solve
+from dhpoly.linalg import _integer_solve, solve
 
-from helpers import random_border, random_rational
+from helpers import nullspace, primitive, random_border, random_rational, rank, rref
 from reference_data import BASE_SYSTEM_MATRIX, BASE_SYSTEM_RHS, MINOR_COEFFS
 
 
@@ -82,6 +83,31 @@ class TestSolve:
                 nullspace([[value, 1]])
             with pytest.raises(TypeError):
                 primitive([value, 1])
+
+
+class TestIntegerSolve:
+    """The one elimination behind solve: (d, X) with A X = B / d over the
+    least common denominator, d > 0."""
+
+    def test_sign_and_gcd_reduction(self):
+        assert _integer_solve([[-2]], [[1]]) == (2, [[-1]])
+        assert _integer_solve([[2, 0], [0, 4]], [[2, 4], [2, 0]]) == (2, [[2, 4], [1, 0]])
+
+    def test_random_systems_several_columns(self):
+        rng = random.Random(34)
+        solved = 0
+        while solved < 200:
+            n, k = rng.randint(1, 8), rng.randint(1, 3)
+            A = [[random_rational(rng, 50, 50) for _ in range(n)] for _ in range(n)]
+            B = [[random_rational(rng, 50, 50) for _ in range(k)] for _ in range(n)]
+            try:
+                d, X = _integer_solve(A, B)
+            except SingularMatrixError:
+                continue
+            assert d > 0 and math.gcd(d, *(v for row in X for v in row)) == 1
+            for j in range(k):
+                assert [Fraction(row[j], d) for row in X] == solve(A, [b[j] for b in B])
+            solved += 1
 
 
 class TestFactor:

@@ -37,7 +37,7 @@ from dhpoly import (
     telescopic,
 )
 from dhpoly.formats import poly_to_json
-from dhpoly.linalg import nullspace, rank, rref, solve
+from dhpoly.linalg import solve
 from dhpoly.poly import _linear_combination
 
 from helpers import (
@@ -48,6 +48,9 @@ from helpers import (
     naive_evaluate,
     naive_phi,
     naive_step,
+    nullspace,
+    rank,
+    rref,
 )
 
 small = settings(max_examples=20, deadline=None, derandomize=True, database=None)
