@@ -17,7 +17,6 @@ from .errors import (
     InvariantError,
     ParseError,
     PreconditionError,
-    SingularMatrixError,
     SizeError,
 )
 from .grid import (
@@ -38,7 +37,6 @@ from .interpolate import (
     interpolate_3x3,
     telescopic,
 )
-from .linalg import solve
 from .poly import (
     BiPoly,
     DHBasis,
@@ -72,7 +70,6 @@ __all__ = [
     "PreconditionError",
     "RatMatrix",
     "SandConfig",
-    "SingularMatrixError",
     "SizeError",
     "X",
     "Y",
@@ -98,7 +95,6 @@ __all__ = [
     "orbit",
     "phi",
     "random_config",
-    "solve",
     "standard_gf",
     "step",
     "tabulated_basis",

@@ -18,7 +18,6 @@ from .errors import (
     InvariantError,
     ParseError,
     PreconditionError,
-    SingularMatrixError,
     SizeError,
 )
 from .formats import (
@@ -57,6 +56,20 @@ MAX_POLY_DEGREE = 2 * (MAX_INTERPOLATE_SIZE - 1)
 def _emit_error(code_name, message, location=None):
     record = {"code": code_name, "message": message, "location": location}
     print(json.dumps(record), file=sys.stderr)
+
+
+def _input_message(exc):
+    """The message of an input-error record.  formats checks every number
+    read against the int string limit, so the interpreter's own error for it
+    comes from an output; its advice, sys.set_int_max_str_digits(), is no
+    use to a CLI user, so the record names the variable that sets the limit."""
+    if type(exc) is ValueError and "int_max_str_digits" in str(exc):
+        return (
+            "an output number is longer than the int string limit of "
+            f"{sys.get_int_max_str_digits()} digits; the environment variable "
+            "PYTHONINTMAXSTRDIGITS sets the limit (0 lifts it)"
+        )
+    return str(exc)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -284,12 +297,12 @@ def main(argv=None):
         _emit_error("parse-error", str(exc), location)
         return EXIT_USAGE
     except (SizeError, PreconditionError, ValueError) as exc:
-        _emit_error("input-error", str(exc))
+        _emit_error("input-error", _input_message(exc))
         return EXIT_USAGE
     except OSError as exc:
         _emit_error("io-error", str(exc))
         return EXIT_USAGE
-    except (InvariantError, SingularMatrixError) as exc:
+    except InvariantError as exc:
         _emit_error("internal-error", str(exc))
         return EXIT_INTERNAL
 

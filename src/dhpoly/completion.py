@@ -124,8 +124,8 @@ def _response_inverse(L):
     R(L)^-1 lies in the tau algebra with R(L), so one integer solve
     (linalg._integer_solve, which gives d > 0 and the column over its least
     common denominator) gives its first column and _tau the rest.  R(L) is
-    nonsingular (see complete); the solve would raise SingularMatrixError
-    otherwise."""
+    nonsingular (see complete); a singular one would be a bug, and the solve
+    raises InvariantError for it."""
     d, X = linalg._integer_solve(_response(L), [[1]] + [[0]] * (L - 3))
     return d, _tau([row[0] for row in X])
 

@@ -9,17 +9,10 @@ class PreconditionError(ValueError):
     """Input violates a documented precondition of the operation."""
 
 
-class SingularMatrixError(ArithmeticError):
-    """Square system has no unique solution.  Carries the rank found."""
-
-    def __init__(self, rank, message=None):
-        super().__init__(message or f"singular system (rank {rank})")
-        self.rank = rank
-
-
 class InvariantError(RuntimeError):
-    """An internal consistency condition failed, such as a singular cardinal
-    system or a result failing its check; a bug, not bad input (CLI exit 3)."""
+    """An internal consistency condition failed, such as a singular system
+    (every system the package solves is nonsingular) or a result failing its
+    check; a bug, not bad input (CLI exit 3)."""
 
 
 class ParseError(ValueError):

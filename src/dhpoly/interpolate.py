@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .errors import InvariantError, PreconditionError, SingularMatrixError, SizeError
+from .errors import InvariantError, PreconditionError, SizeError
 from .grid import _count, is_inner_harmonic
 from .poly import X, _linear_combination, _primitive_poly, generate_basis, is_discrete_harmonic
 
@@ -34,19 +34,21 @@ def _cardinals(polys, sites, zeros=()):
     """The polynomials in the span of ``polys`` that vanish at ``zeros`` and
     are 1 at one of ``sites`` and 0 at the others, in ``sites`` order.  With
     A holding polys[k] at the i-th site of zeros + sites in row i, column k,
-    their coefficients are the columns of A's inverse past the zero rows,
-    from one solve of A C = [0; I] (linalg._integer_solve), each combined
-    with ``polys``.  A system that is not square and nonsingular raises
-    InvariantError."""
+    their coefficients are the columns of A's inverse past the zero rows.
+    The solve (linalg._integer_solve of A' C = [0; I]) reads A' = A diag(D),
+    the integer Horner sums D_k * polys[k] at the sites, so polys[k] enters
+    each cardinal with D_k times its entry of C.  A system that is not
+    square and nonsingular raises InvariantError."""
     n, rows = len(sites), (*zeros, *sites)
     if len(polys) != len(rows):
         raise InvariantError(f"{len(polys)} polynomials for {len(rows)} conditions")
     units = [[0] * n for _ in zeros] + [[int(i == k) for k in range(n)] for i in range(n)]
-    try:
-        d, C = linalg._integer_solve([[p.evaluate(x, y) for p in polys] for x, y in rows], units)
-    except SingularMatrixError:
-        raise InvariantError(f"cardinal system over {len(rows)} sites is singular") from None
-    return tuple(_linear_combination([Fraction(v, d) for v in column], polys) for column in zip(*C))
+    d, C = linalg._integer_solve([[p._numerator_at(x, y) for p in polys] for x, y in rows], units)
+    dens = [p._den for p in polys]
+    return tuple(
+        _linear_combination([Fraction(v * D, d) for v, D in zip(column, dens)], polys)
+        for column in zip(*C)
+    )
 
 
 @lru_cache(maxsize=None)

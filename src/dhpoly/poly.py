@@ -13,7 +13,8 @@ one integer lcm of the denominators, one _combine of the numerator maps.
 
 Both evaluators read one Horner table, built on first use: the numerators
 by power of x, highest first, each power's by descending y.  evaluate runs
-Horner in y inside Horner in x and divides by D once; the restriction to the
+Horner in y inside Horner in x (_numerator_at, which the cardinal systems of
+interpolate read as ints) and divides by D once; the restriction to the
 lattice, _lattice_rows, does the same in integers one lattice row at a time.
 Every step is exact, so each value equals the term-by-term sum.
 
@@ -146,11 +147,16 @@ class BiPoly:
         Horner in y down the columns of the Horner table, the outer sum
         Horner in x, and D divides once at the end.  That only regroups the
         term-by-term sum in exact int or Fraction arithmetic, so the value is
-        the same.  The operand gate and the table check are inlined (the
-        hottest call); a failure raises TypeError.
+        the same.  The operand gate is inlined (the hottest call); a failure
+        raises TypeError.  The sum before the division is _numerator_at.
         """
         if not (type(px) in _RATIONAL and type(py) in _RATIONAL):
             raise TypeError("points must have int or Fraction coordinates")
+        return Fraction(self._numerator_at(px, py), self._den)
+
+    def _numerator_at(self, px, py):
+        """D * P(px, py), the Horner sum that evaluate divides by D: an int
+        at an integer point.  The points are not gated here."""
         table = self._table
         if table is None:
             table = self._horner_table()
@@ -160,7 +166,7 @@ class BiPoly:
             for c in column:
                 inner = inner * py + c
             acc = acc * px + inner
-        return Fraction(acc, self._den)
+        return acc
 
     def _horner_table(self):
         """The Horner table, built on first use: column k holds the

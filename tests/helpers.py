@@ -14,17 +14,15 @@ from dhpoly import (
     discrete_laplacian_poly,
     extension_coefficients,
     generate_basis,
-    linalg,
 )
 from dhpoly.errors import InvariantError
-from dhpoly.grid import _count, _fraction
+from dhpoly.grid import _common_denominator, _count, _fraction
 from dhpoly.interpolate import (
     _BASE_BASIS,
     ImpulseSet,
     _block_border_sites,
     _verify_impulse,
 )
-from dhpoly.linalg import _back_substitute, _ff_echelon, _integer_rows
 from dhpoly.poly import DHBasis, _primitive_poly
 
 
@@ -88,7 +86,7 @@ def affine_complete(border):
     L = border.size
     n = L - 2
     value, rows, top = affine_march(border)
-    x = linalg.solve([f[:n] for f in top], [value[(1, j)] - f[n] for j, f in enumerate(top, 2)])
+    x = solve([f[:n] for f in top], [value[(1, j)] - f[n] for j, f in enumerate(top, 2)])
     x = [*x, 1]
     grid = [[value[(1, j)] for j in range(1, L + 1)]]
     grid += [[sum(c * v for c, v in zip(f, x)) for f in row] for row in reversed(rows)]
@@ -103,7 +101,7 @@ def solve_3x3(A):
     sites = _block_border_sites(3)
     rows = [[p.evaluate(x, y) for p in _BASE_BASIS] for x, y in sites]
     rhs = [A.at(x, y) for x, y in sites]
-    coeffs = linalg.solve(rows, rhs)
+    coeffs = solve(rows, rhs)
     return sum((c * p for c, p in zip(coeffs, _BASE_BASIS) if c), BiPoly.zero())
 
 
@@ -213,9 +211,116 @@ def naive_step(config):
     return SandConfig(tuple(tuple(row) for row in new))
 
 
+class SingularMatrixError(ArithmeticError):
+    """Square system has no unique solution.  Carries the rank found."""
+
+    def __init__(self, rank, message=None):
+        super().__init__(message or f"singular system (rank {rank})")
+        self.rank = rank
+
+
+def _integer_rows(A):
+    """Rows of A through the one exactness gate and scaled each by the lcm of
+    its denominators, in one pass; row scaling preserves solution sets and row
+    spaces.  int entries are taken as they are, anything else goes through
+    grid._fraction, so strings, floats, Decimals, bools and int or Fraction
+    subclasses raise TypeError.  Ragged rows raise ValueError."""
+    out = []
+    for row in A:
+        out.append(_common_denominator([v if type(v) is int else _fraction(v) for v in row])[1])
+    if any(len(r) != len(out[0]) for r in out):
+        raise ValueError("ragged matrix")
+    return out
+
+
+def _ff_echelon(m, ncols):
+    """Fraction-free row echelon over the integers, in place.
+
+    Only the first ``ncols`` columns are eligible as pivots.  Returns the list
+    of (row, col) pivots.  Below each pivot only the columns right of it are
+    updated: left of it those rows are already zero, since every earlier
+    column is either cleared below its pivot or was zero there when skipped.
+    """
+    nrows = len(m)
+    width = len(m[0]) if m else 0
+    pivots = []
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+        top = m[r]
+        piv = top[c]
+        for i in range(r + 1, nrows):
+            row = m[i]
+            mic = row[c]
+            for j in range(c + 1, width):
+                row[j] = (piv * row[j] - mic * top[j]) // prev
+            row[c] = 0
+        pivots.append((r, c))
+        prev = piv
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
+def _back_substitute(m, pivots, cols):
+    """Integer back-substitution over the echelon form left by _ff_echelon.
+
+    Returns (d, rows).  d is the last pivot, the Bareiss determinant of the
+    pivot minor (1 when there are no pivots), and rows[k] lists
+    d * R[k][j] for j in ``cols``, where R is the reduced row echelon form.
+    By Cramer's rule every entry of d * R is an integer, so working from the
+    last pivot up,
+
+        row_k <- (d * row_k - sum_{s > k} row_k[c_s] * row_s) / row_k[c_k]
+
+    divides exactly at every step.
+    """
+    if not pivots:
+        return 1, []
+    d = m[pivots[-1][0]][pivots[-1][1]]
+    out = [None] * len(pivots)
+    for k in range(len(pivots) - 1, -1, -1):
+        row = m[pivots[k][0]]
+        acc = [d * row[j] for j in cols]
+        for s in range(k + 1, len(pivots)):
+            f = row[pivots[s][1]]
+            if f:
+                acc = [a - f * v for a, v in zip(acc, out[s])]
+        p = row[pivots[k][1]]
+        out[k] = [a // p for a in acc]
+    return d, out
+
+
+def solve(A, b):
+    """Exact solution of the square rational system A x = b, as Fractions,
+    from the general elimination above (pivot lists, rank-deficient columns
+    skipped): the reference that dhpoly.linalg._integer_solve, which shares
+    no code with it, is checked against.  Entries pass the exactness gate
+    (see _integer_rows).  Raises SingularMatrixError (carrying the rank of
+    A) when A is singular, ValueError for a bad shape."""
+    A, b = [list(row) for row in A], list(b)
+    n = len(A)
+    if len(b) != n:
+        raise ValueError("right-hand side length must match the matrix size")
+    if n == 0 or any(len(row) != n for row in A):
+        raise ValueError("solve requires a square nonempty matrix")
+    m = _integer_rows(row + [t] for row, t in zip(A, b))
+    pivots = _ff_echelon(m, n)
+    if len(pivots) < n:
+        raise SingularMatrixError(len(pivots))
+    d, X = _back_substitute(m, pivots, [n])
+    return [Fraction(row[0], d) for row in X]
+
+
 def rref(A, ncols=None):
     """Reduced row echelon form over the rationals, from the integer
-    elimination and back-substitution of dhpoly.linalg.
+    elimination and back-substitution above.
 
     Returns (rows, pivot_columns) where rows is a list of Fraction tuples with
     zero rows dropped.  The RREF of a row space is unique, so the output is a
@@ -248,8 +353,8 @@ def _primitive_ints(ints):
 
 def primitive(vec):
     """Scale a rational vector to coprime integers with positive first nonzero
-    entry.  The zero vector is returned unchanged.  Entries pass the gate of
-    dhpoly.linalg: int or Fraction, else TypeError."""
+    entry.  The zero vector is returned unchanged.  Entries pass the
+    exactness gate: int or Fraction, else TypeError."""
     [ints] = _integer_rows([vec])
     if not any(ints):
         return tuple(Fraction(v) for v in ints)

@@ -10,12 +10,15 @@ import pytest
 import dhpoly
 from dhpoly import (
     BiPoly,
+    BorderSpec,
     ImpulseSet,
     InvariantError,
     RatMatrix,
     SizeError,
     X,
+    Y,
     build_impulse_set,
+    complete,
     evaluate_on_lattice,
     interpolates,
     is_discrete_harmonic,
@@ -167,23 +170,12 @@ class TestComplete:
         INT_LIMIT // 20 digits (215 by default) fills to entries over the int
         string limit: exit 2, nothing on stdout.  Lifting the limit lets the
         same request through; the package itself never lifts it."""
-        rng = random.Random(28)
-        low = 10 ** (INT_LIMIT // 20 - 1)
-        L = 8
-        path = tmp_path / "long.csv"
-        path.write_text("".join(
-            ",".join(
-                str(Fraction(rng.randint(1, 9), rng.randrange(low, 10 * low)))
-                if i in (0, L - 1) or j in (0, L - 1) else "?"
-                for j in range(L)
-            ) + "\n"
-            for i in range(L)
-        ))
-        assert main(["complete", str(path)]) == 2
+        argv = _long_output_request("complete", tmp_path / "long.csv")
+        assert main(argv) == 2
         _assert_input_error(capsys)
         sys.set_int_max_str_digits(0)
         try:
-            assert main(["complete", str(path)]) == 0
+            assert main(argv) == 0
             assert len(max(capsys.readouterr().out.replace("/", ",").split(","), key=len)) > INT_LIMIT
         finally:
             sys.set_int_max_str_digits(INT_LIMIT)
@@ -387,6 +379,64 @@ class TestLaplacian:
         path.write_text("1*x^4 + -2*x^2 + -6*x^2*y^2 + 1*y^4")
         assert main(["laplacian", "--poly", str(path)]) == 0
         assert capsys.readouterr().out.strip() == "[]"
+
+
+def _long_output_request(command, path):
+    """Write an input within the int string limit whose output is not, and
+    return the command line: denominators of INT_LIMIT // 4 (laplacian),
+    INT_LIMIT // 6 (interpolate) and 2 * INT_LIMIT // 3 (eval) digits meet
+    in one output entry or coefficient, and complete fills an 8x8 border of
+    INT_LIMIT // 20 digits (see TestComplete)."""
+    rng = random.Random(28)
+
+    def over(digits):
+        return Fraction(1, rng.randrange(10 ** (digits - 1), 10**digits))
+
+    if command == "complete":
+        L, low = 8, 10 ** (INT_LIMIT // 20 - 1)
+        path.write_text("".join(
+            ",".join(
+                str(Fraction(rng.randint(1, 9), rng.randrange(low, 10 * low)))
+                if i in (0, L - 1) or j in (0, L - 1) else "?"
+                for j in range(L)
+            ) + "\n"
+            for i in range(L)
+        ))
+        return ["complete", str(path)]
+    if command == "laplacian":
+        rows = [[over(INT_LIMIT // 4) for _ in range(3)] for _ in range(3)]
+        path.write_text(format_matrix(RatMatrix(rows)))
+        return ["laplacian", str(path)]
+    if command == "interpolate":
+        border = BorderSpec(3, tuple(over(INT_LIMIT // 6) for _ in range(8)))
+        path.write_text(format_matrix(complete(border)))
+        return ["interpolate", str(path)]
+    path.write_text(poly_to_json(X * over(2 * INT_LIMIT // 3) + Y * over(2 * INT_LIMIT // 3)))
+    return ["eval", str(path), "--size", "3"]
+
+
+@needs_int_limit
+@pytest.mark.parametrize("command", ["complete", "interpolate", "laplacian", "eval"])
+def test_output_past_int_limit_names_the_variable(command, tmp_path, capsys):
+    """Every writer maps the interpreter's int string limit error to one
+    input-error record (exit 2, nothing on stdout) that names the limit and
+    PYTHONINTMAXSTRDIGITS, not sys.set_int_max_str_digits(), which a CLI
+    user cannot call.  With the limit lifted the same request succeeds."""
+    argv = _long_output_request(command, tmp_path / "input")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    record = json.loads(captured.err)
+    assert record["code"] == "input-error"
+    assert "PYTHONINTMAXSTRDIGITS" in record["message"]
+    assert str(INT_LIMIT) in record["message"]
+    assert "set_int_max_str_digits" not in record["message"]
+    sys.set_int_max_str_digits(0)
+    try:
+        assert main(argv) == 0
+        assert capsys.readouterr().out
+    finally:
+        sys.set_int_max_str_digits(INT_LIMIT)
 
 
 class TestPolyDegreeLimit:

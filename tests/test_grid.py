@@ -31,7 +31,6 @@ from dhpoly import (
     standard_gf,
     tabulated_basis,
 )
-from dhpoly.linalg import solve
 from dhpoly.poly import BiPoly
 
 from helpers import (
@@ -43,6 +42,7 @@ from helpers import (
     random_poly,
     rank,
     rref,
+    solve,
 )
 from reference_data import (
     BILINEAR_INTERPOLANT,
@@ -102,7 +102,8 @@ NOT_EXACT = {
     "numpy-int64": (_np_int64, True),
 }
 
-#: Every entry point that takes numbers: name -> (call, integers only).
+#: Every entry point that takes numbers, and the oracles of helpers that
+#: read numbers through the same gate: name -> (call, integers only).
 GATED = {
     "RatMatrix": (lambda v: RatMatrix([[v]]), False),
     "BorderSpec": (lambda v: BorderSpec(3, (0,) * 7 + (v,)), False),

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -35,7 +36,6 @@ from dhpoly.interpolate import (
     _cardinals,
     _extend,
 )
-from dhpoly.linalg import solve
 
 from helpers import (
     lagrange_bilinear,
@@ -43,6 +43,7 @@ from helpers import (
     random_inner_harmonic,
     random_matrix,
     search_impulse_set,
+    solve,
     solve_3x3,
     sum_extend,
 )
@@ -108,6 +109,14 @@ class TestCardinals:
         cardinals = _cardinals([X**k for k in range(L)], sites)
         assert_cardinal(cardinals, sites)
         assert all(c.degree <= L - 1 for c in cardinals)
+
+    def test_polynomials_with_denominators(self):
+        # the solve reads D_k * polys[k]; the combination must undo that
+        polys = [BiPoly.constant(Fraction(2, 3)), X / 5 + Fraction(1, 7), X**2 / 6 - X / 4]
+        sites = [(0, 0), (1, 0), (3, 0)]
+        cardinals = _cardinals(polys, sites)
+        assert_cardinal(cardinals, sites)
+        assert cardinals == _cardinals([X**k for k in range(3)], sites)
 
     def test_repeated_site_raises(self):
         with pytest.raises(InvariantError):
@@ -187,14 +196,14 @@ class TestInterpolate3x3:
     def test_telescopic_solves_no_system(self, monkeypatch):
         # with the base cardinals and impulse sets built, a request runs no
         # elimination at all
-        real, calls = linalg._ff_echelon, []
+        real, calls = linalg._integer_solve, []
 
-        def counting(m, ncols):
-            calls.append(len(m))
-            return real(m, ncols)
+        def counting(A, B):
+            calls.append(len(A))
+            return real(A, B)
 
         telescopic(WORKED_4X4)
-        monkeypatch.setattr(linalg, "_ff_echelon", counting)
+        monkeypatch.setattr(linalg, "_integer_solve", counting)
         for _ in range(3):
             assert interpolates(telescopic(WORKED_4X4), WORKED_4X4)
             assert telescopic(WORKED_MINOR_3X3) == MINOR_INTERPOLANT
@@ -270,17 +279,17 @@ class TestBuildImpulseSet:
 
     @pytest.mark.parametrize("L", range(3, 9))
     def test_one_nullspace_and_one_rref_per_size(self, L, monkeypatch):
-        # one elimination per size, where a nullspace and an rref once ran:
-        # the square 4L x 4L cardinal system with three right-hand sides
-        real, calls = linalg._ff_echelon, []
+        # one solve per size, where a nullspace and an rref once ran: the
+        # square 4L x 4L cardinal system with three right-hand sides
+        real, calls = linalg._integer_solve, []
 
-        def counting(m, ncols):
-            calls.append((len(m), len(m[0]), ncols))
-            return real(m, ncols)
+        def counting(A, B):
+            calls.append((len(A), {len(row) for row in A}, {len(row) for row in B}))
+            return real(A, B)
 
-        monkeypatch.setattr(linalg, "_ff_echelon", counting)
+        monkeypatch.setattr(linalg, "_integer_solve", counting)
         build_impulse_set.__wrapped__(L)
-        assert calls == [(4 * L, 4 * L + 3, 4 * L)]
+        assert calls == [(4 * L, {4 * L}, {3})]
 
     def test_pinned_digest(self):
         # SHA-256 of the impulse sets 3..16 (polynomials and values); a

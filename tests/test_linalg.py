@@ -5,11 +5,21 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+import sympy
 
-from dhpoly import SingularMatrixError, complete, generate_basis, is_inner_harmonic
-from dhpoly.linalg import _integer_solve, solve
+from dhpoly import InvariantError, complete, generate_basis, is_inner_harmonic
+from dhpoly.linalg import _integer_solve
 
-from helpers import nullspace, primitive, random_border, random_rational, rank, rref
+from helpers import (
+    SingularMatrixError,
+    nullspace,
+    primitive,
+    random_border,
+    random_rational,
+    rank,
+    rref,
+    solve,
+)
 from reference_data import BASE_SYSTEM_MATRIX, BASE_SYSTEM_RHS, MINOR_COEFFS
 
 
@@ -20,6 +30,8 @@ def random_system(rng, n):
 
 
 class TestSolve:
+    """The oracle's rational solve (helpers.solve), on its own elimination."""
+
     def test_identity(self):
         b = [Fraction(3), Fraction(-1, 2), Fraction(7, 3)]
         eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -86,28 +98,51 @@ class TestSolve:
 
 
 class TestIntegerSolve:
-    """The one elimination behind solve: (d, X) with A X = B / d over the
-    least common denominator, d > 0."""
+    """The one solve of the package, on square integer systems: (d, X) with
+    A X = B / d over the least common denominator, d > 0; a singular A is a
+    bug and raises InvariantError."""
 
     def test_sign_and_gcd_reduction(self):
+        # the last pivot is -2 and 8 here: unsigned, or unreduced, d is wrong
         assert _integer_solve([[-2]], [[1]]) == (2, [[-1]])
         assert _integer_solve([[2, 0], [0, 4]], [[2, 4], [2, 0]]) == (2, [[2, 4], [1, 0]])
+        assert _integer_solve([[0, -3], [5, 0]], [[3], [10]]) == (1, [[2], [-1]])
 
     def test_random_systems_several_columns(self):
         rng = random.Random(34)
         solved = 0
         while solved < 200:
-            n, k = rng.randint(1, 8), rng.randint(1, 3)
-            A = [[random_rational(rng, 50, 50) for _ in range(n)] for _ in range(n)]
-            B = [[random_rational(rng, 50, 50) for _ in range(k)] for _ in range(n)]
+            n, k = rng.randint(1, 12), rng.randint(1, 4)
+            A = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]
+            B = [[rng.randint(-50, 50) for _ in range(k)] for _ in range(n)]
             try:
-                d, X = _integer_solve(A, B)
+                columns = [solve(A, [b[j] for b in B]) for j in range(k)]
             except SingularMatrixError:
                 continue
-            assert d > 0 and math.gcd(d, *(v for row in X for v in row)) == 1
-            for j in range(k):
-                assert [Fraction(row[j], d) for row in X] == solve(A, [b[j] for b in B])
+            d, X = _integer_solve(A, B)
+            lcd = math.lcm(*(v.denominator for column in columns for v in column))
+            assert (d, X) == (lcd, [[int(c[i] * lcd) for c in columns] for i in range(n)])
+            exact = sympy.Matrix(A).LUsolve(sympy.Matrix(B))
+            assert exact == sympy.Matrix(X) / d
             solved += 1
+
+    def test_inputs_not_modified(self):
+        A, B = [[2, 1], [1, 3]], [[1], [2]]
+        _integer_solve(A, B)
+        assert (A, B) == ([[2, 1], [1, 3]], [[1], [2]])
+
+    @pytest.mark.parametrize(
+        "A",
+        [
+            [[0, 1], [0, 2]],  # zero first column
+            [[1, 2, 0], [3, 4, 0], [5, 6, 0]],  # zero last column
+            [[1, 2, 3], [2, 5, 7], [2, 5, 7]],  # two equal rows below a good pivot
+        ],
+        ids=["zero-first-column", "zero-last-column", "equal-rows"],
+    )
+    def test_singular_raises_invariant_error(self, A):
+        with pytest.raises(InvariantError):
+            _integer_solve(A, [[1]] * len(A))
 
 
 class TestFactor:
@@ -194,8 +229,8 @@ class TestDeterminism:
 class TestCompletionSystemConditioning:
     @pytest.mark.parametrize("L", range(3, 11))
     def test_never_singular(self, L):
-        # complete() inverts its (L-2) x (L-2) marching system through
-        # linalg.solve, which raises SingularMatrixError on a singular system
+        # complete() inverts its (L-2) x (L-2) response matrix through
+        # linalg._integer_solve, which raises InvariantError on a singular one
         rng = random.Random(L)
         assert is_inner_harmonic(complete(random_border(rng, L)))
 

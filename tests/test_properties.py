@@ -22,7 +22,6 @@ from dhpoly import (
     PreconditionError,
     RatMatrix,
     SandConfig,
-    SingularMatrixError,
     complete,
     discrete_laplacian_matrix,
     discrete_laplacian_poly,
@@ -37,11 +36,11 @@ from dhpoly import (
     telescopic,
 )
 from dhpoly.formats import poly_to_json
-from dhpoly.linalg import solve
 from dhpoly.poly import _linear_combination
 
 from helpers import (
     FractionPoly,
+    SingularMatrixError,
     affine_complete,
     fraction_rref,
     kernel_from_rref,
@@ -51,6 +50,7 @@ from helpers import (
     nullspace,
     rank,
     rref,
+    solve,
 )
 
 small = settings(max_examples=20, deadline=None, derandomize=True, database=None)
