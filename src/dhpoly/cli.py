@@ -137,7 +137,7 @@ def cmd_interpolate(args):
         if args.verify and not interpolates(P, H):
             raise InvariantError("output polynomial does not interpolate the input")
     else:
-        # telescopic verifies its own result: harmonic, and equal on the border.
+        # telescopic verifies its own result: harmonic, and equal on the lattice.
         P = telescopic(H)
     _emit_poly(args, P)
     return EXIT_OK

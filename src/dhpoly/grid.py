@@ -10,9 +10,10 @@ other operations read matrices through this correspondence.
 It also holds what the other modules share: the exactness gate for values
 (the types _RATIONAL and the coercion _fraction), the count gate for sizes,
 degrees and step counts (_count), the one scaling to integers over a common
-denominator (_common_denominator) and the stencil on the integer rows of a
-matrix (_stencil).  The restriction of a polynomial to the lattice, in
-integers row by row, lives in poly as BiPoly._lattice_rows.
+denominator (_common_denominator), the stencil on the integer rows of a
+matrix (_stencil) and the one test that a polynomial matches lattice
+values (_matches), which reads the restriction of a polynomial to the
+lattice, in integers row by row, from poly's BiPoly._lattice_rows.
 """
 
 from __future__ import annotations
@@ -116,15 +117,9 @@ class RatMatrix:
 
     def at(self, x, y):
         """Value of the corresponding lattice function at (x, y): the entry
-        at lattice_to_matrix(x, y, size), with that check inlined (a hot
-        read)."""
-        rows = self._rows or self.rows
-        L = len(rows)
-        if not (type(x) is int and type(y) is int):
-            raise TypeError(f"point ({x!r}, {y!r}) is not a pair of ints")
-        if not (0 <= x < L and 0 <= y < L):
-            raise IndexError(f"point ({x}, {y}) outside the size-{L} lattice")
-        return rows[L - 1 - y][x]
+        at lattice_to_matrix(x, y, size)."""
+        i, j = lattice_to_matrix(x, y, self.size)
+        return self.rows[i - 1][j - 1]
 
     def lower_left_minor(self, m):
         """The m x m block in the lower-left corner of the display."""
@@ -206,7 +201,17 @@ def evaluate_on_lattice(P, L):
     return RatMatrix._from_ints(P._den, list(P._lattice_rows(L)))
 
 
+def _matches(P, den, rows):
+    """True iff P agrees on the size-len(rows) lattice with the display rows
+    of ints ``rows`` over ``den`` > 0, compared cross-multiplied with P's
+    integer lattice rows, so neither side need be in lowest terms."""
+    D = P._den
+    return all(
+        [n * den for n in got] == [v * D for v in want]
+        for got, want in zip(P._lattice_rows(len(rows)), rows)
+    )
+
+
 def interpolates(P, H):
-    """True iff P agrees with H at every lattice point (exact equality of
-    the two canonical integer forms)."""
-    return evaluate_on_lattice(P, H.size)._integer == H._integer
+    """True iff P agrees with H at every lattice point, in integers."""
+    return _matches(P, *H._integer)

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from . import linalg
 from .errors import InvariantError, PreconditionError, SizeError
-from .grid import _count, is_inner_harmonic
+from .grid import _count, _matches, interpolates, is_inner_harmonic
 from .poly import X, _linear_combination, _primitive_poly, generate_basis, is_discrete_harmonic
 
 #: Basis used for the 3x3 base case: the canonical elements of degree <= 3
@@ -96,28 +96,17 @@ def _block_border_sites(L):
     return tuple((x, y) for x in range(L) for y in (range(L) if x in ends else ends))
 
 
-def _matches_on_border(P, L, value):
-    """True iff P(x, y) == value(x, y) on the border sites of the L-lattice.
-    For discrete harmonic P and an inner-harmonic value function on the
-    lattice that is agreement everywhere: their difference is then
-    inner-harmonic, and an inner-harmonic function that vanishes on the
-    border vanishes inside (discrete maximum principle)."""
-    return all(P.evaluate(x, y) == value(x, y) for x, y in _block_border_sites(L))
-
-
 def _verify_impulse(xi, m, k):
     """Value at the designated site if xi has the exact single-impulse (or
-    dipole, for k = 3) pattern on the (m+1)-lattice, else None.  xi must be
-    discrete harmonic, so that matching the border means matching the whole
-    lattice (see _matches_on_border)."""
+    dipole, for k = 3) pattern on the whole (m+1)-lattice, else None."""
     sites = _step_sites(m)
     value = xi.evaluate(*sites[k])
     if value == 0:
         return None
-    # The pattern is inner-harmonic: corners lie in no stencil, and the one
-    # stencil holding the dipole (centred at (m-1, m-1)) sums it to zero.
-    pattern = {sites[k]: value, sites[4]: -value} if k == 3 else {sites[k]: value}
-    return value if _matches_on_border(xi, m + 1, lambda x, y: pattern.get((x, y), 0)) else None
+    n = value.numerator
+    pattern = {sites[k]: n, sites[4]: -n} if k == 3 else {sites[k]: n}
+    rows = [[pattern.get((x, y), 0) for x in range(m + 1)] for y in range(m, -1, -1)]
+    return value if _matches(xi, value.denominator, rows) else None
 
 
 @lru_cache(maxsize=None)
@@ -140,8 +129,8 @@ def build_impulse_set(L):
     x and y swapped: the swap maps the lattice and its border onto
     themselves, the step sites onto each other and (L+1, L) to (L, L+1).
     Each result is discrete harmonic of degree <= 2L by construction; what
-    is checked is its impulse pattern, on the border of the (L+1)-lattice,
-    and a failed check raises InvariantError.
+    is checked is its impulse pattern, on the whole (L+1)-lattice, and a
+    failed check raises InvariantError.
 
     Results are memoized per size; the cache is safe for concurrent readers.
     """
@@ -193,7 +182,7 @@ def extend(chi, A, impulses=None):
     Adds a combination of the size-(L-1) impulse polynomials, which vanish on
     the smaller block, so nothing already matched is disturbed.  The result
     has degree <= max(2(L-1), chi's degree).  Checks its inputs, matching chi
-    to the block on its border only (enough, see _matches_on_border).
+    to the whole block, read from A's integer rows.
     """
     L = A.size
     if L < 4:
@@ -202,7 +191,8 @@ def extend(chi, A, impulses=None):
         raise PreconditionError("matrix is not inner-harmonic")
     if not is_discrete_harmonic(chi):
         raise PreconditionError("interpolant is not discrete harmonic")
-    if not _matches_on_border(chi, L - 1, A.at):
+    den, rows = A._integer
+    if not _matches(chi, den, [row[: L - 1] for row in rows[1:]]):
         raise PreconditionError("interpolant does not match the lower-left block")
     if impulses is None:
         impulses = build_impulse_set(L - 1)
@@ -220,16 +210,15 @@ def telescopic(H):
     combination; the center follows, both sides satisfying the stencil there.
     Every larger block stays inner-harmonic; each later stage adds one size at a
     time up to L.  Only H is checked (a size below 3 raises SizeError); the
-    stages run unchecked.  The result is verified on the border (see
-    _matches_on_border); a failure there is a bug and raises InvariantError.
+    stages run unchecked.  The result is checked to be discrete harmonic and
+    to interpolate H; a failure there is a bug and raises InvariantError.
     """
     if not is_inner_harmonic(H):
         raise PreconditionError("matrix is not inner-harmonic")
-    L = H.size
     chi = _linear_combination([H.at(x, y) for x, y in _block_border_sites(3)], _base_cardinals())
-    for m in range(3, L):
+    for m in range(3, H.size):
         chi = _extend(chi, H, build_impulse_set(m))
-    if not (is_discrete_harmonic(chi) and _matches_on_border(chi, L, H.at)):
+    if not (is_discrete_harmonic(chi) and interpolates(chi, H)):
         raise InvariantError("telescopic result does not interpolate the matrix")
     return chi
 

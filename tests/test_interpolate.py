@@ -13,6 +13,7 @@ from dhpoly import (
     RatMatrix,
     SizeError,
     X,
+    Y,
     bilinear,
     build_impulse_set,
     complete,
@@ -35,6 +36,7 @@ from dhpoly.interpolate import (
     _block_border_sites,
     _cardinals,
     _extend,
+    _verify_impulse,
 )
 
 from helpers import (
@@ -255,6 +257,13 @@ class TestBuildImpulseSet:
             else:
                 assert nonzero == {designated[k]: gamma}
 
+    @pytest.mark.parametrize("m", [3, 5])
+    def test_check_reads_inside_the_lattice(self, m):
+        # the bump vanishes on the border of the (m+1)-lattice, not inside it
+        bump = X * (X - m) * Y * (Y - m)
+        for k, xi in enumerate(build_impulse_set(m).polys):
+            assert _verify_impulse(xi + bump, m, k) is None
+
     @pytest.mark.parametrize("L", range(3, 11))
     def test_pair_antisymmetry(self, L):
         xi4 = build_impulse_set(L).polys[3]
@@ -337,6 +346,14 @@ class TestExtend:
     def test_worked_example_result(self):
         sigma = extend(MINOR_INTERPOLANT, WORKED_4X4, REFERENCE_IMPULSES)
         assert sigma == FULL_INTERPOLANT
+        # A corner lies in no stencil, so raising the top-left one by 1/7
+        # keeps the matrix inner-harmonic; its denominator becomes 7 while
+        # the lower-left 3x3 block that chi is compared with keeps 1.
+        rows = WORKED_4X4.to_lists()
+        rows[0][0] += Fraction(1, 7)
+        A = RatMatrix(rows)
+        sigma = extend(MINOR_INTERPOLANT, A, REFERENCE_IMPULSES)
+        assert interpolates(sigma, A) and is_discrete_harmonic(sigma)
 
     def test_minor_interpolant_restriction(self):
         # evaluating the minor interpolant on the enlarged lattice shows the

@@ -60,7 +60,7 @@ class TestSolve:
     def test_random_systems_resubstitute(self):
         rng = random.Random(31)
         solved = 0
-        while solved < 1000:
+        while solved < 200:
             n = rng.randint(1, 20)
             A, b = random_system(rng, n)
             try:
