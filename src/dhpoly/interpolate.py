@@ -91,7 +91,7 @@ def _step_sites(m):
 
 def _block_border_sites(L):
     """Border sites of the L-lattice (x or y in {0, L-1}), by x, then y; no
-    result depends on their order (the cardinals and kernel are unique)."""
+    result depends on their order (the cardinals are unique)."""
     ends = (0, L - 1)
     return tuple((x, y) for x in range(L) for y in (range(L) if x in ends else ends))
 

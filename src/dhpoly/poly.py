@@ -34,13 +34,13 @@ Polynomials annihilated by it are "discrete harmonic"; the kernel restricted
 to degree <= N has dimension 2N + 1, with exactly two independent elements
 of each exact degree >= 1.
 
-Those elements come in closed form, with no linear algebra on the Laplacian.
-The central factorial power x^[n] = x * prod_{k=1}^{n-1} (x + n/2 - k) has
-second central difference n(n-1) x^[n-2], just as x^n has second derivative
-n(n-1) x^(n-2).  So the linear map x^a y^b -> x^[a] y^[b] carries harmonic
-polynomials to discrete harmonic ones, and the images of Re and Im (x+iy)^n
-are the two new elements of degree n (Heilbronn 1949, Duffin 1953).  The
-canonical basis is their echelon form.
+A discrete harmonic polynomial is fixed by its y^0 and y^1 parts, as a
+harmonic one is by its Cauchy data on y = 0: the Laplacian sends y^b to
+y^(b-2) with coefficient -b(b-1), so each coefficient of x^m y^b, b >= 2,
+is set by what the terms above it send to x^m y^(b-2).  The canonical basis
+is the family whose y^0 and y^1 parts are single monomials, x^n or
+x^(n-1) y, and generate_basis marches each element down from that pivot in
+integers (see _basis_element), with no linear algebra on the Laplacian.
 """
 
 from __future__ import annotations
@@ -295,7 +295,9 @@ Y = BiPoly.monomial(0, 1)
 @lru_cache(maxsize=None)
 def _laplacian_table(n):
     """The terms of laplacian_monomial(n) as ((k, coefficient of v^k), ...),
-    built once per n."""
+    built once per n: the one place the stencil on monomials is written.
+    Read by laplacian_monomial, by _add_laplacian (so by
+    discrete_laplacian_poly, is_discrete_harmonic and generate_basis)."""
     return tuple((k, -2 * math.comb(n, k)) for k in range(n - 2, -1, -2))
 
 
@@ -311,14 +313,20 @@ def laplacian_monomial(n, variable="x"):
     return BiPoly({((k, 0) if variable == "x" else (0, k)): d for k, d in table})
 
 
+def _add_laplacian(acc, a, b, n):
+    """Add n times the Laplacian image of x^a y^b, x^a L(y^b) + y^b L(x^a),
+    to the integer term map acc."""
+    for k, d in _laplacian_table(a):
+        acc[k, b] = acc.get((k, b), 0) + n * d
+    for k, d in _laplacian_table(b):
+        acc[a, k] = acc.get((a, k), 0) + n * d
+
+
 def _laplacian_ints(num):
     """Laplacian image of an integer term map, with no zero entry."""
     acc = {}
     for (a, b), n in num.items():
-        for k, d in _laplacian_table(a):
-            acc[k, b] = acc.get((k, b), 0) + n * d
-        for k, d in _laplacian_table(b):
-            acc[a, k] = acc.get((a, k), 0) + n * d
+        _add_laplacian(acc, a, b, n)
     return {key: v for key, v in acc.items() if v}
 
 
@@ -353,42 +361,6 @@ class DHBasis:
 
     def __iter__(self):
         return iter(self.elements)
-
-
-def _central_factorials(N):
-    """Integer coefficients, by ascending power, of 2^(a-1) x^[a] =
-    x * prod_{k=1}^{a-1} (2x + a - 2k) for a = 1..N, after [1] for x^[0]."""
-    table = [[1]]
-    for a in range(1, N + 1):
-        c = [0, 1]
-        for k in range(1, a):
-            s = a - 2 * k
-            c = [s * lo + 2 * hi for lo, hi in zip(c + [0], [0] + c)]
-        table.append(c)
-    return table
-
-
-def _harmonic_images(n, cf):
-    """2^(n-1) times the images of Re and Im (x+iy)^n, n >= 1, under
-    x^a y^b -> x^[a] y^[b], as integer term maps with no zero entry.
-
-    The term C(n,k) i^k x^(n-k) y^k of (x+iy)^n belongs to Re for even k and
-    to Im for odd k, with sign (-1)^(k//2).  Scaled by 2^(n-1), its image is
-    its coefficient times 2 cf[n-k](x) cf[k](y) for 0 < k < n, and times
-    cf[n-k](x) cf[k](y) for k = 0 and k = n.
-    """
-    images = ({}, {})
-    for k in range(n + 1):
-        a = n - k
-        scale = math.comb(n, k) * (-1) ** (k // 2) * (2 if a and k else 1)
-        acc = images[k % 2]
-        for i, u in enumerate(cf[a]):
-            if not u:
-                continue
-            for j, v in enumerate(cf[k]):
-                if v:
-                    acc[i, j] = acc.get((i, j), 0) + scale * u * v
-    return tuple({key: c for key, c in image.items() if c} for image in images)
 
 
 def _combine(coeffs, maps):
@@ -433,36 +405,57 @@ def _linear_combination(coeffs, polys):
     return BiPoly._from_ints(den, _combine(scales, (p._num for p in polys)))
 
 
+def _basis_element(pivot):
+    """Primitive integer term map of the discrete harmonic polynomial whose
+    y^0 and y^1 parts are the pivot monomial alone; n is its degree.
+
+    A march from the pivot term: the total degrees d = n..0 and, within
+    each, the x-exponents m = d..0.  For b = d - m >= 2 the coefficient of
+    x^m y^b is set to cancel what has reached x^m y^(b-2) in the Laplacian
+    image, then each nonzero term adds its own image.  Everything else that
+    reaches x^m y^(b-2) has a higher total degree or, at degree d, the
+    x-exponent m + 2, so it came earlier, and nothing later reaches it: the
+    image ends zero.  When b(b-1) does not divide the value to cancel, the
+    numerators and the image are scaled up first; one gcd ends the march.
+    """
+    n = sum(pivot)
+    num = {pivot: 1}
+    image = {}
+    for d in range(n, -1, -1):
+        for m in range(d, -1, -1):
+            b = d - m
+            if b >= 2:
+                v = image.pop((m, b - 2), 0)
+                if v:
+                    w = b * (b - 1)
+                    f = w // math.gcd(v, w)
+                    if f != 1:
+                        num = {key: c * f for key, c in num.items()}
+                        image = {key: c * f for key, c in image.items()}
+                    num[m, b] = v * f // w
+            c = num.get((m, b))
+            if c:
+                _add_laplacian(image, m, b, c)
+    g = math.gcd(*num.values())
+    return {key: c // g for key, c in num.items()}
+
+
 def generate_basis(N):
     """Canonical basis of the discrete harmonic polynomials of degree <= N:
     the reduced row echelon form of the kernel over the monomial coordinates
     in descending graded-lex order (x before y), each row scaled to
     primitive integer coefficients with positive leading coefficient.
 
-    Built in integers from the closed form (see the module docstring).  The
-    images of Re and Im (x+iy)^n have those polynomials as their degree-n
-    parts, so they are already reduced on their pivot columns x^n and
-    x^(n-1) y; subtracting multiples of the lower-degree elements clears the
-    other pivot columns.  Returns 2N + 1 elements by ascending degree, the
-    x^n pivot before the x^(n-1) y one.  N passes the count gate with
-    ValueError, like an exponent.
+    The pivots are the y^0 and y^1 monomials, so the element with pivot x^n
+    or x^(n-1) y has that monomial as its whole y^0 and y^1 part, and
+    _basis_element builds it with the pivot coefficient positive.  Returns
+    2N + 1 elements by ascending degree, the x^n pivot before the x^(n-1) y
+    one.  N passes the count gate with ValueError, like an exponent.
     """
-    cf = _central_factorials(_count(N, 0, ValueError))
-    # (pivot monomial, its coefficient, integer term map) per element
-    rows = [((0, 0), 1, {(0, 0): 1})]
-    for n in range(1, N + 1):
-        # Re's image has no x^(n-1) y term and Im's no x^n term, so neither
-        # needs the other; each is cleared against the lower elements, high
-        # degree first.  Those are reduced, so a step changes no other pivot.
-        for pivot, row in zip(((n, 0), (n - 1, 1)), _harmonic_images(n, cf)):
-            for key, p, lower in reversed(rows):
-                c = row.get(key)
-                if c:
-                    g = math.gcd(p, c)
-                    row = _combine((p // g, -c // g), (row, lower))
-            g = math.gcd(*row.values())
-            rows.append((pivot, row[pivot] // g, {key: c // g for key, c in row.items()}))
-    elements = tuple(BiPoly._from_ints(1, row) for _, _, row in rows)
+    pivots = [(0, 0)]
+    for n in range(1, _count(N, 0, ValueError) + 1):
+        pivots += [(n, 0), (n - 1, 1)]
+    elements = tuple(BiPoly._from_ints(1, _basis_element(p)) for p in pivots)
     return DHBasis(max_degree=N, elements=elements)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -18,8 +19,19 @@ from dhpoly import (
 )
 from dhpoly.formats import poly_to_json
 
-from helpers import naive_evaluate, nullspace_basis, random_poly, random_rational, rank
+from helpers import (
+    FractionPoly,
+    naive_evaluate,
+    nullspace_basis,
+    random_poly,
+    random_rational,
+    rank,
+)
 from reference_data import BILINEAR_INTERPOLANT
+
+#: SHA-256 of the JSON lines of generate_basis(48), the basis that
+#: build_impulse_set(24) reads: it pins the elements past the oracle's N <= 22.
+BASIS_48_SHA256 = "f4348d670e08651f8daa77120d5d141e6c7510322bbe157fecc04daa032c7ea5"
 
 
 def sympy_laplacian(P):
@@ -338,8 +350,15 @@ class TestClosedFormBasis:
             assert all(c != 0 for _, c in p.terms())
 
     def test_harmonic_to_degree_24(self):
+        # The binomial-expansion Laplacian of FractionPoly never reads the
+        # stencil table that generate_basis and is_discrete_harmonic share.
         for p in generate_basis(24):
             assert is_discrete_harmonic(p)
+            assert not FractionPoly.of(p).laplacian().terms()
+
+    def test_digest_to_degree_48(self):
+        text = "\n".join(poly_to_json(p) for p in generate_basis(48).elements)
+        assert hashlib.sha256(text.encode()).hexdigest() == BASIS_48_SHA256
 
 
 class TestTabulatedBasis:
