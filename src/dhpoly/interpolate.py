@@ -6,7 +6,9 @@ column.  Each enlargement step adds a combination of four "impulse"
 polynomials: discrete harmonic polynomials that vanish on the whole enlarged
 lattice except one designated border site (an antisymmetric pair for the
 fourth), so they patch the entries the smaller interpolant cannot match
-without disturbing anything already fixed.  A plain bilinear (tensor
+without disturbing anything already fixed.  extend is one such step on
+polynomials; telescopic runs its steps in canonical-basis coordinates and
+forms the polynomial once, at the end.  A plain bilinear (tensor
 Lagrange) interpolator is included as a contrast: it always interpolates but
 is generally not discrete harmonic.  The base case, each size's impulses and
 the bilinear factors are cardinal polynomials, each set of them from one
@@ -15,14 +17,24 @@ square solve (see _cardinals).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from . import linalg
 from .errors import InvariantError, PreconditionError, SizeError
 from .grid import _count, _matches, interpolates, is_inner_harmonic
-from .poly import X, _linear_combination, _primitive_poly, generate_basis, is_discrete_harmonic
+from .poly import (
+    BiPoly,
+    X,
+    _combine,
+    _linear_combination,
+    _primitive_poly,
+    generate_basis,
+    is_discrete_harmonic,
+)
 
 #: Basis used for the 3x3 base case: the canonical elements of degree <= 3
 #: plus the degree-4 element with pivot x**4, evaluated against the eight
@@ -30,20 +42,28 @@ from .poly import X, _linear_combination, _primitive_poly, generate_basis, is_di
 _BASE_BASIS = generate_basis(4).elements[:8]
 
 
-def _cardinals(polys, sites, zeros=()):
+def _site_rows(polys, sites):
+    """Each site mapped to the integer Horner sums D_k * polys[k] there."""
+    return {(x, y): [p._numerator_at(x, y) for p in polys] for x, y in sites}
+
+
+def _cardinals(polys, sites, zeros=(), at=None):
     """The polynomials in the span of ``polys`` that vanish at ``zeros`` and
     are 1 at one of ``sites`` and 0 at the others, in ``sites`` order.  With
     A holding polys[k] at the i-th site of zeros + sites in row i, column k,
     their coefficients are the columns of A's inverse past the zero rows.
     The solve (linalg._integer_solve of A' C = [0; I]) reads A' = A diag(D),
-    the integer Horner sums D_k * polys[k] at the sites, so polys[k] enters
-    each cardinal with D_k times its entry of C.  A system that is not
-    square and nonsingular raises InvariantError."""
+    the integer Horner sums D_k * polys[k] at the sites (the rows ``at``
+    maps the sites to, see _site_rows, evaluated here when not given), so
+    polys[k] enters each cardinal with D_k times its entry of C.  A system
+    that is not square and nonsingular raises InvariantError."""
     n, rows = len(sites), (*zeros, *sites)
     if len(polys) != len(rows):
         raise InvariantError(f"{len(polys)} polynomials for {len(rows)} conditions")
+    if at is None:
+        at = _site_rows(polys, rows)
     units = [[0] * n for _ in zeros] + [[int(i == k) for k in range(n)] for i in range(n)]
-    d, C = linalg._integer_solve([[p._numerator_at(x, y) for p in polys] for x, y in rows], units)
+    d, C = linalg._integer_solve([at[s] for s in rows], units)
     dens = [p._den for p in polys]
     return tuple(
         _linear_combination([Fraction(v * D, d) for v, D in zip(column, dens)], polys)
@@ -76,11 +96,69 @@ class ImpulseSet:
     antisymmetric pair (m-1, m) / (m, m-1).  ``values`` holds the value at
     each designated site ((m-1, m) for the pair); the pair's second value is
     its negation.  All four values are nonzero.
+
+    The two private fields are what telescopic reads of the set (see
+    _step_data): ``_step_table``, the step from size m to m+1 in canonical
+    coordinates, and ``_elements``, the canonical elements of degree 2m-1
+    and 2m (all those of degree <= 6 at size 3), so that the sets 3..L-1
+    hold each element of degree <= 2(L-1) once.  build_impulse_set fills
+    them from the rows its impulse system evaluates; a set built by hand
+    gets them from the same helper, the canonical elements evaluated.
     """
 
     size: int
     polys: tuple
     values: tuple
+    _step_table: tuple = field(default=None, compare=False, repr=False)
+    _elements: tuple = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self._step_table is None:
+            elements = generate_basis(2 * self.size).elements
+            at = _site_rows(elements, _step_sites(self.size))
+            table, kept = _step_data(self.size, self.polys, self.values, elements, at)
+            object.__setattr__(self, "_step_table", table)
+            object.__setattr__(self, "_elements", kept)
+
+
+def _pivots(N):
+    """The pivots of the canonical basis of degree <= N in generate_basis
+    order: 1, then x^n and x^(n-1) y for n = 1..N."""
+    return [(0, 0), *((a, b) for n in range(1, N + 1) for a, b in ((n, 0), (n - 1, 1)))]
+
+
+def _pivot_scales(elements):
+    """(lc, [lc / c_i]) for the canonical elements h_i of degree <= N in
+    generate_basis order, c_i the coefficient of h_i at its own pivot and lc
+    their lcm."""
+    cs = [e._num[p] for e, p in zip(elements, _pivots(len(elements) // 2))]
+    lc = math.lcm(*cs)
+    return lc, [lc // c for c in cs]
+
+
+def _step_data(m, polys, values, elements, at):
+    """(step table, kept elements) of the impulse set of size m (see
+    ImpulseSet), from the canonical elements of degree <= 2m and ``at``, the
+    map of each of _step_sites(m) to their values there.
+
+    A discrete harmonic polynomial of degree <= N is sum_i (u_i / c_i) h_i
+    over the canonical elements h_i of degree <= N, u_i its coefficient at
+    h_i's pivot and c_i h_i's own (the poly docstring).  So it is carried as
+    its y^0/y^1 numerators u over its denominator D, its coordinates being
+    u_i / (D c_i).  At size m the interpolant has degree <= 2m-2, so its
+    value at a step site is the integer dot product of u with that site's
+    row of the table, h_i there times lc / c_i for lc the lcm of those c_i,
+    over D * lc.  The table also holds each impulse's y^0/y^1 numerators and
+    the divisor of its multiplier: its value times its denominator.
+    """
+    pivots = _pivots(2 * m)
+    low = 4 * m - 3
+    lc, scales = _pivot_scales(elements[:low])
+    rows = tuple(tuple(map(mul, at[s], scales)) for s in _step_sites(m))
+    zeros = [0] * len(pivots)
+    coords = tuple(tuple(map(xi._num.get, pivots, zeros)) for xi in polys)
+    divisors = tuple(g * xi._den for g, xi in zip(values, polys))
+    return (lc, rows, coords, divisors), tuple(elements if m == 3 else elements[low:])
 
 
 def _step_sites(m):
@@ -132,12 +210,20 @@ def build_impulse_set(L):
     is checked is its impulse pattern, on the whole (L+1)-lattice, and a
     failed check raises InvariantError.
 
+    The set's step table (see _step_data) reads the canonical elements at
+    the five step sites, from the system's rows: the constant element is 1
+    everywhere, and (L, L-1), the one step site that is no row, follows
+    from the stencil at (L-1, L-1) over three border rows and (L-1, L).
+
     Results are memoized per size; the cache is safe for concurrent readers.
     """
     _count(L, 3, SizeError)
-    basis = [p for p in generate_basis(2 * L).elements if p.degree >= 1]
+    elements = generate_basis(2 * L).elements
+    basis = elements[1:]
+    sites = ((0, L), (L, L), (L - 1, L))
     zeros = (*(s for s in _block_border_sites(L) if s != (0, 0)), (L, 0), (L + 1, L))
-    polys = [_primitive_poly(c) for c in _cardinals(basis, [(0, L), (L, L), (L - 1, L)], zeros)]
+    rows = _site_rows(basis, (*zeros, *sites))
+    polys = [_primitive_poly(c) for c in _cardinals(basis, sites, zeros, rows)]
     polys.insert(2, _primitive_poly(polys[0].swap_xy()))
     values = []
     for k, xi in enumerate(polys):
@@ -145,7 +231,12 @@ def build_impulse_set(L):
         if value is None:
             raise InvariantError(f"impulse {k} of size {L} failed verification")
         values.append(value)
-    return ImpulseSet(size=L, polys=tuple(polys), values=tuple(values))
+    c = L - 1
+    stencil = zip(rows[c, c], rows[c - 1, c], rows[c, c - 1], rows[c, L])
+    rows[L, c] = [4 * v - a - b - d for v, a, b, d in stencil]
+    at = {s: [1, *rows[s]] for s in _step_sites(L)}
+    table, kept = _step_data(L, polys, values, elements, at)
+    return ImpulseSet(L, tuple(polys), tuple(values), _step_table=table, _elements=kept)
 
 
 def extension_coefficients(chi, A, impulses):
@@ -201,6 +292,41 @@ def extend(chi, A, impulses=None):
     return _extend(chi, A, impulses)
 
 
+def _step(den, u, H, impulses):
+    """telescopic's enlargement step from size m = impulses.size, on the
+    interpolant's y^0/y^1 numerators u over den (see _step_data): the values
+    at the five step sites are dot products with the step table, the
+    multipliers are extension_coefficients', and each impulse adds its own
+    numerators, so the step is O(m) integer work and forms no polynomial.
+    Returns the enlarged interpolant's (den, u)."""
+    lc, table, coords, divisors = impulses._step_table
+    hden, rows = H._integer
+    top = len(rows) - 1
+    want = [rows[top - y][x] for x, y in _step_sites(impulses.size)]
+    have = [sum(map(mul, u, row)) for row in table]
+    scale = den * lc
+    if (have[3] + have[4]) * hden != (want[3] + want[4]) * scale:
+        raise InvariantError("paired border mismatches are not antisymmetric")
+    z = [
+        Fraction((w * scale - h * hden) * g.denominator, hden * scale * g.numerator)
+        for w, h, g in zip(want, have, divisors)
+    ]
+    new = math.lcm(den, *(c.denominator for c in z))
+    f = new // den
+    s0, s1, s2, s3 = (c.numerator * (new // c.denominator) for c in z)
+    u = [*u, *[0] * (len(coords[0]) - len(u))]
+    return new, [f * a + s0 * p + s1 * q + s2 * r + s3 * t for a, p, q, r, t in zip(u, *coords)]
+
+
+def _from_coordinates(den, u, elements):
+    """The discrete harmonic polynomial with y^0/y^1 numerators u over den,
+    for ``elements`` the canonical elements of degree <= N and len(u) =
+    2N + 1: the elements scaled by lc / c_i (see _step_data) in one
+    _combine, over den * lc."""
+    lc, scales = _pivot_scales(elements)
+    return BiPoly._from_ints(den * lc, _combine(map(mul, u, scales), [e._num for e in elements]))
+
+
 def telescopic(H):
     """Discrete harmonic polynomial of degree <= 2(L-1) interpolating an
     inner-harmonic matrix of size L >= 3.
@@ -208,16 +334,23 @@ def telescopic(H):
     The first stage is the base case: H's eight border values on the 3x3
     lower-left block weight the base cardinals (see _base_cardinals), as one
     combination; the center follows, both sides satisfying the stencil there.
-    Every larger block stays inner-harmonic; each later stage adds one size at a
-    time up to L.  Only H is checked (a size below 3 raises SizeError); the
+    Every larger block stays inner-harmonic; each later stage adds one size
+    at a time up to L.  They run in canonical coordinates (see _step): the
+    interpolant is carried as its y^0/y^1 numerators, and the polynomial is
+    formed once at the end from the canonical elements the impulse sets
+    3..L-1 keep.  Only H is checked (a size below 3 raises SizeError); the
     stages run unchecked.  The result is checked to be discrete harmonic and
     to interpolate H; a failure there is a bug and raises InvariantError.
     """
     if not is_inner_harmonic(H):
         raise PreconditionError("matrix is not inner-harmonic")
     chi = _linear_combination([H.at(x, y) for x, y in _block_border_sites(3)], _base_cardinals())
-    for m in range(3, H.size):
-        chi = _extend(chi, H, build_impulse_set(m))
+    if H.size > 3:
+        sets = [build_impulse_set(m) for m in range(3, H.size)]
+        den, u = chi._den, [chi._num.get(p, 0) for p in _pivots(4)]
+        for impulses in sets:
+            den, u = _step(den, u, H, impulses)
+        chi = _from_coordinates(den, u, [e for s in sets for e in s._elements])
     if not (is_discrete_harmonic(chi) and interpolates(chi, H)):
         raise InvariantError("telescopic result does not interpolate the matrix")
     return chi

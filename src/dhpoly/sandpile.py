@@ -148,7 +148,23 @@ def standard_gf(L, name):
 
 
 def random_config(L, seed, max_height=4):
-    """Seeded uniform random heights in 0..max_height (mean 2 by default)."""
+    """Seeded uniform random heights in 0..max_height (mean 2 by default).
+
+    Each height is drawn as randint(0, max_height) draws it in CPython's
+    random module: k = n.bit_length() random bits, redrawn until below
+    n = max_height + 1, so the heights and the generator's state after
+    them are randint's, with less work per draw."""
     L, max_height = _count(L, 1, SizeError), _count(max_height, 0, ValueError)
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    return SandConfig(tuple(tuple(rng.randint(0, max_height) for _ in range(L)) for _ in range(L)))
+    n = max_height + 1
+    k, draw = n.bit_length(), rng.getrandbits
+    rows = []
+    for _ in range(L):
+        row = []
+        for _ in range(L):
+            h = draw(k)
+            while h >= n:
+                h = draw(k)
+            row.append(h)
+        rows.append(tuple(row))
+    return SandConfig(tuple(rows))

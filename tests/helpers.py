@@ -10,20 +10,26 @@ from dhpoly import (
     RatMatrix,
     SandConfig,
     border_positions,
+    build_impulse_set,
     complete,
     discrete_laplacian_poly,
     extension_coefficients,
     generate_basis,
+    interpolates,
+    is_discrete_harmonic,
+    is_inner_harmonic,
 )
-from dhpoly.errors import InvariantError
+from dhpoly.errors import InvariantError, PreconditionError
 from dhpoly.grid import _common_denominator, _count, _fraction
 from dhpoly.interpolate import (
     _BASE_BASIS,
     ImpulseSet,
+    _base_cardinals,
     _block_border_sites,
+    _extend,
     _verify_impulse,
 )
-from dhpoly.poly import DHBasis, _primitive_poly
+from dhpoly.poly import DHBasis, _linear_combination, _primitive_poly
 
 
 def random_rational(rng, max_num=9, max_den=5):
@@ -111,6 +117,30 @@ def sum_extend(chi, A, impulses):
     combination is checked against."""
     z = extension_coefficients(chi, A, impulses)
     return sum((c * xi for c, xi in zip(z, impulses.polys) if c), chi)
+
+
+def stage_telescopic(H):
+    """telescopic as a loop of polynomial stages: the base combination, then
+    one _extend per size, each forming the enlarged interpolant as a new
+    polynomial, with telescopic's checks.  The reference that telescopic's
+    steps in canonical coordinates are checked against."""
+    if not is_inner_harmonic(H):
+        raise PreconditionError("matrix is not inner-harmonic")
+    chi = _linear_combination([H.at(x, y) for x, y in _block_border_sites(3)], _base_cardinals())
+    for m in range(3, H.size):
+        chi = _extend(chi, H, build_impulse_set(m))
+    if not (is_discrete_harmonic(chi) and interpolates(chi, H)):
+        raise InvariantError("telescopic result does not interpolate the matrix")
+    return chi
+
+
+def corrupt_dipole(impulses):
+    """The impulse set built by hand with its dipole replaced by the dipole
+    plus the corner impulse (nonzero at (m, m)), values kept: a step that
+    scales the dipole by z != 0 leaves the interpolant wrong at (m, m), so
+    the next step's paired border mismatches are not antisymmetric."""
+    polys = impulses.polys
+    return ImpulseSet(impulses.size, (*polys[:3], polys[3] + polys[1]), impulses.values)
 
 
 def _poly_mul_int(p, q):

@@ -38,7 +38,7 @@ from dhpoly.cli import (
 )
 from dhpoly.formats import format_matrix, parse_matrix, parse_poly, poly_from_json, poly_to_json
 
-from helpers import naive_phi, naive_step, random_poly
+from helpers import corrupt_dipole, naive_phi, naive_step, random_poly
 from reference_data import (
     BILINEAR_INTERPOLANT,
     FULL_INTERPOLANT,
@@ -210,6 +210,19 @@ class TestInterpolate:
         for flags in ([], ["--verify"]):
             assert main(["interpolate", *flags, worked_csv]) == 3
             assert json.loads(capsys.readouterr().err)["code"] == "internal-error"
+
+    def test_corrupted_dipole_exits_three(self, sample_csv, capsys, monkeypatch):
+        # a step that finds its paired border mismatches not antisymmetric
+        # is an internal fault too
+        real = build_impulse_set
+        monkeypatch.setattr(
+            "dhpoly.interpolate.build_impulse_set",
+            lambda L: corrupt_dipole(real(L)) if L == 3 else real(L),
+        )
+        assert main(["interpolate", sample_csv]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["code"] == "internal-error"
+        assert "not antisymmetric" in err["message"]
 
     @pytest.mark.parametrize("oracle, calls", [([], 0), (["--oracle", "bilinear"], 1)])
     def test_verify_reevaluates_only_bilinear(self, worked_csv, oracle, calls, monkeypatch):

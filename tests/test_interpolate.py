@@ -36,10 +36,12 @@ from dhpoly.interpolate import (
     _block_border_sites,
     _cardinals,
     _extend,
+    _site_rows,
     _verify_impulse,
 )
 
 from helpers import (
+    corrupt_dipole,
     lagrange_bilinear,
     random_border,
     random_inner_harmonic,
@@ -47,6 +49,7 @@ from helpers import (
     search_impulse_set,
     solve,
     solve_3x3,
+    stage_telescopic,
     sum_extend,
 )
 from reference_data import (
@@ -90,8 +93,10 @@ class TestCardinals:
 
         real, calls = mod._cardinals, []
 
-        def recording(polys, sites, zeros=()):
-            calls.append((polys, sites, zeros, real(polys, sites, zeros)))
+        def recording(polys, sites, zeros=(), at=None):
+            # the rows handed in are the system's, evaluated once by the build
+            assert at == _site_rows(polys, (*zeros, *sites))
+            calls.append((polys, sites, zeros, real(polys, sites, zeros, at)))
             return calls[-1][3]
 
         monkeypatch.setattr(mod, "_cardinals", recording)
@@ -333,6 +338,23 @@ class TestBuildImpulseSet:
     def test_memoized(self):
         assert build_impulse_set(3) is build_impulse_set(3)
 
+    @pytest.mark.parametrize("L", range(3, 9))
+    def test_hand_built_set_derives_the_same_step_data(self, L):
+        # the build reads the step table off its system's rows; a set built
+        # by hand evaluates the canonical elements, through the same helper
+        built = build_impulse_set(L)
+        by_hand = ImpulseSet(built.size, built.polys, built.values)
+        assert by_hand == built
+        assert by_hand._step_table == built._step_table
+        assert by_hand._elements == built._elements
+
+    @pytest.mark.parametrize("L", range(4, 10))
+    def test_sizes_keep_each_canonical_element_once(self, L):
+        # the sets 3..L-1 keep the canonical basis of degree <= 2(L-1), in
+        # its order, one copy each
+        kept = [e for m in range(3, L) for e in build_impulse_set(m)._elements]
+        assert kept == list(generate_basis(2 * (L - 1)).elements)
+
     def test_too_small(self):
         with pytest.raises(SizeError):
             build_impulse_set(2)
@@ -422,6 +444,12 @@ class TestExtend:
         monkeypatch.setattr(RatMatrix, "lower_left_minor", counting)
         assert extend(MINOR_INTERPOLANT, WORKED_4X4, REFERENCE_IMPULSES) == FULL_INTERPOLANT
         assert sizes == []
+
+    def test_coefficients_reject_unpaired_mismatch(self):
+        # a constant moves both paired sites the same way, and the stencil
+        # at (2, 2) ties their sum to values chi no longer matches
+        with pytest.raises(InvariantError, match="not antisymmetric"):
+            extension_coefficients(MINOR_INTERPOLANT + 1, WORKED_4X4, REFERENCE_IMPULSES)
 
     def test_coefficients_reject_too_small_matrix(self):
         with pytest.raises(SizeError):
@@ -526,23 +554,70 @@ class TestTelescopic:
 
     @pytest.mark.parametrize("L", [3, 4, 7, 10])
     def test_one_linear_combination_per_stage(self, L, monkeypatch):
-        # the base stage (eight cardinals) and each of the L - 3 steps
-        # (chi and four impulses) is one combination
+        # the base stage (eight cardinals) is one combination; the L - 3
+        # steps form no polynomial, and the result is one _combine of the
+        # 4L - 3 canonical elements of degree <= 2(L-1), none at L = 3
         import dhpoly.interpolate as mod
 
         H = random_inner_harmonic(random.Random(80), L)
         for m in range(3, L):
             build_impulse_set(m)
         _base_cardinals()
-        real, calls = mod._linear_combination, []
+        combinations, combines = [], []
 
-        def counting(coeffs, polys):
-            calls.append(len(polys))
-            return real(coeffs, polys)
+        def counting(calls, real):
+            def counted(coeffs, items):
+                items = list(items)
+                calls.append(len(items))
+                return real(coeffs, items)
 
-        monkeypatch.setattr(mod, "_linear_combination", counting)
+            return counted
+
+        real_combination = mod._linear_combination
+        monkeypatch.setattr(mod, "_linear_combination", counting(combinations, real_combination))
+        monkeypatch.setattr(mod, "_combine", counting(combines, mod._combine))
         telescopic(H)
-        assert calls == [8] + [5] * (L - 3)
+        assert combinations == [8]
+        assert combines == ([] if L == 3 else [4 * L - 3])
+
+    @pytest.mark.parametrize("L", range(3, 14))
+    def test_matches_stage_oracle(self, L):
+        # the steps in canonical coordinates give byte for byte the
+        # polynomial the loop of polynomial stages gives
+        rng = random.Random(900 + L)
+        for _ in range(2):
+            H = random_inner_harmonic(rng, L)
+            assert poly_to_json(telescopic(H)) == poly_to_json(stage_telescopic(H))
+
+    def test_worked_fixtures_match_stage_oracle(self):
+        for H in (WORKED_MINOR_3X3, WORKED_4X4, evaluate_on_lattice(MINOR_INTERPOLANT, 5)):
+            assert poly_to_json(telescopic(H)) == poly_to_json(stage_telescopic(H))
+
+    @pytest.mark.parametrize("scale", [1, Fraction(-3, 7)])
+    def test_hand_built_sets_give_the_same_result(self, scale, monkeypatch):
+        # a set built by hand derives its step data like build_impulse_set;
+        # impulses and values scaled alike, to non-integer polynomials, are
+        # the same step
+        def by_hand(L):
+            good = build_impulse_set(L)
+            polys = tuple(scale * xi for xi in good.polys)
+            return ImpulseSet(L, polys, tuple(scale * g for g in good.values))
+
+        H = random_inner_harmonic(random.Random(81), 8)
+        want = telescopic(H)
+        monkeypatch.setattr("dhpoly.interpolate.build_impulse_set", by_hand)
+        assert poly_to_json(telescopic(H)) == poly_to_json(want)
+
+    @pytest.mark.parametrize("L", [5, 8])
+    def test_corrupted_dipole_raises_invariant_error(self, L, monkeypatch):
+        real = build_impulse_set
+        monkeypatch.setattr(
+            "dhpoly.interpolate.build_impulse_set",
+            lambda m: corrupt_dipole(real(m)) if m == 3 else real(m),
+        )
+        H = random_inner_harmonic(random.Random(82), L)
+        with pytest.raises(InvariantError, match="not antisymmetric"):
+            telescopic(H)
 
     @pytest.mark.parametrize("L", [4, 7, 10])
     def test_builds_no_minor(self, L, monkeypatch):

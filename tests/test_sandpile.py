@@ -60,6 +60,22 @@ class TestStep:
         assert random_config(6, 17) == c
 
 
+class TestRandomConfig:
+    @pytest.mark.parametrize("max_height", range(16))
+    def test_draws_randint_heights_and_state(self, max_height):
+        # the same heights as randint(0, max_height) on this interpreter,
+        # and the generator left in the same state, for int and Random seeds
+        for seed in range(40):
+            ref = random.Random(seed)
+            want = tuple(
+                tuple(ref.randint(0, max_height) for _ in range(5)) for _ in range(5)
+            )
+            assert random_config(5, seed, max_height).heights == want
+            rng = random.Random(seed)
+            assert random_config(5, rng, max_height).heights == want
+            assert rng.getstate() == ref.getstate()
+
+
 class TestSandConfig:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
