@@ -18,7 +18,7 @@ square solve (see _cardinals).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -42,28 +42,20 @@ from .poly import (
 _BASE_BASIS = generate_basis(4).elements[:8]
 
 
-def _site_rows(polys, sites):
-    """Each site mapped to the integer Horner sums D_k * polys[k] there."""
-    return {(x, y): [p._numerator_at(x, y) for p in polys] for x, y in sites}
-
-
-def _cardinals(polys, sites, zeros=(), at=None):
+def _cardinals(polys, sites, zeros=()):
     """The polynomials in the span of ``polys`` that vanish at ``zeros`` and
     are 1 at one of ``sites`` and 0 at the others, in ``sites`` order.  With
     A holding polys[k] at the i-th site of zeros + sites in row i, column k,
     their coefficients are the columns of A's inverse past the zero rows.
     The solve (linalg._integer_solve of A' C = [0; I]) reads A' = A diag(D),
-    the integer Horner sums D_k * polys[k] at the sites (the rows ``at``
-    maps the sites to, see _site_rows, evaluated here when not given), so
-    polys[k] enters each cardinal with D_k times its entry of C.  A system
-    that is not square and nonsingular raises InvariantError."""
+    the integer Horner sums D_k * polys[k] at the sites, so polys[k] enters
+    each cardinal with D_k times its entry of C.  A system that is not
+    square and nonsingular raises InvariantError."""
     n, rows = len(sites), (*zeros, *sites)
     if len(polys) != len(rows):
         raise InvariantError(f"{len(polys)} polynomials for {len(rows)} conditions")
-    if at is None:
-        at = _site_rows(polys, rows)
     units = [[0] * n for _ in zeros] + [[int(i == k) for k in range(n)] for i in range(n)]
-    d, C = linalg._integer_solve([at[s] for s in rows], units)
+    d, C = linalg._integer_solve([[p._numerator_at(x, y) for p in polys] for x, y in rows], units)
     dens = [p._den for p in polys]
     return tuple(
         _linear_combination([Fraction(v * D, d) for v, D in zip(column, dens)], polys)
@@ -97,28 +89,49 @@ class ImpulseSet:
     each designated site ((m-1, m) for the pair); the pair's second value is
     its negation.  All four values are nonzero.
 
-    The two private fields are what telescopic reads of the set (see
-    _step_data): ``_step_table``, the step from size m to m+1 in canonical
-    coordinates, and ``_elements``, the canonical elements of degree 2m-1
-    and 2m (all those of degree <= 6 at size 3), so that the sets 3..L-1
-    hold each element of degree <= 2(L-1) once.  build_impulse_set fills
-    them from the rows its impulse system evaluates; a set built by hand
-    gets them from the same helper, the canonical elements evaluated.
+    The two private fields are what telescopic reads of the set, derived
+    from ``polys`` and ``values`` in __post_init__ however the set was built
+    (dataclasses.replace derives them afresh): ``_step_table``, the step
+    from size m to m+1 in canonical coordinates, and ``_elements``, the
+    canonical elements of degree 2m-1 and 2m (all those of degree <= 6 at
+    size 3), so that the sets 3..L-1 keep each element of degree <= 2(L-1)
+    once.  ``_basis``, the canonical basis of degree <= 2m, is only handed
+    to __post_init__ (build_impulse_set passes the one it has built), and
+    generated there when not given.
+
+    A discrete harmonic polynomial of degree <= N is sum_i (u_i / c_i) h_i
+    over the canonical elements h_i of degree <= N, u_i its coefficient at
+    h_i's pivot and c_i h_i's own (the poly docstring).  So it is carried as
+    its y^0/y^1 numerators u over its denominator D, its coordinates being
+    u_i / (D c_i).  At size m the interpolant has degree <= 2m-2, so its
+    value at a step site is the integer dot product of u with that site's
+    row of the table, h_i there times lc / c_i for lc the lcm of those c_i,
+    over D * lc.  The table also holds each impulse's y^0/y^1 numerators
+    and the divisor of its multiplier: its value times its denominator.
     """
 
     size: int
     polys: tuple
     values: tuple
-    _step_table: tuple = field(default=None, compare=False, repr=False)
-    _elements: tuple = field(default=None, compare=False, repr=False)
+    _basis: InitVar[tuple] = None
+    _step_table: tuple = field(init=False, compare=False, repr=False)
+    _elements: tuple = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        if self._step_table is None:
-            elements = generate_basis(2 * self.size).elements
-            at = _site_rows(elements, _step_sites(self.size))
-            table, kept = _step_data(self.size, self.polys, self.values, elements, at)
-            object.__setattr__(self, "_step_table", table)
-            object.__setattr__(self, "_elements", kept)
+    def __post_init__(self, _basis):
+        m = self.size
+        elements = generate_basis(2 * m).elements if _basis is None else _basis
+        pivots = _pivots(2 * m)
+        low = 4 * m - 3
+        lc, scales = _pivot_scales(elements[:low])
+        rows = tuple(
+            tuple(e._numerator_at(x, y) * s for e, s in zip(elements, scales))
+            for x, y in _step_sites(m)
+        )
+        zeros = [0] * len(pivots)
+        coords = tuple(tuple(map(xi._num.get, pivots, zeros)) for xi in self.polys)
+        divisors = tuple(g * xi._den for g, xi in zip(self.values, self.polys))
+        object.__setattr__(self, "_step_table", (lc, rows, coords, divisors))
+        object.__setattr__(self, "_elements", elements if m == 3 else elements[low:])
 
 
 def _pivots(N):
@@ -134,31 +147,6 @@ def _pivot_scales(elements):
     cs = [e._num[p] for e, p in zip(elements, _pivots(len(elements) // 2))]
     lc = math.lcm(*cs)
     return lc, [lc // c for c in cs]
-
-
-def _step_data(m, polys, values, elements, at):
-    """(step table, kept elements) of the impulse set of size m (see
-    ImpulseSet), from the canonical elements of degree <= 2m and ``at``, the
-    map of each of _step_sites(m) to their values there.
-
-    A discrete harmonic polynomial of degree <= N is sum_i (u_i / c_i) h_i
-    over the canonical elements h_i of degree <= N, u_i its coefficient at
-    h_i's pivot and c_i h_i's own (the poly docstring).  So it is carried as
-    its y^0/y^1 numerators u over its denominator D, its coordinates being
-    u_i / (D c_i).  At size m the interpolant has degree <= 2m-2, so its
-    value at a step site is the integer dot product of u with that site's
-    row of the table, h_i there times lc / c_i for lc the lcm of those c_i,
-    over D * lc.  The table also holds each impulse's y^0/y^1 numerators and
-    the divisor of its multiplier: its value times its denominator.
-    """
-    pivots = _pivots(2 * m)
-    low = 4 * m - 3
-    lc, scales = _pivot_scales(elements[:low])
-    rows = tuple(tuple(map(mul, at[s], scales)) for s in _step_sites(m))
-    zeros = [0] * len(pivots)
-    coords = tuple(tuple(map(xi._num.get, pivots, zeros)) for xi in polys)
-    divisors = tuple(g * xi._den for g, xi in zip(values, polys))
-    return (lc, rows, coords, divisors), tuple(elements if m == 3 else elements[low:])
 
 
 def _step_sites(m):
@@ -210,11 +198,6 @@ def build_impulse_set(L):
     is checked is its impulse pattern, on the whole (L+1)-lattice, and a
     failed check raises InvariantError.
 
-    The set's step table (see _step_data) reads the canonical elements at
-    the five step sites, from the system's rows: the constant element is 1
-    everywhere, and (L, L-1), the one step site that is no row, follows
-    from the stencil at (L-1, L-1) over three border rows and (L-1, L).
-
     Results are memoized per size; the cache is safe for concurrent readers.
     """
     _count(L, 3, SizeError)
@@ -222,8 +205,7 @@ def build_impulse_set(L):
     basis = elements[1:]
     sites = ((0, L), (L, L), (L - 1, L))
     zeros = (*(s for s in _block_border_sites(L) if s != (0, 0)), (L, 0), (L + 1, L))
-    rows = _site_rows(basis, (*zeros, *sites))
-    polys = [_primitive_poly(c) for c in _cardinals(basis, sites, zeros, rows)]
+    polys = [_primitive_poly(c) for c in _cardinals(basis, sites, zeros)]
     polys.insert(2, _primitive_poly(polys[0].swap_xy()))
     values = []
     for k, xi in enumerate(polys):
@@ -231,12 +213,7 @@ def build_impulse_set(L):
         if value is None:
             raise InvariantError(f"impulse {k} of size {L} failed verification")
         values.append(value)
-    c = L - 1
-    stencil = zip(rows[c, c], rows[c - 1, c], rows[c, c - 1], rows[c, L])
-    rows[L, c] = [4 * v - a - b - d for v, a, b, d in stencil]
-    at = {s: [1, *rows[s]] for s in _step_sites(L)}
-    table, kept = _step_data(L, polys, values, elements, at)
-    return ImpulseSet(L, tuple(polys), tuple(values), _step_table=table, _elements=kept)
+    return ImpulseSet(L, tuple(polys), tuple(values), elements)
 
 
 def extension_coefficients(chi, A, impulses):
@@ -255,9 +232,22 @@ def extension_coefficients(chi, A, impulses):
     sites = _step_sites(m)
     want = [A.at(x, y) for x, y in sites]
     have = [chi.evaluate(x, y) for x, y in sites]
+    return tuple(_multipliers(want, have, impulses.values))
+
+
+def _multipliers(want, have, divisors, d=1):
+    """The multipliers (want_k - have_k) / (d * divisors_k) of one step,
+    from the wanted and present values at the five step sites (see
+    _step_sites) over one common denominator d; extension_coefficients and
+    _step both take theirs from here.  Both sides satisfy the stencil at
+    (m-1, m-1), so the two dipole sites' mismatches cancel; when they do
+    not, raises InvariantError."""
     if have[3] + have[4] != want[3] + want[4]:
         raise InvariantError("paired border mismatches are not antisymmetric")
-    return tuple((want[k] - have[k]) / g for k, g in enumerate(impulses.values))
+    return [
+        Fraction((w - h) * g.denominator, d * g.numerator)
+        for w, h, g in zip(want, have, divisors)
+    ]
 
 
 def _extend(chi, A, impulses):
@@ -294,23 +284,18 @@ def extend(chi, A, impulses=None):
 
 def _step(den, u, H, impulses):
     """telescopic's enlargement step from size m = impulses.size, on the
-    interpolant's y^0/y^1 numerators u over den (see _step_data): the values
-    at the five step sites are dot products with the step table, the
-    multipliers are extension_coefficients', and each impulse adds its own
-    numerators, so the step is O(m) integer work and forms no polynomial.
-    Returns the enlarged interpolant's (den, u)."""
+    interpolant's y^0/y^1 numerators u over den (see ImpulseSet): the
+    values at the five step sites are dot products with the step table, the
+    multipliers come from _multipliers like extension_coefficients', and
+    each impulse adds its own numerators, so the step is O(m) integer work
+    and forms no polynomial.  Returns the enlarged interpolant's (den, u)."""
     lc, table, coords, divisors = impulses._step_table
     hden, rows = H._integer
     top = len(rows) - 1
-    want = [rows[top - y][x] for x, y in _step_sites(impulses.size)]
-    have = [sum(map(mul, u, row)) for row in table]
     scale = den * lc
-    if (have[3] + have[4]) * hden != (want[3] + want[4]) * scale:
-        raise InvariantError("paired border mismatches are not antisymmetric")
-    z = [
-        Fraction((w * scale - h * hden) * g.denominator, hden * scale * g.numerator)
-        for w, h, g in zip(want, have, divisors)
-    ]
+    want = [rows[top - y][x] * scale for x, y in _step_sites(impulses.size)]
+    have = [sum(map(mul, u, row)) * hden for row in table]
+    z = _multipliers(want, have, divisors, hden * scale)
     new = math.lcm(den, *(c.denominator for c in z))
     f = new // den
     s0, s1, s2, s3 = (c.numerator * (new // c.denominator) for c in z)
@@ -321,7 +306,7 @@ def _step(den, u, H, impulses):
 def _from_coordinates(den, u, elements):
     """The discrete harmonic polynomial with y^0/y^1 numerators u over den,
     for ``elements`` the canonical elements of degree <= N and len(u) =
-    2N + 1: the elements scaled by lc / c_i (see _step_data) in one
+    2N + 1: the elements scaled by lc / c_i (see ImpulseSet) in one
     _combine, over den * lc."""
     lc, scales = _pivot_scales(elements)
     return BiPoly._from_ints(den * lc, _combine(map(mul, u, scales), [e._num for e in elements]))

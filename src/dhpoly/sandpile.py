@@ -150,12 +150,17 @@ def standard_gf(L, name):
 def random_config(L, seed, max_height=4):
     """Seeded uniform random heights in 0..max_height (mean 2 by default).
 
-    Each height is drawn as randint(0, max_height) draws it in CPython's
-    random module: k = n.bit_length() random bits, redrawn until below
-    n = max_height + 1, so the heights and the generator's state after
-    them are randint's, with less work per draw."""
+    Each height is randint(0, max_height).  For a plain random.Random it is
+    drawn as randint draws it in CPython's random module: k = n.bit_length()
+    random bits, redrawn until below n = max_height + 1, so the heights and
+    the generator's state after them are randint's, with less work per
+    draw.  A subclass may draw otherwise (randint uses random() when only
+    that is overridden), so its randint is called."""
     L, max_height = _count(L, 1, SizeError), _count(max_height, 0, ValueError)
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    if type(rng) is not random.Random:
+        heights = (tuple(rng.randint(0, max_height) for _ in range(L)) for _ in range(L))
+        return SandConfig(tuple(heights))
     n = max_height + 1
     k, draw = n.bit_length(), rng.getrandbits
     rows = []

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction
@@ -36,7 +37,6 @@ from dhpoly.interpolate import (
     _block_border_sites,
     _cardinals,
     _extend,
-    _site_rows,
     _verify_impulse,
 )
 
@@ -93,10 +93,8 @@ class TestCardinals:
 
         real, calls = mod._cardinals, []
 
-        def recording(polys, sites, zeros=(), at=None):
-            # the rows handed in are the system's, evaluated once by the build
-            assert at == _site_rows(polys, (*zeros, *sites))
-            calls.append((polys, sites, zeros, real(polys, sites, zeros, at)))
+        def recording(polys, sites, zeros=()):
+            calls.append((polys, sites, zeros, real(polys, sites, zeros)))
             return calls[-1][3]
 
         monkeypatch.setattr(mod, "_cardinals", recording)
@@ -340,13 +338,18 @@ class TestBuildImpulseSet:
 
     @pytest.mark.parametrize("L", range(3, 9))
     def test_hand_built_set_derives_the_same_step_data(self, L):
-        # the build reads the step table off its system's rows; a set built
-        # by hand evaluates the canonical elements, through the same helper
+        # the step data is derived from polys and values alone, so a set
+        # built by hand has the build's, and a replaced set its own polys'
         built = build_impulse_set(L)
         by_hand = ImpulseSet(built.size, built.polys, built.values)
         assert by_hand == built
         assert by_hand._step_table == built._step_table
         assert by_hand._elements == built._elements
+        replaced = dataclasses.replace(built, polys=tuple(-xi for xi in built.polys))
+        lc, rows, coords, divisors = built._step_table
+        negated = tuple(tuple(-c for c in row) for row in coords)
+        assert replaced._step_table == (lc, rows, negated, divisors)
+        assert replaced._elements == built._elements
 
     @pytest.mark.parametrize("L", range(4, 10))
     def test_sizes_keep_each_canonical_element_once(self, L):

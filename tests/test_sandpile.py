@@ -75,6 +75,26 @@ class TestRandomConfig:
             assert random_config(5, rng, max_height).heights == want
             assert rng.getstate() == ref.getstate()
 
+    @pytest.mark.parametrize("max_height", [0, 4, 9])
+    def test_subclass_draws_its_own_randint(self, max_height):
+        # a subclass that overrides only random() makes randint draw through
+        # it, not through getrandbits; random_config follows its randint
+        class Halved(random.Random):
+            def random(self):
+                return super().random() / 2
+
+        plain = 0
+        for seed in range(10):
+            ref = Halved(seed)
+            want = tuple(
+                tuple(ref.randint(0, max_height) for _ in range(5)) for _ in range(5)
+            )
+            rng = Halved(seed)
+            assert random_config(5, rng, max_height).heights == want
+            assert rng.getstate() == ref.getstate()
+            plain += want == random_config(5, seed, max_height).heights
+        assert plain == (10 if max_height == 0 else 0)
+
 
 class TestSandConfig:
     def test_rejects_negative(self):
