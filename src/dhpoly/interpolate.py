@@ -7,12 +7,13 @@ polynomials: discrete harmonic polynomials that vanish on the whole enlarged
 lattice except one designated border site (an antisymmetric pair for the
 fourth), so they patch the entries the smaller interpolant cannot match
 without disturbing anything already fixed.  extend is one such step on
-polynomials; telescopic runs its steps in canonical-basis coordinates and
-forms the polynomial once, at the end.  A plain bilinear (tensor
-Lagrange) interpolator is included as a contrast: it always interpolates but
-is generally not discrete harmonic.  The base case, each size's impulses and
-the bilinear factors are cardinal polynomials, each set of them from one
-square solve (see _cardinals).
+polynomials; telescopic runs its stages in canonical-basis coordinates and
+forms the polynomial once, at the end; each size's impulses come from the
+same stages at the sizes below (see build_impulse_set).  A plain bilinear
+(tensor Lagrange) interpolator is included as a contrast: it always
+interpolates but is generally not discrete harmonic.  The base case, each
+size's impulses and the bilinear factors are cardinal polynomials, each set
+of them from one square solve (see _cardinals).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .grid import _count, _matches, interpolates, is_inner_harmonic
 from .poly import (
     BiPoly,
     X,
+    _basis_element,
     _combine,
     _linear_combination,
     _primitive_poly,
@@ -36,21 +38,22 @@ from .poly import (
     is_discrete_harmonic,
 )
 
-#: Basis used for the 3x3 base case: the canonical elements of degree <= 3
-#: plus the degree-4 element with pivot x**4, evaluated against the eight
-#: border sites.  The resulting 8x8 system is nonsingular.
-_BASE_BASIS = generate_basis(4).elements[:8]
+#: The canonical basis of degree <= 4, which the impulse sets extend, and its
+#: first eight elements, the base case's basis: those of degree <= 3 plus the
+#: one with pivot x**4, evaluated against the eight border sites.  The
+#: resulting 8x8 system is nonsingular.
+_BASIS_4 = generate_basis(4).elements
+_BASE_BASIS = _BASIS_4[:8]
 
 
 def _cardinals(polys, sites, zeros=()):
     """The polynomials in the span of ``polys`` that vanish at ``zeros`` and
-    are 1 at one of ``sites`` and 0 at the others, in ``sites`` order.  With
+    are 1 at one of ``sites`` and 0 at the others, in ``sites`` order: with
     A holding polys[k] at the i-th site of zeros + sites in row i, column k,
-    their coefficients are the columns of A's inverse past the zero rows.
-    The solve (linalg._integer_solve of A' C = [0; I]) reads A' = A diag(D),
-    the integer Horner sums D_k * polys[k] at the sites, so polys[k] enters
-    each cardinal with D_k times its entry of C.  A system that is not
-    square and nonsingular raises InvariantError."""
+    the columns of A's inverse past the zero rows.  The solve reads
+    A diag(D), the integer Horner sums D_k * polys[k] at the sites, and
+    scales back.  A system that is not square and nonsingular raises
+    InvariantError."""
     n, rows = len(sites), (*zeros, *sites)
     if len(polys) != len(rows):
         raise InvariantError(f"{len(polys)} polynomials for {len(rows)} conditions")
@@ -89,25 +92,20 @@ class ImpulseSet:
     each designated site ((m-1, m) for the pair); the pair's second value is
     its negation.  All four values are nonzero.
 
-    The two private fields are what telescopic reads of the set, derived
-    from ``polys`` and ``values`` in __post_init__ however the set was built
-    (dataclasses.replace derives them afresh): ``_step_table``, the step
-    from size m to m+1 in canonical coordinates, and ``_elements``, the
-    canonical elements of degree 2m-1 and 2m (all those of degree <= 6 at
-    size 3), so that the sets 3..L-1 keep each element of degree <= 2(L-1)
-    once.  ``_basis``, the canonical basis of degree <= 2m, is only handed
-    to __post_init__ (build_impulse_set passes the one it has built), and
-    generated there when not given.
+    The size passes the count gate (at least 3); polys and values hold
+    four each, else PreconditionError.  __post_init__ derives the private
+    fields however the set was built (dataclasses.replace too):
+    ``_step_table``, the step from size m to m+1 in canonical coordinates,
+    and ``_elements``, the canonical basis of degree <= 2m, which is the
+    init-only ``_basis`` when given (build_impulse_set's).
 
     A discrete harmonic polynomial of degree <= N is sum_i (u_i / c_i) h_i
-    over the canonical elements h_i of degree <= N, u_i its coefficient at
-    h_i's pivot and c_i h_i's own (the poly docstring).  So it is carried as
-    its y^0/y^1 numerators u over its denominator D, its coordinates being
-    u_i / (D c_i).  At size m the interpolant has degree <= 2m-2, so its
-    value at a step site is the integer dot product of u with that site's
-    row of the table, h_i there times lc / c_i for lc the lcm of those c_i,
-    over D * lc.  The table also holds each impulse's y^0/y^1 numerators
-    and the divisor of its multiplier: its value times its denominator.
+    over the canonical elements h_i, u_i its coefficient at h_i's pivot and
+    c_i h_i's own (the poly docstring), so it is carried as (D, u): its
+    y^0/y^1 numerators u over its denominator D.  Its value at a step site
+    is u's dot product with that site's table row, h_i there times lc / c_i
+    (lc the lcm of the c_i, degree <= 2m-2), over D * lc.  The table also
+    holds each impulse's numerators and its value times its denominator.
     """
 
     size: int
@@ -118,20 +116,19 @@ class ImpulseSet:
     _elements: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self, _basis):
-        m = self.size
+        m = _count(self.size, 3, SizeError)
+        if len(self.polys) != 4 or len(self.values) != 4:
+            raise PreconditionError("an impulse set holds four polys and four values")
         elements = generate_basis(2 * m).elements if _basis is None else _basis
-        pivots = _pivots(2 * m)
-        low = 4 * m - 3
-        lc, scales = _pivot_scales(elements[:low])
+        lc, scales = _pivot_scales(elements[: 4 * m - 3])
         rows = tuple(
             tuple(e._numerator_at(x, y) * s for e, s in zip(elements, scales))
             for x, y in _step_sites(m)
         )
-        zeros = [0] * len(pivots)
-        coords = tuple(tuple(map(xi._num.get, pivots, zeros)) for xi in self.polys)
+        coords = tuple(tuple(xi._num.get(p, 0) for p in _pivots(2 * m)) for xi in self.polys)
         divisors = tuple(g * xi._den for g, xi in zip(self.values, self.polys))
         object.__setattr__(self, "_step_table", (lc, rows, coords, divisors))
-        object.__setattr__(self, "_elements", elements if m == 3 else elements[low:])
+        object.__setattr__(self, "_elements", elements)
 
 
 def _pivots(N):
@@ -177,43 +174,41 @@ def _verify_impulse(xi, m, k):
 
 @lru_cache(maxsize=None)
 def build_impulse_set(L):
-    """Construct the four impulse polynomials for size parameter L >= 3.
+    """The four impulse polynomials of size L >= 3, memoized, built from the
+    sizes below (built first, ascending, so no build recurses deeper).
 
-    Candidates are the 4L non-constant elements of the canonical harmonic
-    basis up to degree 2L.  Impulses 0, 1 and 3 are their cardinals (see
-    _cardinals) at (0, L), (L, L) and (L-1, L) that vanish at the 4L - 5
-    border sites of the L-lattice other than the origin, at (L, 0) and at
-    (L+1, L): one square 4L x 4L system, each scaled by _primitive_poly.
-    The origin is left out because its row is zero (no candidate has a
-    constant term).  The system is nonsingular: the zero rows have rank
-    4L - 3, a 3-dimensional kernel, and the three cardinal rows restricted
-    to that kernel form a nonsingular 3x3 system; a singular system raises
-    InvariantError.  Vanishing on the L-lattice border, a discrete harmonic
-    combination vanishes on the whole L-lattice (discrete maximum
-    principle); the zero at (L+1, L) rules out a multiple of the polynomial
-    that vanishes on the whole (L+1)-lattice.  Impulse 2 is impulse 0 with
-    x and y swapped: the swap maps the lattice and its border onto
-    themselves, the step sites onto each other and (L+1, L) to (L, L+1).
-    Each result is discrete harmonic of degree <= 2L by construction; what
-    is checked is its impulse pattern, on the whole (L+1)-lattice, and a
-    failed check raises InvariantError.
-
-    Results are memoized per size; the cache is safe for concurrent readers.
+    The discrete harmonic polynomials of degree <= 2L vanishing on the
+    L-lattice span 5 dimensions (the stencil leaves four free values on the
+    (L+1)-lattice, plus one vanishing on all of it), spanned by the residuals
+    of the canonical elements with pivots (2L-3, 1), (2L-1, 0), (2L-2, 1),
+    (2L, 0) and (2L-1, 1): each minus its _interpolant from the sets 3..L-1.
+    Impulses 0, 1 and 3 are their cardinals at (0, L), (L, L) and (L-1, L)
+    that vanish at (L, 0) and (L+1, L), one 5x5 system, each scaled by
+    _primitive_poly; impulse 2 is impulse 0's x/y mirror.  A singular
+    system or an impulse failing its pattern check on the whole
+    (L+1)-lattice raises InvariantError.
     """
     _count(L, 3, SizeError)
-    elements = generate_basis(2 * L).elements
-    basis = elements[1:]
+    for m in range(3, L):
+        build_impulse_set(m)
+    low = _canonical(L - 1)
+    elements = (*low, *(BiPoly._from_ints(1, _basis_element(p)) for p in _pivots(2 * L)[-4:]))
+    span = [
+        e - _from_coordinates(*_interpolant(e._numerator_at, e._den, L), low)
+        for e in elements[-5:]
+    ]
     sites = ((0, L), (L, L), (L - 1, L))
-    zeros = (*(s for s in _block_border_sites(L) if s != (0, 0)), (L, 0), (L + 1, L))
-    polys = [_primitive_poly(c) for c in _cardinals(basis, sites, zeros)]
+    polys = [_primitive_poly(c) for c in _cardinals(span, sites, ((L, 0), (L + 1, L)))]
     polys.insert(2, _primitive_poly(polys[0].swap_xy()))
-    values = []
-    for k, xi in enumerate(polys):
-        value = _verify_impulse(xi, L, k)
-        if value is None:
-            raise InvariantError(f"impulse {k} of size {L} failed verification")
-        values.append(value)
+    values = [_verify_impulse(xi, L, k) for k, xi in enumerate(polys)]
+    if None in values:
+        raise InvariantError(f"impulse {values.index(None)} of size {L} failed verification")
     return ImpulseSet(L, tuple(polys), tuple(values), elements)
+
+
+def _canonical(m):
+    """The canonical basis of degree <= 2m >= 4, as impulse set m keeps it."""
+    return _BASIS_4 if m == 2 else build_impulse_set(m)._elements
 
 
 def extension_coefficients(chi, A, impulses):
@@ -282,18 +277,14 @@ def extend(chi, A, impulses=None):
     return _extend(chi, A, impulses)
 
 
-def _step(den, u, H, impulses):
-    """telescopic's enlargement step from size m = impulses.size, on the
-    interpolant's y^0/y^1 numerators u over den (see ImpulseSet): the
-    values at the five step sites are dot products with the step table, the
-    multipliers come from _multipliers like extension_coefficients', and
-    each impulse adds its own numerators, so the step is O(m) integer work
-    and forms no polynomial.  Returns the enlarged interpolant's (den, u)."""
+def _step(den, u, values, hden, impulses):
+    """The step from size m = impulses.size of the interpolant (den, u) (see
+    ImpulseSet), given the input's values over hden at the five step sites:
+    O(m) integer work through the step table and _multipliers, forming no
+    polynomial.  Returns the enlarged interpolant's (den, u)."""
     lc, table, coords, divisors = impulses._step_table
-    hden, rows = H._integer
-    top = len(rows) - 1
     scale = den * lc
-    want = [rows[top - y][x] * scale for x, y in _step_sites(impulses.size)]
+    want = [v * scale for v in values]
     have = [sum(map(mul, u, row)) * hden for row in table]
     z = _multipliers(want, have, divisors, hden * scale)
     new = math.lcm(den, *(c.denominator for c in z))
@@ -301,6 +292,24 @@ def _step(den, u, H, impulses):
     s0, s1, s2, s3 = (c.numerator * (new // c.denominator) for c in z)
     u = [*u, *[0] * (len(coords[0]) - len(u))]
     return new, [f * a + s0 * p + s1 * q + s2 * r + s3 * t for a, p, q, r, t in zip(u, *coords)]
+
+
+def _interpolant(value, hden, L):
+    """telescopic's stages, unchecked, for the values value(x, y) / hden of
+    an inner-harmonic input of size L, read at the 3-lattice's border and
+    the step sites of each size 3..L-1: the base cardinals' y^0/y^1
+    numerators weighted in integers (the center follows by the stencil),
+    then one _step per size, every larger block staying inner-harmonic.
+    Returns (den, u) (see ImpulseSet)."""
+    cardinals = _base_cardinals()
+    d = math.lcm(*(c._den for c in cardinals))
+    weights = [value(x, y) * (d // c._den) for (x, y), c in zip(_block_border_sites(3), cardinals)]
+    u = [sum(w * c._num.get(p, 0) for w, c in zip(weights, cardinals)) for p in _pivots(4)]
+    den = hden * d
+    for m in range(3, L):
+        values = [value(x, y) for x, y in _step_sites(m)]
+        den, u = _step(den, u, values, hden, build_impulse_set(m))
+    return den, u
 
 
 def _from_coordinates(den, u, elements):
@@ -316,26 +325,17 @@ def telescopic(H):
     """Discrete harmonic polynomial of degree <= 2(L-1) interpolating an
     inner-harmonic matrix of size L >= 3.
 
-    The first stage is the base case: H's eight border values on the 3x3
-    lower-left block weight the base cardinals (see _base_cardinals), as one
-    combination; the center follows, both sides satisfying the stencil there.
-    Every larger block stays inner-harmonic; each later stage adds one size
-    at a time up to L.  They run in canonical coordinates (see _step): the
-    interpolant is carried as its y^0/y^1 numerators, and the polynomial is
-    formed once at the end from the canonical elements the impulse sets
-    3..L-1 keep.  Only H is checked (a size below 3 raises SizeError); the
-    stages run unchecked.  The result is checked to be discrete harmonic and
-    to interpolate H; a failure there is a bug and raises InvariantError.
+    Only H is checked (a size below 3 raises SizeError); the stages run
+    unchecked in _interpolant, and the polynomial is formed once, from the
+    canonical basis of degree <= 2(L-1).  A result that is not discrete
+    harmonic or does not interpolate H is a bug and raises InvariantError.
     """
     if not is_inner_harmonic(H):
         raise PreconditionError("matrix is not inner-harmonic")
-    chi = _linear_combination([H.at(x, y) for x, y in _block_border_sites(3)], _base_cardinals())
-    if H.size > 3:
-        sets = [build_impulse_set(m) for m in range(3, H.size)]
-        den, u = chi._den, [chi._num.get(p, 0) for p in _pivots(4)]
-        for impulses in sets:
-            den, u = _step(den, u, H, impulses)
-        chi = _from_coordinates(den, u, [e for s in sets for e in s._elements])
+    hden, rows = H._integer
+    top = H.size - 1
+    den, u = _interpolant(lambda x, y: rows[top - y][x], hden, H.size)
+    chi = _from_coordinates(den, u, _canonical(H.size - 1))
     if not (is_discrete_harmonic(chi) and interpolates(chi, H)):
         raise InvariantError("telescopic result does not interpolate the matrix")
     return chi

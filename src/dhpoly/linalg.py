@@ -1,11 +1,10 @@
 """The one exact solve of the package: a square, nonsingular integer system.
 
-Those are the only systems the package solves, and each is nonsingular:
-the 8 x 8 base system of the 3x3 case (eight basis elements at the eight
-border sites of the 3-lattice); each size's 4L x 4L impulse system, whose
-impulses are unique by the dimension count at size L + 1; bilinear's L x L
-Lagrange system, a Vandermonde matrix at the distinct nodes 0..L-1; and
-R(L), because the discrete Dirichlet problem has a unique solution.
+Those are the only systems the package solves, each nonsingular: the 8 x 8
+base system of the 3x3 case; each size's 5 x 5 impulse system, five
+residuals spanning the polynomials its impulses lie in; bilinear's L x L
+Vandermonde system at the nodes 0..L-1; and R(L), because the discrete
+Dirichlet problem has a unique solution.
 Fraction-free (Bareiss) elimination and an integer back-substitution keep
 every step in integers: no rational arithmetic runs, and entries grow only
 polynomially.  Pivoting is always "first nonzero in row order", so two runs

@@ -33,6 +33,7 @@ from dhpoly import (
 from dhpoly.formats import poly_to_json
 from dhpoly.interpolate import (
     _BASE_BASIS,
+    _BASIS_4,
     _base_cardinals,
     _block_border_sites,
     _cardinals,
@@ -67,7 +68,17 @@ from reference_data import (
 #: SHA-256 digests of deterministic outputs, pinned like the criterion-9
 #: transcript (see TestBuildImpulseSet and TestBilinear).
 IMPULSE_SETS_SHA256 = "ad29b15b65ed8552f6763cf2782ca4955b39f87e42a644718cd8e04e9049c82e"
+LARGE_IMPULSE_SETS_SHA256 = "2e6418da4078d9e9aaab40fe6a78946453bc9dcf091aa2eebe517b7cd5d9a707"
 BILINEAR_SHA256 = "acc06bf3ac0d886096ca380bf03e89347bdca8a346d5c2e3509cf22a2f18a124"
+
+
+def impulse_sets_digest(sizes):
+    parts = []
+    for L in sizes:
+        impulses = build_impulse_set(L)
+        parts.extend(poly_to_json(p) for p in impulses.polys)
+        parts.append(repr(impulses.values))
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 
 
 def sympy_rational(v):
@@ -89,8 +100,12 @@ class TestCardinals:
 
     @pytest.mark.parametrize("L", range(3, 9))
     def test_impulse_kernel_at_step_sites(self, L, monkeypatch):
+        # the span is the five residuals of the last canonical elements of
+        # degree <= 2L: discrete harmonic, zero on the whole L-lattice
         import dhpoly.interpolate as mod
 
+        for m in range(3, L):
+            build_impulse_set(m)
         real, calls = mod._cardinals, []
 
         def recording(polys, sites, zeros=()):
@@ -100,12 +115,14 @@ class TestCardinals:
         monkeypatch.setattr(mod, "_cardinals", recording)
         build_impulse_set.__wrapped__(L)
         [(polys, sites, zeros, cardinals)] = calls
-        assert len(polys) == 4 * L and all(p.degree >= 1 for p in polys)
+        assert len(polys) == 5
+        for r, e in zip(polys, generate_basis(2 * L).elements[-5:]):
+            assert is_discrete_harmonic(r) and r.degree <= 2 * L
+            assert evaluate_on_lattice(r, L) == RatMatrix.zero(L)
+            assert r == e - telescopic(evaluate_on_lattice(e, L))
         assert list(sites) == [(0, L), (L, L), (L - 1, L)]
-        border = set(_block_border_sites(L)) - {(0, 0)}
-        assert sorted(zeros) == sorted([*border, (L, 0), (L + 1, L)])
-        assert all(is_discrete_harmonic(c) for c in cardinals)
-        assert all(c.evaluate(x, y) == 0 for c in cardinals for x, y in [(0, 0), *zeros])
+        assert list(zeros) == [(L, 0), (L + 1, L)]
+        assert all(c.evaluate(x, y) == 0 for c in cardinals for x, y in zeros)
         assert_cardinal(cardinals, sites)
 
     @pytest.mark.parametrize("L", range(1, 9))
@@ -291,27 +308,50 @@ class TestBuildImpulseSet:
 
     @pytest.mark.parametrize("L", range(3, 9))
     def test_one_nullspace_and_one_rref_per_size(self, L, monkeypatch):
-        # one solve per size, where a nullspace and an rref once ran: the
-        # square 4L x 4L cardinal system with three right-hand sides
+        # one solve per size, where a nullspace and an rref once ran: with
+        # the smaller sizes built, the square 5x5 cardinal system with three
+        # right-hand sides
         real, calls = linalg._integer_solve, []
 
         def counting(A, B):
             calls.append((len(A), {len(row) for row in A}, {len(row) for row in B}))
             return real(A, B)
 
+        for m in range(3, L):
+            build_impulse_set(m)
         monkeypatch.setattr(linalg, "_integer_solve", counting)
         build_impulse_set.__wrapped__(L)
-        assert calls == [(4 * L, {4 * L}, {3})]
+        assert calls == [(5, {5}, {3})]
+
+    @pytest.mark.parametrize("L", range(3, 11))
+    def test_builds_four_elements_and_no_basis(self, L, monkeypatch):
+        # each size builds its own four canonical elements and takes the
+        # rest from the size below
+        import dhpoly.interpolate as mod
+
+        calls = {"_basis_element": 0, "generate_basis": 0}
+
+        def counting(name, real):
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
+        build_impulse_set.cache_clear()
+        build_impulse_set(L)
+        assert calls == {"_basis_element": 4 * (L - 2), "generate_basis": 0}
 
     def test_pinned_digest(self):
         # SHA-256 of the impulse sets 3..16 (polynomials and values); a
         # change that alters it must say why
-        parts = []
-        for L in range(3, 17):
-            impulses = build_impulse_set(L)
-            parts.extend(poly_to_json(p) for p in impulses.polys)
-            parts.append(repr(impulses.values))
-        assert hashlib.sha256("\n".join(parts).encode()).hexdigest() == IMPULSE_SETS_SHA256
+        assert impulse_sets_digest(range(3, 17)) == IMPULSE_SETS_SHA256
+
+    def test_pinned_digest_of_the_larger_sizes(self):
+        # the same for the sizes 17..23, the rest of the CLI's range
+        assert impulse_sets_digest(range(17, 24)) == LARGE_IMPULSE_SETS_SHA256
 
     def test_construction_ignores_border_order(self, monkeypatch):
         # the kernel and the cardinals are unique, so walking the border in
@@ -353,10 +393,26 @@ class TestBuildImpulseSet:
 
     @pytest.mark.parametrize("L", range(4, 10))
     def test_sizes_keep_each_canonical_element_once(self, L):
-        # the sets 3..L-1 keep the canonical basis of degree <= 2(L-1), in
-        # its order, one copy each
-        kept = [e for m in range(3, L) for e in build_impulse_set(m)._elements]
-        assert kept == list(generate_basis(2 * (L - 1)).elements)
+        # set m keeps the canonical basis of degree <= 2m, in its order,
+        # sharing set m-1's elements rather than copying them
+        for m in range(3, L):
+            elements = build_impulse_set(m)._elements
+            assert elements == generate_basis(2 * m).elements
+            smaller = _BASIS_4 if m == 3 else build_impulse_set(m - 1)._elements
+            assert all(a is b for a, b in zip(elements, smaller))
+
+    def test_hand_built_set_is_gated(self):
+        good = build_impulse_set(3)
+        with pytest.raises(TypeError):
+            ImpulseSet(True, good.polys, good.values)
+        with pytest.raises(SizeError):
+            ImpulseSet(2, good.polys, good.values)
+        for polys, values in [(good.polys[:3], good.values), (good.polys, good.values[:3])]:
+            with pytest.raises(PreconditionError):
+                ImpulseSet(3, polys, values)
+        # a set of three impulses is refused before extend takes a step
+        with pytest.raises(PreconditionError):
+            extend(MINOR_INTERPOLANT, WORKED_4X4, ImpulseSet(3, good.polys[:3], good.values[:3]))
 
     def test_too_small(self):
         with pytest.raises(SizeError):
@@ -557,9 +613,9 @@ class TestTelescopic:
 
     @pytest.mark.parametrize("L", [3, 4, 7, 10])
     def test_one_linear_combination_per_stage(self, L, monkeypatch):
-        # the base stage (eight cardinals) is one combination; the L - 3
-        # steps form no polynomial, and the result is one _combine of the
-        # 4L - 3 canonical elements of degree <= 2(L-1), none at L = 3
+        # no stage forms a polynomial, not even the base stage (eight
+        # cardinals read in integers); the result is one _combine of the
+        # 4L - 3 canonical elements of degree <= 2(L-1), at every L
         import dhpoly.interpolate as mod
 
         H = random_inner_harmonic(random.Random(80), L)
@@ -580,8 +636,8 @@ class TestTelescopic:
         monkeypatch.setattr(mod, "_linear_combination", counting(combinations, real_combination))
         monkeypatch.setattr(mod, "_combine", counting(combines, mod._combine))
         telescopic(H)
-        assert combinations == [8]
-        assert combines == ([] if L == 3 else [4 * L - 3])
+        assert combinations == []
+        assert combines == [4 * L - 3]
 
     @pytest.mark.parametrize("L", range(3, 14))
     def test_matches_stage_oracle(self, L):
