@@ -189,12 +189,11 @@ def build_impulse_set(L):
     (L+1)-lattice raises InvariantError.
     """
     _count(L, 3, SizeError)
-    for m in range(3, L):
-        build_impulse_set(m)
-    low = _canonical(L - 1)
+    sets = [build_impulse_set(m) for m in range(3, L)]
+    low = sets[-1]._elements if sets else _BASIS_4
     elements = (*low, *(BiPoly._from_ints(1, _basis_element(p)) for p in _pivots(2 * L)[-4:]))
     span = [
-        e - _from_coordinates(*_interpolant(e._numerator_at, e._den, L), low)
+        e - _from_coordinates(*_interpolant(e._numerator_at, e._den, sets), low)
         for e in elements[-5:]
     ]
     sites = ((0, L), (L, L), (L - 1, L))
@@ -204,11 +203,6 @@ def build_impulse_set(L):
     if None in values:
         raise InvariantError(f"impulse {values.index(None)} of size {L} failed verification")
     return ImpulseSet(L, tuple(polys), tuple(values), elements)
-
-
-def _canonical(m):
-    """The canonical basis of degree <= 2m >= 4, as impulse set m keeps it."""
-    return _BASIS_4 if m == 2 else build_impulse_set(m)._elements
 
 
 def extension_coefficients(chi, A, impulses):
@@ -294,21 +288,21 @@ def _step(den, u, values, hden, impulses):
     return new, [f * a + s0 * p + s1 * q + s2 * r + s3 * t for a, p, q, r, t in zip(u, *coords)]
 
 
-def _interpolant(value, hden, L):
+def _interpolant(value, hden, sets):
     """telescopic's stages, unchecked, for the values value(x, y) / hden of
-    an inner-harmonic input of size L, read at the 3-lattice's border and
-    the step sites of each size 3..L-1: the base cardinals' y^0/y^1
-    numerators weighted in integers (the center follows by the stencil),
-    then one _step per size, every larger block staying inner-harmonic.
-    Returns (den, u) (see ImpulseSet)."""
+    an inner-harmonic input of size L, given ``sets`` the impulse sets of
+    sizes 3..L-1, read at the 3-lattice's border and the step sites of each
+    set: the base cardinals' y^0/y^1 numerators weighted in integers (the
+    center follows by the stencil), then one _step per set, every larger
+    block staying inner-harmonic.  Returns (den, u) (see ImpulseSet)."""
     cardinals = _base_cardinals()
     d = math.lcm(*(c._den for c in cardinals))
     weights = [value(x, y) * (d // c._den) for (x, y), c in zip(_block_border_sites(3), cardinals)]
     u = [sum(w * c._num.get(p, 0) for w, c in zip(weights, cardinals)) for p in _pivots(4)]
     den = hden * d
-    for m in range(3, L):
-        values = [value(x, y) for x, y in _step_sites(m)]
-        den, u = _step(den, u, values, hden, build_impulse_set(m))
+    for impulses in sets:
+        values = [value(x, y) for x, y in _step_sites(impulses.size)]
+        den, u = _step(den, u, values, hden, impulses)
     return den, u
 
 
@@ -334,8 +328,9 @@ def telescopic(H):
         raise PreconditionError("matrix is not inner-harmonic")
     hden, rows = H._integer
     top = H.size - 1
-    den, u = _interpolant(lambda x, y: rows[top - y][x], hden, H.size)
-    chi = _from_coordinates(den, u, _canonical(H.size - 1))
+    sets = [build_impulse_set(m) for m in range(3, H.size)]
+    den, u = _interpolant(lambda x, y: rows[top - y][x], hden, sets)
+    chi = _from_coordinates(den, u, sets[-1]._elements if sets else _BASIS_4)
     if not (is_discrete_harmonic(chi) and interpolates(chi, H)):
         raise InvariantError("telescopic result does not interpolate the matrix")
     return chi

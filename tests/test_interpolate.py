@@ -639,6 +639,23 @@ class TestTelescopic:
         assert combinations == []
         assert combines == [4 * L - 3]
 
+    @pytest.mark.parametrize("L", [3, 4, 7, 10])
+    def test_looks_up_each_smaller_set_once(self, L):
+        # telescopic of size L reads the sets 3..L-1 from the cache once
+        # each; so does the build of size L, which then misses once
+        def lookups(call):
+            before = build_impulse_set.cache_info()
+            call()
+            after = build_impulse_set.cache_info()
+            return after.hits - before.hits, after.misses - before.misses
+
+        H = random_inner_harmonic(random.Random(81), L)
+        build_impulse_set.cache_clear()
+        for m in range(3, L):
+            build_impulse_set(m)
+        assert lookups(lambda: telescopic(H)) == (L - 3, 0)
+        assert lookups(lambda: build_impulse_set(L)) == (L - 3, 1)
+
     @pytest.mark.parametrize("L", range(3, 14))
     def test_matches_stage_oracle(self, L):
         # the steps in canonical coordinates give byte for byte the
