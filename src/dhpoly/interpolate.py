@@ -8,12 +8,14 @@ lattice except one designated border site (an antisymmetric pair for the
 fourth), so they patch the entries the smaller interpolant cannot match
 without disturbing anything already fixed.  extend is one such step on
 polynomials; telescopic runs its stages in canonical-basis coordinates and
-forms the polynomial once, at the end; each size's impulses come from the
-same stages at the sizes below (see build_impulse_set).  A plain bilinear
-(tensor Lagrange) interpolator is included as a contrast: it always
-interpolates but is generally not discrete harmonic.  The base case, each
-size's impulses and the bilinear factors are cardinal polynomials, each set
-of them from one square solve (see _cardinals).
+forms the polynomial once, at the end.  Each size's impulses come from the
+same stages at the sizes below, read at the impulse sites in coordinates as
+well, so a build forms only its three new impulses as polynomials (see
+build_impulse_set).  A plain bilinear (tensor Lagrange) interpolator is
+included as a contrast: it always interpolates but is generally not discrete
+harmonic.  The base case, each size's impulses and the bilinear factors are
+cardinal polynomials, each set of them from one square solve (see
+_cardinal_solve).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from operator import mul
 
 from . import linalg
 from .errors import InvariantError, PreconditionError, SizeError
-from .grid import _count, _matches, interpolates, is_inner_harmonic
+from .grid import _RATIONAL, _count, _matches, interpolates, is_inner_harmonic
 from .poly import (
     BiPoly,
     X,
@@ -46,19 +48,29 @@ _BASIS_4 = generate_basis(4).elements
 _BASE_BASIS = _BASIS_4[:8]
 
 
+def _cardinal_solve(values, n):
+    """(d, C) for a cardinal system, values[i][k] the integer D_k * p_k at
+    the i-th condition site for functions p_k and scales D_k, the last n
+    sites the cardinal ones and the rest zeros: sum_k (C[k][j] / d) D_k p_k
+    vanishes at the zeros, is 1 at the j-th cardinal site and 0 at the
+    others.  C / d is the columns of the values' inverse past the zero rows,
+    from one linalg._integer_solve, the one solve of _cardinals and of
+    build_impulse_set.  A system that is not square and nonsingular raises
+    InvariantError."""
+    size = len(values)
+    if any(len(row) != size for row in values):
+        raise InvariantError(f"{len(values[0])} polynomials for {size} conditions")
+    units = [[0] * n for _ in range(size - n)] + [[int(i == k) for k in range(n)] for i in range(n)]
+    return linalg._integer_solve(values, units)
+
+
 def _cardinals(polys, sites, zeros=()):
     """The polynomials in the span of ``polys`` that vanish at ``zeros`` and
-    are 1 at one of ``sites`` and 0 at the others, in ``sites`` order: with
-    A holding polys[k] at the i-th site of zeros + sites in row i, column k,
-    the columns of A's inverse past the zero rows.  The solve reads
-    A diag(D), the integer Horner sums D_k * polys[k] at the sites, and
-    scales back.  A system that is not square and nonsingular raises
-    InvariantError."""
-    n, rows = len(sites), (*zeros, *sites)
-    if len(polys) != len(rows):
-        raise InvariantError(f"{len(polys)} polynomials for {len(rows)} conditions")
-    units = [[0] * n for _ in zeros] + [[int(i == k) for k in range(n)] for i in range(n)]
-    d, C = linalg._integer_solve([[p._numerator_at(x, y) for p in polys] for x, y in rows], units)
+    are 1 at one of ``sites`` and 0 at the others, in ``sites`` order: the
+    _cardinal_solve of the integer Horner sums D_k * polys[k] at the sites,
+    D_k the denominator of polys[k], scaled back."""
+    rows = (*zeros, *sites)
+    d, C = _cardinal_solve([[p._numerator_at(x, y) for p in polys] for x, y in rows], len(sites))
     dens = [p._den for p in polys]
     return tuple(
         _linear_combination([Fraction(v * D, d) for v, D in zip(column, dens)], polys)
@@ -69,8 +81,20 @@ def _cardinals(polys, sites, zeros=()):
 @lru_cache(maxsize=None)
 def _base_cardinals():
     """The eight cardinals of _BASE_BASIS at the border sites of the
-    3-lattice, in _block_border_sites(3) order."""
+    3-lattice, in _block_border_sites(3) order, which _base_stage tabulates."""
     return _cardinals(_BASE_BASIS, _block_border_sites(3))
+
+
+@lru_cache(maxsize=None)
+def _base_stage():
+    """(d, table): d the lcm of the base cardinals' denominators, and
+    table[i][c] the numerator of cardinal c at the i-th pivot of degree <= 4
+    (see _pivots) over d, a 9x8 table built once.  The base interpolant's
+    y^0/y^1 numerators over hden * d are the rows' dot products with the
+    border values over hden, in _block_border_sites(3) order."""
+    cardinals = _base_cardinals()
+    d = math.lcm(*(c._den for c in cardinals))
+    return d, tuple(tuple(c._num.get(p, 0) * (d // c._den) for c in cardinals) for p in _pivots(4))
 
 
 def interpolate_3x3(A):
@@ -90,14 +114,16 @@ class ImpulseSet:
     With m = size, the nonzero sites are (0, m), (m, m), (m, 0), and the
     antisymmetric pair (m-1, m) / (m, m-1).  ``values`` holds the value at
     each designated site ((m-1, m) for the pair); the pair's second value is
-    its negation.  All four values are nonzero.
+    its negation.
 
     The size passes the count gate (at least 3); polys and values hold
-    four each, else PreconditionError.  __post_init__ derives the private
-    fields however the set was built (dataclasses.replace too):
-    ``_step_table``, the step from size m to m+1 in canonical coordinates,
-    and ``_elements``, the canonical basis of degree <= 2m, which is the
-    init-only ``_basis`` when given (build_impulse_set's).
+    four each, else PreconditionError; each value is an int or Fraction by
+    exact type, else TypeError, and nonzero, else PreconditionError.
+    __post_init__ derives the private fields however the set was built
+    (dataclasses.replace too): ``_step_table``, the step from size m to m+1
+    in canonical coordinates, and ``_elements``, the canonical basis of
+    degree <= 2m, which is the init-only ``_basis`` when given
+    (build_impulse_set's).
 
     A discrete harmonic polynomial of degree <= N is sum_i (u_i / c_i) h_i
     over the canonical elements h_i, u_i its coefficient at h_i's pivot and
@@ -119,12 +145,13 @@ class ImpulseSet:
         m = _count(self.size, 3, SizeError)
         if len(self.polys) != 4 or len(self.values) != 4:
             raise PreconditionError("an impulse set holds four polys and four values")
+        for g in self.values:
+            if type(g) not in _RATIONAL:
+                raise TypeError("impulse values must be int or Fraction")
+            if not g:
+                raise PreconditionError("impulse values must be nonzero")
         elements = generate_basis(2 * m).elements if _basis is None else _basis
-        lc, scales = _pivot_scales(elements[: 4 * m - 3])
-        rows = tuple(
-            tuple(e._numerator_at(x, y) * s for e, s in zip(elements, scales))
-            for x, y in _step_sites(m)
-        )
+        lc, _, rows = _site_rows(elements[: 4 * m - 3], _step_sites(m))
         coords = tuple(tuple(xi._num.get(p, 0) for p in _pivots(2 * m)) for xi in self.polys)
         divisors = tuple(g * xi._den for g, xi in zip(self.values, self.polys))
         object.__setattr__(self, "_step_table", (lc, rows, coords, divisors))
@@ -144,6 +171,16 @@ def _pivot_scales(elements):
     cs = [e._num[p] for e, p in zip(elements, _pivots(len(elements) // 2))]
     lc = math.lcm(*cs)
     return lc, [lc // c for c in cs]
+
+
+def _site_rows(elements, sites):
+    """(lc, scales, rows) for the canonical elements h_i of degree <= N:
+    lc and scales = [lc / c_i] from _pivot_scales, and one row per site
+    holding each h_i there times lc / c_i, the row a polynomial in (D, u)
+    form (see ImpulseSet) is read at by one dot product with u."""
+    lc, scales = _pivot_scales(elements)
+    rows = tuple(tuple(e._numerator_at(x, y) * s for e, s in zip(elements, scales)) for x, y in sites)
+    return lc, scales, rows
 
 
 def _step_sites(m):
@@ -180,11 +217,17 @@ def build_impulse_set(L):
     The discrete harmonic polynomials of degree <= 2L vanishing on the
     L-lattice span 5 dimensions (the stencil leaves four free values on the
     (L+1)-lattice, plus one vanishing on all of it), spanned by the residuals
-    of the canonical elements with pivots (2L-3, 1), (2L-1, 0), (2L-2, 1),
-    (2L, 0) and (2L-1, 1): each minus its _interpolant from the sets 3..L-1.
-    Impulses 0, 1 and 3 are their cardinals at (0, L), (L, L) and (L-1, L)
-    that vanish at (L, 0) and (L+1, L), one 5x5 system, each scaled by
-    _primitive_poly; impulse 2 is impulse 0's x/y mirror.  A singular
+    r_k = e_k - I_k of the canonical elements e_k with pivots (2L-3, 1),
+    (2L-1, 0), (2L-2, 1), (2L, 0) and (2L-1, 1), I_k e_k's _interpolant
+    from the sets 3..L-1.  No residual is formed: with I_k in (D_k, u_k)
+    form (see ImpulseSet) over the canonical elements of degree <= 2L-2,
+    D_k r_k at a site is e_k there times D_k minus u_k's dot product with
+    that site's _site_rows row, an integer.  Impulses 0, 1 and 3 are the
+    residuals' cardinals at (0, L), (L, L) and (L-1, L) that vanish at
+    (L, 0) and (L+1, L), one 5x5 _cardinal_solve; each is one _combine of
+    the canonical elements of degree <= 2L, e_k weighted by its D_k and
+    the low elements by minus the u_k, through the solution, and is scaled
+    by _primitive_poly.  Impulse 2 is impulse 0's x/y mirror.  A singular
     system or an impulse failing its pattern check on the whole
     (L+1)-lattice raises InvariantError.
     """
@@ -192,12 +235,26 @@ def build_impulse_set(L):
     sets = [build_impulse_set(m) for m in range(3, L)]
     low = sets[-1]._elements if sets else _BASIS_4
     elements = (*low, *(BiPoly._from_ints(1, _basis_element(p)) for p in _pivots(2 * L)[-4:]))
-    span = [
-        e - _from_coordinates(*_interpolant(e._numerator_at, e._den, sets), low)
-        for e in elements[-5:]
+    span = elements[-5:]
+    sites = ((L, 0), (L + 1, L), (0, L), (L, L), (L - 1, L))
+    lc, scales, rows = _site_rows(low, sites)
+    dens, us = [], []
+    for e in span:
+        den, u = _interpolant(e._numerator_at, e._den, sets)
+        dens.append(den * lc // e._den)
+        us.append(u)
+    residuals = [
+        [e._numerator_at(x, y) * D - sum(map(mul, u, row)) for e, D, u in zip(span, dens, us)]
+        for (x, y), row in zip(sites, rows)
     ]
-    sites = ((0, L), (L, L), (L - 1, L))
-    polys = [_primitive_poly(c) for c in _cardinals(span, sites, ((L, 0), (L + 1, L)))]
+    d, C = _cardinal_solve(residuals, 3)
+    maps = [e._num for e in elements]
+    polys = []
+    for column in zip(*C):
+        weights = [-sum(map(mul, column, ui)) * s for ui, s in zip(zip(*us), scales)]
+        weights[-1] += dens[0] * column[0]  # span[0] is low[-1]
+        weights += [D * c for D, c in zip(dens[1:], column[1:])]
+        polys.append(_primitive_poly(BiPoly._from_ints(1, _combine(weights, maps))))
     polys.insert(2, _primitive_poly(polys[0].swap_xy()))
     values = [_verify_impulse(xi, L, k) for k, xi in enumerate(polys)]
     if None in values:
@@ -252,7 +309,9 @@ def extend(chi, A, impulses=None):
     Adds a combination of the size-(L-1) impulse polynomials, which vanish on
     the smaller block, so nothing already matched is disturbed.  The result
     has degree <= max(2(L-1), chi's degree).  Checks its inputs, matching chi
-    to the whole block, read from A's integer rows.
+    to the whole block, read from A's integer rows, and a caller's impulse
+    set against its values on the whole L-lattice (see _verify_impulse); a
+    built set was checked when it was built.
     """
     L = A.size
     if L < 4:
@@ -268,6 +327,11 @@ def extend(chi, A, impulses=None):
         impulses = build_impulse_set(L - 1)
     elif impulses.size != L - 1:
         raise PreconditionError(f"impulse set has size {impulses.size}, need {L - 1}")
+    elif any(
+        _verify_impulse(xi, L - 1, k) != g
+        for k, (xi, g) in enumerate(zip(impulses.polys, impulses.values))
+    ):
+        raise PreconditionError("impulse set does not have the impulse patterns and values")
     return _extend(chi, A, impulses)
 
 
@@ -292,13 +356,12 @@ def _interpolant(value, hden, sets):
     """telescopic's stages, unchecked, for the values value(x, y) / hden of
     an inner-harmonic input of size L, given ``sets`` the impulse sets of
     sizes 3..L-1, read at the 3-lattice's border and the step sites of each
-    set: the base cardinals' y^0/y^1 numerators weighted in integers (the
-    center follows by the stencil), then one _step per set, every larger
-    block staying inner-harmonic.  Returns (den, u) (see ImpulseSet)."""
-    cardinals = _base_cardinals()
-    d = math.lcm(*(c._den for c in cardinals))
-    weights = [value(x, y) * (d // c._den) for (x, y), c in zip(_block_border_sites(3), cardinals)]
-    u = [sum(w * c._num.get(p, 0) for w, c in zip(weights, cardinals)) for p in _pivots(4)]
+    set: the base stage's table read against the border values, in integers
+    (the center follows by the stencil), then one _step per set, every
+    larger block staying inner-harmonic.  Returns (den, u) (see ImpulseSet)."""
+    d, table = _base_stage()
+    border = [value(x, y) for x, y in _block_border_sites(3)]
+    u = [sum(map(mul, border, row)) for row in table]
     den = hden * d
     for impulses in sets:
         values = [value(x, y) for x, y in _step_sites(impulses.size)]

@@ -23,10 +23,14 @@ from dhpoly.errors import InvariantError, PreconditionError
 from dhpoly.grid import _common_denominator, _count, _fraction
 from dhpoly.interpolate import (
     _BASE_BASIS,
+    _BASIS_4,
     ImpulseSet,
     _base_cardinals,
     _block_border_sites,
+    _cardinals,
     _extend,
+    _from_coordinates,
+    _interpolant,
     _verify_impulse,
 )
 from dhpoly.poly import DHBasis, _linear_combination, _primitive_poly
@@ -535,6 +539,34 @@ def search_impulse_set(L):
         raise InvariantError(f"swapped impulse polynomial failed verification for size {L}")
     polys[2], values[2] = swapped, value
     return ImpulseSet(size=L, polys=tuple(polys), values=tuple(values))
+
+
+def residual_span(L):
+    """The five residuals of size L as polynomials: each of the last five
+    canonical elements of degree <= 2L minus its interpolant from the sets
+    3..L-1, the interpolant formed from its canonical coordinates."""
+    sets = [build_impulse_set(m) for m in range(3, L)]
+    low = sets[-1]._elements if sets else _BASIS_4
+    return [
+        e - _from_coordinates(*_interpolant(e._numerator_at, e._den, sets), low)
+        for e in generate_basis(2 * L).elements[-5:]
+    ]
+
+
+def residual_impulse_set(L):
+    """The impulse set of size L from the residuals formed as polynomials:
+    impulses 0, 1 and 3 the _cardinals of residual_span(L) at (0, L),
+    (L, L) and (L-1, L) vanishing at (L, 0) and (L+1, L), each scaled by
+    _primitive_poly, and impulse 2 impulse 0's mirror.  The reference that
+    build_impulse_set, which reads the residuals at those sites from
+    coordinates, is checked against."""
+    sites, zeros = ((0, L), (L, L), (L - 1, L)), ((L, 0), (L + 1, L))
+    polys = [_primitive_poly(c) for c in _cardinals(residual_span(L), sites, zeros)]
+    polys.insert(2, _primitive_poly(polys[0].swap_xy()))
+    values = [_verify_impulse(xi, L, k) for k, xi in enumerate(polys)]
+    if None in values:
+        raise InvariantError(f"impulse {values.index(None)} of size {L} failed verification")
+    return ImpulseSet(L, tuple(polys), tuple(values))
 
 
 _ZERO = Fraction(0)

@@ -35,11 +35,13 @@ from dhpoly.interpolate import (
     _BASE_BASIS,
     _BASIS_4,
     _base_cardinals,
+    _base_stage,
     _block_border_sites,
     _cardinals,
     _extend,
     _verify_impulse,
 )
+from dhpoly.poly import _primitive_poly
 
 from helpers import (
     corrupt_dipole,
@@ -47,6 +49,8 @@ from helpers import (
     random_border,
     random_inner_harmonic,
     random_matrix,
+    residual_impulse_set,
+    residual_span,
     search_impulse_set,
     solve,
     solve_3x3,
@@ -99,31 +103,22 @@ class TestCardinals:
         assert _base_cardinals() == _cardinals(_BASE_BASIS, sites)
 
     @pytest.mark.parametrize("L", range(3, 9))
-    def test_impulse_kernel_at_step_sites(self, L, monkeypatch):
+    def test_impulse_kernel_at_step_sites(self, L):
         # the span is the five residuals of the last canonical elements of
-        # degree <= 2L: discrete harmonic, zero on the whole L-lattice
-        import dhpoly.interpolate as mod
-
-        for m in range(3, L):
-            build_impulse_set(m)
-        real, calls = mod._cardinals, []
-
-        def recording(polys, sites, zeros=()):
-            calls.append((polys, sites, zeros, real(polys, sites, zeros)))
-            return calls[-1][3]
-
-        monkeypatch.setattr(mod, "_cardinals", recording)
-        build_impulse_set.__wrapped__(L)
-        [(polys, sites, zeros, cardinals)] = calls
-        assert len(polys) == 5
-        for r, e in zip(polys, generate_basis(2 * L).elements[-5:]):
+        # degree <= 2L: discrete harmonic, zero on the whole L-lattice; their
+        # cardinals at the step sites are the impulses 0, 1 and 3
+        span = residual_span(L)
+        assert len(span) == 5
+        for r, e in zip(span, generate_basis(2 * L).elements[-5:]):
             assert is_discrete_harmonic(r) and r.degree <= 2 * L
             assert evaluate_on_lattice(r, L) == RatMatrix.zero(L)
             assert r == e - telescopic(evaluate_on_lattice(e, L))
-        assert list(sites) == [(0, L), (L, L), (L - 1, L)]
-        assert list(zeros) == [(L, 0), (L + 1, L)]
+        sites, zeros = [(0, L), (L, L), (L - 1, L)], [(L, 0), (L + 1, L)]
+        cardinals = _cardinals(span, sites, zeros)
         assert all(c.evaluate(x, y) == 0 for c in cardinals for x, y in zeros)
         assert_cardinal(cardinals, sites)
+        polys = build_impulse_set(L).polys
+        assert [_primitive_poly(c) for c in cardinals] == [polys[0], polys[1], polys[3]]
 
     @pytest.mark.parametrize("L", range(1, 9))
     def test_monomials_at_integers(self, L):
@@ -208,10 +203,12 @@ class TestInterpolate3x3:
             assert interpolate_3x3(A) == solve_3x3(A)
 
     def test_corrupt_base_cardinal_raises_invariant_error(self, monkeypatch):
-        # the base case is checked like every telescopic result
-        cardinals = _base_cardinals()
-        corrupt = (2 * cardinals[0], *cardinals[1:])
-        monkeypatch.setattr("dhpoly.interpolate._base_cardinals", lambda: corrupt)
+        # the base case is checked like every telescopic result: the base
+        # stage reads the cardinals from its table, here with cardinal 0
+        # doubled
+        d, table = _base_stage()
+        corrupt = (d, tuple((2 * row[0], *row[1:]) for row in table))
+        monkeypatch.setattr("dhpoly.interpolate._base_stage", lambda: corrupt)
         with pytest.raises(InvariantError):
             interpolate_3x3(WORKED_MINOR_3X3)
 
@@ -306,6 +303,36 @@ class TestBuildImpulseSet:
         for p, q in zip(built.polys, searched.polys):
             assert (p._den, p._num) == (q._den, q._num)
 
+    @pytest.mark.parametrize("L", range(3, 13))
+    def test_matches_residual_oracle(self, L):
+        # reading the residuals at the cardinal sites from coordinates gives
+        # the set the residual polynomials give, field by field
+        built, oracle = build_impulse_set(L), residual_impulse_set(L)
+        for f in dataclasses.fields(ImpulseSet):
+            assert getattr(built, f.name) == getattr(oracle, f.name), f.name
+
+    @pytest.mark.parametrize("L", range(3, 11))
+    def test_forms_three_polynomials_per_size(self, L, monkeypatch):
+        # with the smaller sizes built, a build forms impulses 0, 1 and 3 as
+        # one _combine each over the canonical elements of degree <= 2L, and
+        # no residual, interpolant or cardinal as a polynomial
+        import dhpoly.interpolate as mod
+        import dhpoly.poly as poly_mod
+
+        for m in range(3, L):
+            build_impulse_set(m)
+        real, calls = poly_mod._combine, []
+
+        def counting(coeffs, maps):
+            maps = list(maps)
+            calls.append(len(maps))
+            return real(coeffs, maps)
+
+        monkeypatch.setattr(mod, "_combine", counting)
+        monkeypatch.setattr(poly_mod, "_combine", counting)
+        build_impulse_set.__wrapped__(L)
+        assert calls == [4 * L + 1] * 3
+
     @pytest.mark.parametrize("L", range(3, 9))
     def test_one_nullspace_and_one_rref_per_size(self, L, monkeypatch):
         # one solve per size, where a nullspace and an rref once ran: with
@@ -366,11 +393,13 @@ class TestBuildImpulseSet:
         try:
             build_impulse_set.cache_clear()
             _base_cardinals.cache_clear()
+            _base_stage.cache_clear()
             got = [build_impulse_set(L) for L in range(3, 9)], [telescopic(H) for H in matrices]
         finally:
             monkeypatch.undo()
             build_impulse_set.cache_clear()
             _base_cardinals.cache_clear()
+            _base_stage.cache_clear()
         assert got == want
 
     def test_memoized(self):
@@ -413,6 +442,18 @@ class TestBuildImpulseSet:
         # a set of three impulses is refused before extend takes a step
         with pytest.raises(PreconditionError):
             extend(MINOR_INTERPOLANT, WORKED_4X4, ImpulseSet(3, good.polys[:3], good.values[:3]))
+
+    def test_hand_built_values_are_gated(self):
+        # each value is a nonzero int or Fraction by exact type: a step
+        # divides by the values
+        good = build_impulse_set(3)
+        for bad in (0.5, "1", True, None):
+            with pytest.raises(TypeError):
+                ImpulseSet(3, good.polys, (bad, *good.values[1:]))
+        for zero in (0, Fraction(0)):
+            with pytest.raises(PreconditionError):
+                ImpulseSet(3, good.polys, (*good.values[:3], zero))
+        assert ImpulseSet(3, good.polys, tuple(int(g) for g in good.values)) == good
 
     def test_too_small(self):
         with pytest.raises(SizeError):
@@ -469,6 +510,25 @@ class TestExtend:
     def test_rejects_wrong_impulse_size(self):
         with pytest.raises(PreconditionError):
             extend(MINOR_INTERPOLANT, WORKED_4X4, build_impulse_set(4))
+
+    def test_rejects_impulse_set_without_its_patterns(self):
+        # a caller's set is checked against its values on the whole
+        # 4-lattice: reordered impulses, values not scaled with their
+        # polynomials or a corrupted dipole would give a wrong step, while
+        # impulses and values scaled alike give the same one
+        good = build_impulse_set(3)
+        bad_sets = [
+            ImpulseSet(3, good.polys[::-1], good.values),
+            ImpulseSet(3, good.polys, tuple(2 * g for g in good.values)),
+            ImpulseSet(3, tuple(2 * xi for xi in good.polys), good.values),
+            corrupt_dipole(good),
+        ]
+        for bad in bad_sets:
+            with pytest.raises(PreconditionError, match="patterns"):
+                extend(MINOR_INTERPOLANT, WORKED_4X4, bad)
+        c = Fraction(-3, 7)
+        scaled = ImpulseSet(3, tuple(c * xi for xi in good.polys), tuple(c * g for g in good.values))
+        assert extend(MINOR_INTERPOLANT, WORKED_4X4, scaled) == extend(MINOR_INTERPOLANT, WORKED_4X4)
 
     def test_coefficients_read_only_the_block(self):
         rng = random.Random(77)
