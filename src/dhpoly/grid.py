@@ -11,9 +11,15 @@ It also holds what the other modules share: the exactness gate for values
 (the types _RATIONAL and the coercion _fraction), the count gate for sizes,
 degrees and step counts (_count), the one scaling to integers over a common
 denominator (_common_denominator), the stencil on the integer rows of a
-matrix (_stencil) and the one test that a polynomial matches lattice
-values (_matches), which reads the restriction of a polynomial to the
-lattice, in integers row by row, from poly's BiPoly._lattice_rows.
+matrix (_stencil) and the two tests that a polynomial matches lattice
+values, both cross-multiplied integer comparisons.  _matches reads the
+whole restriction, row by row, from poly's BiPoly._lattice_rows; it serves
+interpolates, which takes any polynomial, and the impulse pattern check.
+_matches_frame reads only the 4L - 4 sites of the rows y = 0 and 1 and the
+side columns, from BiPoly._frame_numerators; it serves telescopic's result
+and extend's input, where the polynomial has just been checked discrete
+harmonic and the matrix inner-harmonic, and then it is exact, because an
+inner-harmonic matrix is fixed by those sites.
 """
 
 from __future__ import annotations
@@ -209,6 +215,29 @@ def _matches(P, den, rows):
     return all(
         [n * den for n in got] == [v * D for v in want]
         for got, want in zip(P._lattice_rows(len(rows)), rows)
+    )
+
+
+def _matches_frame(P, den, rows):
+    """_matches for a discrete harmonic P and inner-harmonic display rows
+    ``rows`` of size L >= 3, read only on the lattice's frame: the rows
+    y = 0 and 1 and the columns x = 0 and L-1, 4L - 4 sites, compared
+    cross-multiplied with P's integer numerators there
+    (BiPoly._frame_numerators).  Both preconditions are the caller's.
+
+    Exact under them: P's stencil image is the zero polynomial, so its
+    restriction is inner-harmonic too, and an inner-harmonic matrix is fixed
+    by its frame.  The stencil at an inner site (x, y) gives
+    h(x, y+1) = 4h(x, y) - h(x-1, y) - h(x+1, y) - h(x, y-1), so rows y - 1
+    and y fix row y + 1 inside the side columns, and the rows follow upward
+    from y = 0 and 1.  The difference of the two sides is inner-harmonic
+    and zero on the frame, so it is zero on the whole lattice."""
+    D = P._den
+    side = rows[-3::-1]
+    want = (rows[-1], rows[-2], [row[0] for row in side], [row[-1] for row in side])
+    return all(
+        [n * den for n in got] == [v * D for v in values]
+        for got, values in zip(P._frame_numerators(len(rows)), want)
     )
 
 

@@ -16,7 +16,10 @@ by power of x, highest first, each power's by descending y.  evaluate runs
 Horner in y inside Horner in x (_numerator_at, which the cardinal systems of
 interpolate read as ints) and divides by D once; the restriction to the
 lattice, _lattice_rows, does the same in integers one lattice row at a time.
-Every step is exact, so each value equals the term-by-term sum.
+The values on the lattice's frame (its rows y = 0 and 1 and its two side
+columns), which grid's frame check reads, come from one pass over the
+terms instead (_frame_numerators).  Every step is exact, so each value
+equals the term-by-term sum.
 
 Numbers meet polynomials through grid's one gate, ``type(v) in _RATIONAL``:
 int or Fraction by exact type, so bool and subclasses fail by construction.
@@ -58,6 +61,19 @@ _ZERO = Fraction(0)
 def _term_order(key):
     """Canonical order of an exponent pair: total degree, then x-exponent."""
     return key[0] + key[1], key[0]
+
+
+def _horner(coeffs, points):
+    """Values at each of ``points`` of the univariate polynomial with the
+    integer coefficients ``coeffs``, lowest power first, by Horner."""
+    coeffs = coeffs[::-1]
+    out = []
+    for p in points:
+        acc = 0
+        for c in coeffs:
+            acc = acc * p + c
+        out.append(acc)
+    return out
 
 
 class BiPoly:
@@ -199,6 +215,29 @@ class BiPoly:
                     c = c * y + n
                 row = [v * x + c for v, x in zip(row, xs)]
             yield row
+
+    def _frame_numerators(self, L):
+        """The integer numerators of P's values over its denominator on the
+        frame of the size-L lattice, L >= 2, as four lists: the lattice rows
+        y = 0 and y = 1 for x = 0..L-1, then the columns x = 0 and x = L-1
+        for y = 2..L-1.  One pass over the terms collapses P to the four
+        univariate polynomials P(x, 0), P(x, 1), P(0, y) and P(L-1, y), and
+        Horner evaluates each at its points: O(terms + degree * L) integer
+        work, where the whole restriction is O(L * terms)."""
+        top = self.degree
+        powers = [1]
+        for _ in range(top):
+            powers.append(powers[-1] * (L - 1))
+        row0, row1, left, right = ([0] * (top + 1) for _ in range(4))
+        for (a, b), n in self._num.items():
+            row1[a] += n
+            right[b] += n * powers[a]
+            if not b:
+                row0[a] += n
+            if not a:
+                left[b] += n
+        xs, ys = range(L), range(2, L)
+        return _horner(row0, xs), _horner(row1, xs), _horner(left, ys), _horner(right, ys)
 
     def swap_xy(self):
         return BiPoly._from_ints(self._den, {(b, a): n for (a, b), n in self._num.items()})

@@ -13,6 +13,7 @@ from dhpoly import (
     SandConfig,
     SizeError,
     X,
+    Y,
     border_positions,
     build_impulse_set,
     check_conservation,
@@ -21,6 +22,7 @@ from dhpoly import (
     evaluate_on_lattice,
     generate_basis,
     interpolates,
+    is_discrete_harmonic,
     is_inner_harmonic,
     laplacian_monomial,
     lattice_to_matrix,
@@ -30,7 +32,9 @@ from dhpoly import (
     random_config,
     standard_gf,
     tabulated_basis,
+    telescopic,
 )
+from dhpoly.grid import _matches, _matches_frame
 from dhpoly.poly import BiPoly
 
 from helpers import (
@@ -38,8 +42,10 @@ from helpers import (
     nullspace,
     primitive,
     random_border,
+    random_inner_harmonic,
     random_matrix,
     random_poly,
+    random_rational,
     rank,
     rref,
     solve,
@@ -564,3 +570,55 @@ class TestInterpolates:
             answers.append(interpolates(P, H))
             assert answers[-1] == (H.rows == tuple(map(tuple, naive)))
         assert 5 < answers.count(True) < 25
+
+
+class TestMatchesFrame:
+    """_matches_frame checked against the whole-lattice _matches as the
+    oracle, on discrete harmonic polynomials and inner-harmonic rows."""
+
+    @pytest.mark.parametrize("L", range(3, 13))
+    def test_agrees_with_whole_lattice_check(self, L):
+        """On telescopic's result, that result plus each scaled impulse of
+        sizes L-1 (nonzero on the lattice) and L (zero on it), and that
+        result plus X*Y: the same verdict as _matches, also with the rows
+        and denominator not in lowest terms."""
+        rng = random.Random(3300 + L)
+        H = random_inner_harmonic(rng, L)
+        den, rows = H._integer
+        P = telescopic(H)
+        candidates = [P, P + X * Y]
+        for m in range(max(L - 1, 3), L + 1):
+            for xi in build_impulse_set(m).polys:
+                c = random_rational(rng)
+                candidates.append(P + (c if c else 1) * xi)
+        verdicts = []
+        for Q in candidates:
+            assert is_discrete_harmonic(Q)
+            verdicts.append(_matches(Q, den, rows))
+            assert _matches_frame(Q, den, rows) == verdicts[-1]
+            assert _matches_frame(Q, 3 * den, [[3 * v for v in row] for row in rows]) == verdicts[-1]
+        assert verdicts[0] and not verdicts[1]
+        assert verdicts.count(False) == (5 if L > 3 else 1)
+
+    @pytest.mark.parametrize("L", [3, 4, 7])
+    def test_exact_only_for_harmonic_polynomials(self, L):
+        """A term that vanishes on the frame but not inside the lattice, and
+        is not discrete harmonic, passes the frame check alone: the harmonic
+        check in front is what makes it exact."""
+        H = random_inner_harmonic(random.Random(3400 + L), L)
+        P = telescopic(H) + X * (X - (L - 1)) * Y * (Y - 1)
+        assert not is_discrete_harmonic(P)
+        assert _matches_frame(P, *H._integer)
+        assert not _matches(P, *H._integer)
+
+    @pytest.mark.parametrize("max_degree, L", [(0, 2), (3, 3), (8, 5), (20, 9)])
+    def test_frame_numerators_match_naive_evaluate(self, max_degree, L):
+        """The frame numerators are D times the term-by-term sums at the
+        rows y = 0, 1 and at the side columns for y = 2..L-1."""
+        rng = random.Random(3500 + max_degree)
+        for P in (BiPoly.zero(), random_poly(rng, max_degree, 8, max_num=10**4, max_den=60)):
+            def column(x):
+                return [P._den * naive_evaluate(P, x, y) for y in range(2, L)]
+
+            rows = [[P._den * naive_evaluate(P, x, y) for x in range(L)] for y in (0, 1)]
+            assert list(P._frame_numerators(L)) == [*rows, column(0), column(L - 1)]

@@ -530,6 +530,20 @@ class TestExtend:
         scaled = ImpulseSet(3, tuple(c * xi for xi in good.polys), tuple(c * g for g in good.values))
         assert extend(MINOR_INTERPOLANT, WORKED_4X4, scaled) == extend(MINOR_INTERPOLANT, WORKED_4X4)
 
+    @pytest.mark.parametrize("L", [4, 6, 9])
+    def test_rejects_chi_off_on_the_block_frame(self, L):
+        # chi is matched to the (L-1)-block on its frame: a discrete
+        # harmonic chi plus X*Y, or plus an impulse of size L-2 (nonzero at
+        # the block's frame sites, the dipole also at one site inside it),
+        # is rejected
+        H = random_inner_harmonic(random.Random(84), L)
+        chi = telescopic(H.lower_left_minor(L - 1))
+        assert interpolates(extend(chi, H), H)
+        offsets = [X * Y, *(build_impulse_set(L - 2).polys if L > 4 else ())]
+        for off in offsets:
+            with pytest.raises(PreconditionError, match="lower-left block"):
+                extend(chi + Fraction(2, 3) * off, H)
+
     def test_coefficients_read_only_the_block(self):
         rng = random.Random(77)
         for L in range(5, 10):
@@ -647,6 +661,28 @@ class TestTelescopic:
 
         monkeypatch.setattr("dhpoly.interpolate.build_impulse_set", faulty)
         for H in (WORKED_4X4, random_inner_harmonic(random.Random(77), 6)):
+            with pytest.raises(InvariantError):
+                telescopic(H)
+
+    @pytest.mark.parametrize("L", [3, 4, 7, 10])
+    def test_result_off_the_lattice_raises_invariant_error(self, L, monkeypatch):
+        # the final check compares only H's frame (rows y = 0, 1 and the side
+        # columns), which the harmonic check in front makes exact: a result
+        # that gains a non-harmonic term vanishing on the whole frame, or a
+        # harmonic term that does not, raises
+        import dhpoly.interpolate as mod
+
+        H = random_inner_harmonic(random.Random(82), L)
+        real = mod._from_coordinates
+        hidden = X * (X - (L - 1)) * Y * (Y - 1)
+        assert not is_discrete_harmonic(hidden)
+        assert not interpolates(telescopic(H) + hidden, H)
+        for term in (hidden, X * Y):
+
+            def faulty(den, u, elements, term=term):
+                return real(den, u, elements) + term
+
+            monkeypatch.setattr(mod, "_from_coordinates", faulty)
             with pytest.raises(InvariantError):
                 telescopic(H)
 
