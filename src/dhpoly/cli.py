@@ -33,7 +33,7 @@ from .formats import (
 from .grid import _count, discrete_laplacian_matrix, interpolates, is_inner_harmonic
 from .interpolate import bilinear, telescopic
 from .poly import discrete_laplacian_poly, generate_basis
-from .sandpile import _orbit, phi, random_config, standard_gf
+from .sandpile import _weighted_sums, random_config, standard_gf
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -181,12 +181,15 @@ def cmd_sandpile_verify(args):
             raise PreconditionError(
                 f"weight matrix has size {f.size}, expected {args.size}"
             )
-    config = random_config(args.size, args.seed)
+    sums = _weighted_sums(f, random_config(args.size, args.seed), args.steps)
     seen = set()
-    for t, c in enumerate(_orbit(config, args.steps)):
-        v = phi(f, c)
-        seen.add(v)
-        print(f"{t},{v}")
+
+    def trace():
+        for t, v in enumerate(sums):
+            seen.add(v)
+            yield f"{t},{v}\n"
+
+    _write(args, trace())
     return EXIT_OK if len(seen) == 1 else EXIT_FALSE
 
 

@@ -8,10 +8,18 @@ the finer conserved quantities phi(f) = sum of f-weighted heights mod L,
 which stay constant along orbits when the weight matrix is inner-harmonic
 (demonstrated empirically here for the classic weights i, j and i^2 - j^2).
 
-Both run in integers.  ``step`` moves grains only at the toppling sites.
-``phi`` is one integer dot product of the heights with the integer
-weights (the weight matrix's cached integer form), reduced mod L; it
-rejects non-integer weights.
+Both run in integers.  One toppling march (``_topplings``) drives every
+orbit: it keeps the heights in one flat list, scans all L^2 sites for the
+first update and afterwards only the sites the previous update changed:
+its toppling sites and the torus neighbors it brought to the threshold,
+since no other height can have reached it.  So an update costs in
+proportion to its topplings, not to L^2.  ``phi`` is one integer dot
+product of the heights with the integer weights (the weight matrix's
+cached integer form), reduced mod L; it rejects non-integer weights.
+Along an orbit (``_weighted_sums``) only phi_0 takes that dot product:
+each update adds, at each toppling site, the torus Laplacian of the
+weights there, which is exactly the sum of the weights times the height
+changes.
 """
 
 from __future__ import annotations
@@ -65,43 +73,55 @@ class SandConfig:
         return self.heights[i - 1][j - 1]
 
 
-def step(config):
-    """One parallel update: every site at or above the threshold loses 4
-    grains and each of its four torus neighbors gains one.
+def _topplings(heights, L, steps):
+    """Apply ``steps`` parallel updates to ``heights``, the flat row-major
+    list of a size-L torus's heights, in place; after each update yield the
+    flat indices of the sites that toppled in it.
 
-    All toppling sites are read from the old heights before any grain
-    moves, and grains move only at and next to them.  Negative indices wrap,
-    so r - 1 and c - 1 need no modulus; on a size-1 or size-2 torus one
-    neighbor receives more than one grain.  A toppling site keeps a
-    non-negative height, so the result skips SandConfig's validation.
+    Every site at or above the threshold loses 4 grains and each of its four
+    torus neighbors gains one; all toppling sites are read before any grain
+    moves.  The first update scans every site.  Each later one scans only
+    the sites that toppled in the previous update and the neighbors that
+    reached the threshold in it: no other site changed, and a neighbor that
+    did not topple only gains grains, so it ends at or above the threshold
+    only if it reached it.  On a size-1 or size-2 torus one neighbor
+    receives more than one grain.
     """
-    h = config.heights
-    L = len(h)
-    toppling = [
-        (r, c)
-        for r, row in enumerate(h)
-        if max(row) >= THRESHOLD
-        for c, v in enumerate(row)
-        if v >= THRESHOLD
-    ]
-    new = [list(row) for row in h]
-    for r, c in toppling:
-        new[r][c] -= 4
-        new[r - 1][c] += 1
-        new[(r + 1) % L][c] += 1
-        new[r][c - 1] += 1
-        new[r][(c + 1) % L] += 1
-    return SandConfig._from_heights(tuple(map(tuple, new)))
+    n = L * L
+    candidates = range(n)
+    for _ in range(steps):
+        toppling = [s for s in candidates if heights[s] >= THRESHOLD]
+        candidates = set(toppling)
+        for s in toppling:
+            c = s % L
+            row = s - c
+            heights[s] -= 4
+            for t in ((s - L) % n, (s + L) % n, row + (c - 1) % L, row + (c + 1) % L):
+                heights[t] += 1
+                if heights[t] >= THRESHOLD:
+                    candidates.add(t)
+        yield toppling
 
 
 def _orbit(config, steps):
     """Yield config, step(config), ..., step^steps(config) one at a time, so
-    a caller that only reads each configuration holds one at once."""
+    a caller that only reads each configuration holds one at once.  A
+    toppling site keeps a non-negative height, so each configuration skips
+    SandConfig's validation."""
     _count(steps, 0, PreconditionError)
     yield config
-    for _ in range(steps):
-        config = step(config)
-        yield config
+    L = config.size
+    heights = [h for row in config.heights for h in row]
+    for _ in _topplings(heights, L, steps):
+        rows = tuple(tuple(heights[r : r + L]) for r in range(0, L * L, L))
+        yield SandConfig._from_heights(rows)
+
+
+def step(config):
+    """One parallel update: every site at or above the threshold loses 4
+    grains and each of its four torus neighbors gains one."""
+    _, after = _orbit(config, 1)
+    return after
 
 
 def orbit(config, steps):
@@ -129,9 +149,32 @@ def phi(f, config):
     return Fraction(total % config.size)
 
 
+def _weighted_sums(f, config, steps):
+    """Yield phi(f, c) for c in orbit(config, steps), one at a time.
+
+    phi_0 is phi(f, config), with its checks.  A toppling at s changes the
+    weighted sum by the torus Laplacian of the weights at s (its neighbors'
+    weights minus 4 times its own), so each later value adds that Laplacian
+    over the update's toppling sites.  This is the exact change, whether or
+    not the weights are conserved."""
+    _count(steps, 0, PreconditionError)
+    total = phi(f, config).numerator
+    yield Fraction(total)
+    L = config.size
+    laplacian = []
+    rows = f._integer[1]
+    for r, row in enumerate(rows):
+        sides = zip(rows[r - 1], rows[(r + 1) % L], row[-1:] + row[:-1], row[1:] + row[:1], row)
+        laplacian += [up + down + left + right - 4 * w for up, down, left, right, w in sides]
+    heights = [h for row in config.heights for h in row]
+    for toppling in _topplings(heights, L, steps):
+        total = (total + sum(map(laplacian.__getitem__, toppling))) % L
+        yield Fraction(total)
+
+
 def check_conservation(f, config, steps):
     """True iff phi(f) is constant along the orbit of the given length."""
-    return len({phi(f, c) for c in _orbit(config, steps)}) == 1
+    return len(set(_weighted_sums(f, config, steps))) == 1
 
 
 def standard_gf(L, name):

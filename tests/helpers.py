@@ -245,6 +245,29 @@ def naive_step(config):
     return SandConfig(tuple(tuple(row) for row in new))
 
 
+def full_scan_step(config):
+    """One parallel update that scans every site for the threshold and copies
+    the whole grid: sandpile.step before the toppling march replaced it, the
+    reference that the march's orbits are checked against."""
+    h = config.heights
+    L = len(h)
+    toppling = [
+        (r, c)
+        for r, row in enumerate(h)
+        if max(row) >= 4
+        for c, v in enumerate(row)
+        if v >= 4
+    ]
+    new = [list(row) for row in h]
+    for r, c in toppling:
+        new[r][c] -= 4
+        new[r - 1][c] += 1
+        new[(r + 1) % L][c] += 1
+        new[r][c - 1] += 1
+        new[r][(c + 1) % L] += 1
+    return SandConfig(tuple(map(tuple, new)))
+
+
 class SingularMatrixError(ArithmeticError):
     """Square system has no unique solution.  Carries the rank found."""
 

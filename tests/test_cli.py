@@ -591,6 +591,13 @@ class TestSandpileVerify:
         assert lines == [f"{t},{v}" for t, v in enumerate(expected)]
         assert code == (0 if len(set(expected)) == 1 else 1)
 
+    def test_largest_trace_is_pinned(self, capsys):
+        argv = ["sandpile-verify", "--size", str(MAX_SANDPILE_SIZE)]
+        argv += ["--steps", str(MAX_SANDPILE_STEPS), "--seed", "1", "--gf", "i2-j2"]
+        assert main(argv) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "592d2c9ad54b938196888d910eb7e38f08e5a5f04abb353e15d14d3c28a29269"
+
     def test_size_mismatch(self, tmp_path, capsys):
         path = tmp_path / "f.csv"
         path.write_text(format_matrix(RatMatrix.zero(4)))

@@ -14,6 +14,8 @@ from dhpoly import (
     standard_gf,
     step,
 )
+from dhpoly.sandpile import _weighted_sums
+from helpers import full_scan_step
 
 
 def single_grain(L, x, y, height=1):
@@ -58,6 +60,100 @@ class TestStep:
         c = random_config(6, 17)
         assert orbit(c, 20) == orbit(c, 20)
         assert random_config(6, 17) == c
+
+
+def random_heights(rng, L, max_height=12):
+    return SandConfig(
+        tuple(tuple(rng.randint(0, max_height) for _ in range(L)) for _ in range(L))
+    )
+
+
+def full_scan_orbit(config, steps):
+    states = [config]
+    for _ in range(steps):
+        states.append(full_scan_step(states[-1]))
+    return states
+
+
+class TestMarch:
+    """The toppling march, which rescans only the sites the last update
+    changed, against the full-scan step it replaced, iterated."""
+
+    @pytest.mark.parametrize("L", range(1, 9))
+    def test_orbit_matches_full_scan(self, L):
+        # heights up to 12 make some sites topple in consecutive updates,
+        # which only a rescan of the toppled sites themselves catches
+        rng = random.Random(340 + L)
+        again = 0
+        for _ in range(6):
+            config = random_heights(rng, L)
+            expected = full_scan_orbit(config, 12)
+            assert orbit(config, 12) == expected
+            assert step(config) == expected[1]
+            again += any(
+                a >= 4 and b >= 4
+                for before, after in zip(expected, expected[1:])
+                for a, b in zip(sum(before.heights, ()), sum(after.heights, ()))
+            )
+        assert again
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SandConfig(((4,),)),
+            SandConfig(((4, 4), (4, 4))),
+            SandConfig(tuple(tuple(4 for _ in range(5)) for _ in range(5))),
+            single_grain(1, 0, 0, height=9),
+            single_grain(2, 0, 0, height=4),
+            single_grain(2, 1, 0, height=13),
+            single_grain(3, 2, 1, height=8),
+        ],
+    )
+    def test_fixed_points_and_single_grains(self, config):
+        # on the 1x1 and 2x2 tori one neighbor gets several grains
+        assert orbit(config, 6) == full_scan_orbit(config, 6)
+
+
+class TestWeightedSums:
+    """_weighted_sums, which adds the weights' torus Laplacian at each
+    toppling site, against phi on every configuration of the orbit."""
+
+    @staticmethod
+    def weights(L, name, rng):
+        if name == "indicator":
+            rows = [[0] * L for _ in range(L)]
+            rows[rng.randrange(L)][rng.randrange(L)] = 1
+            return RatMatrix(rows)
+        if name == "random":
+            return RatMatrix([[rng.randint(-9, 9) for _ in range(L)] for _ in range(L)])
+        return standard_gf(L, name)
+
+    @pytest.mark.parametrize("name", ["i", "j", "i2-j2", "indicator", "random"])
+    @pytest.mark.parametrize("L", range(1, 9))
+    def test_matches_phi_along_the_orbit(self, L, name):
+        rng = random.Random(350 + L)
+        for _ in range(4):
+            config = random_heights(rng, L)
+            f = self.weights(L, name, rng)
+            sums = list(_weighted_sums(f, config, 12))
+            assert sums == [phi(f, c) for c in orbit(config, 12)]
+            assert all(type(v) is Fraction for v in sums)
+
+    def test_steps_are_checked_before_the_weights(self):
+        config = random_config(5, 1)
+        wrong_size = standard_gf(4, "i")
+        rational = RatMatrix([[Fraction(1, 2)] * 5 for _ in range(5)])
+        for f in (wrong_size, rational):
+            with pytest.raises(TypeError):
+                next(_weighted_sums(f, config, 2.5))
+            with pytest.raises(PreconditionError, match="below the minimum"):
+                next(_weighted_sums(f, config, -1))
+            with pytest.raises(PreconditionError, match="below the minimum"):
+                check_conservation(f, config, -1)
+        with pytest.raises(PreconditionError, match="sizes differ"):
+            next(_weighted_sums(wrong_size, config, 3))
+        with pytest.raises(PreconditionError, match="integers"):
+            check_conservation(rational, config, 3)
 
 
 class TestRandomConfig:
