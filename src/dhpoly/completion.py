@@ -13,16 +13,20 @@ inverse are fixed by their first columns, see _tau; the inverse is kept per
 size); on the border with the unknowns at zero, for the constant part; and,
 once that inverse has matched the top row, on the values themselves, up to
 the top row as a check.  Marching loses accuracy in floating point, but here
-every entry is an integer: the border is scaled once by the lcm D of its
-denominators, the solution's denominators add one more common multiplier d,
-and the value march over d * D, top row included, is the completed matrix's
-integer form up to one gcd.
+every entry is an integer: a BorderSpec's one stored form is its values
+times the lcm D of their denominators, in walk order (formats' reader and
+extract_border build it directly, in integers; the Fraction values are
+built only when read), the solution's denominators add one more common
+multiplier d, and the value march over d * D, top row included, is the
+completed matrix's integer form up to one gcd.  So no Fraction is built
+between a border's text and the completed matrix's text.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
+from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
@@ -30,24 +34,70 @@ from .errors import InvariantError, SizeError
 from .grid import RatMatrix, _common_denominator, _count, _fraction
 
 
-@dataclass(frozen=True)
 class BorderSpec:
     """The 4L - 4 border values of a size-L matrix, listed clockwise from the
     top-left display corner (top row left to right, right column downward,
-    bottom row right to left, left column upward), each an int or Fraction."""
+    bottom row right to left, left column upward), each an int or Fraction.
 
-    size: int
-    values: tuple
+    Immutable.  Its one stored form is the canonical integer form
+    _integer = (D, ints), as for RatMatrix: D is the lcm of the value
+    denominators and ints the values times D, in walk order.  The Fraction
+    values are kept when given, else built on first read.
+    """
 
-    def __post_init__(self):
-        _count(self.size, 3, SizeError)
-        values = tuple(_fraction(v) for v in self.values)
-        if len(values) != 4 * self.size - 4:
+    __slots__ = ("size", "_values", "_integer")
+    __match_args__ = ("size", "values")
+
+    def __init__(self, size, values):
+        _count(size, 3, SizeError)
+        values = tuple(_fraction(v) for v in values)
+        if len(values) != 4 * size - 4:
             raise SizeError(
-                f"expected {4 * self.size - 4} border values for size {self.size}, "
-                f"got {len(values)}"
+                f"expected {4 * size - 4} border values for size {size}, got {len(values)}"
             )
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "_values", values)
+        D, ints = _common_denominator(values)
+        object.__setattr__(self, "_integer", (D, tuple(ints)))
+
+    @classmethod
+    def _from_ints(cls, size, den, ints):
+        """ints / den in walk order for size >= 3, den > 0 and 4 * size - 4
+        ints, reduced by one gcd to the canonical integer form.  The Fraction
+        values are built on first read."""
+        g = math.gcd(den, *ints)
+        out = cls.__new__(cls)
+        object.__setattr__(out, "size", size)
+        object.__setattr__(out, "_values", None)
+        object.__setattr__(out, "_integer", (den // g, tuple(v // g for v in ints)))
+        return out
+
+    @property
+    def values(self):
+        if self._values is None:
+            den, ints = self._integer
+            object.__setattr__(self, "_values", tuple(Fraction(v, den) for v in ints))
+        return self._values
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, BorderSpec):
+            return NotImplemented
+        return self._integer == other._integer
+
+    def __hash__(self):
+        return hash(self._integer)
+
+    def __repr__(self):
+        return f"BorderSpec(size={self.size!r}, values={self.values!r})"
+
+    def __reduce__(self):
+        return BorderSpec, (self.size, self.values)
 
     def __mul__(self, scalar):
         return BorderSpec(self.size, tuple(v * scalar for v in self.values))
@@ -60,20 +110,28 @@ class BorderSpec:
         return BorderSpec(self.size, tuple(a + b for a, b in zip(self.values, other.values)))
 
 
+def _border_walk(rows):
+    """The border entries of square display rows, in the walk order of
+    BorderSpec."""
+    return [
+        *rows[0],
+        *(row[-1] for row in rows[1:-1]),
+        *rows[-1][::-1],
+        *(row[0] for row in rows[-2:0:-1]),
+    ]
+
+
 def border_positions(L):
     """Display positions (i, j) of the border walk, clockwise from (1, 1)."""
     _count(L, 3, SizeError)
-    top = [(1, j) for j in range(1, L + 1)]
-    right = [(i, L) for i in range(2, L)]
-    corner = [(L, L)]
-    bottom = [(L, j) for j in range(L - 1, 0, -1)]
-    left = [(i, 1) for i in range(L - 1, 1, -1)]
-    return tuple(top + right + corner + bottom + left)
+    span = range(1, L + 1)
+    return tuple(_border_walk([[(i, j) for j in span] for i in span]))
 
 
 def extract_border(H):
-    """Border of a matrix as a BorderSpec."""
-    return BorderSpec(H.size, tuple(H.entry(i, j) for i, j in border_positions(H.size)))
+    """Border of a matrix as a BorderSpec, read from its integer form."""
+    den, rows = H._integer
+    return BorderSpec._from_ints(_count(len(rows), 3, SizeError), den, _border_walk(rows))
 
 
 def _march(rows, sides):
@@ -135,11 +193,12 @@ def complete(border):
     every inner site.
 
     The n = L - 2 inner values of display row L - 1 are the unknowns.  The
-    border is scaled once by D, the lcm of its denominators, and the stencil
-    marches integer rows from the bottom of the display to the top (see
-    _march).  The march is linear, so the top row's inner values are R x + c:
-    R = R(L) is the response to each unknown alone (see _response) and c the
-    march of the border with the unknowns at zero.  Matching the top border
+    border is read in its stored integer form, its values times D, the lcm
+    of their denominators, and the stencil marches integer rows from the
+    bottom of the display to the top (see _march).  The march is linear, so
+    the top row's inner values are R x + c: R = R(L) is the response to each
+    unknown alone (see _response) and c the march of the border with the
+    unknowns at zero.  Matching the top border
     is the n x n system R x = t, t = top - c.  R is nonsingular: a kernel
     vector would march, from a zero border, to a nonzero inner-harmonic
     matrix with zero border, which uniqueness rules out.  R depends on L
@@ -153,21 +212,24 @@ def complete(border):
     integer form.
     """
     L = border.size
-    D, ints = _common_denominator(border.values)
-    value = dict(zip(border_positions(L), ints))
-    bottom = [value[(L, j)] for j in range(1, L + 1)]
-    sides = [(value[(i, 1)], value[(i, L)]) for i in range(L - 2, 0, -1)]
-    c = _march([bottom, [value[(L - 1, 1)], *[0] * (L - 2), value[(L - 1, L)]]], sides)[-1]
-    t = [value[(1, j)] - c[j - 1] for j in range(2, L)]
+    D, ints = border._integer
+    # the walk's four sides as display rows and columns, from the top-left
+    top, right = ints[:L], ints[L - 1 : 2 * L - 1]
+    bottom = ints[3 * L - 3 : 2 * L - 3 : -1]
+    left = (ints[0], *ints[: 3 * L - 3 : -1], ints[3 * L - 3])
+    # the ends of display rows L - 2 up to 1, which the marches close
+    sides = list(zip(left[L - 3 :: -1], right[L - 3 :: -1]))
+    c = _march([bottom, [left[L - 2], *[0] * (L - 2), right[L - 2]]], sides)[-1]
+    t = [v - w for v, w in zip(top[1:-1], c[1:-1])]
     d, M = _response_inverse(L)
     dx = [sum(m * v for m, v in zip(row, t)) for row in M]
     g = math.gcd(d, *dx)
     d, inner = d // g, [v // g for v in dx]
     # rows[k] holds d * D times display row L - k
     rows = _march(
-        [[d * v for v in bottom], [d * value[(L - 1, 1)], *inner, d * value[(L - 1, L)]]],
-        [(d * left, d * right) for left, right in sides],
+        [[d * v for v in bottom], [d * left[L - 2], *inner, d * right[L - 2]]],
+        [(d * w, d * e) for w, e in sides],
     )
-    if rows[-1] != [d * value[(1, j)] for j in range(1, L + 1)]:
+    if rows[-1] != [d * v for v in top]:
         raise InvariantError("completed matrix does not march to the top border")
     return RatMatrix._from_ints(d * D, rows[::-1])

@@ -3,11 +3,16 @@ numbers are read from text.
 
 Matrices travel as CSV: one display row per line, entries written as decimal
 integers or "p/q" with positive q in ASCII digits (_TOKEN, shared with text
-coefficients and JSON "num"/"den" pairs, all read by parse_rational).
-Decimal points are rejected outright -- there is no approximate path
-anywhere in the package.  No integer read or written, exponents included,
-may have more digits than the interpreter's int string limit
-(sys.get_int_max_str_digits()).
+coefficients and JSON "num"/"den" pairs).  One reader, _read_pair, turns a
+token into its integer pair (num, den); parse_rational is Fraction of that
+pair.  The CSV readers build no Fraction: parse_matrix and parse_bordered
+scale the pairs by the lcm of their denominators and hand the integers to
+RatMatrix._from_ints and BorderSpec._from_ints, whose one gcd gives the
+canonical integer form, so an unreduced, signed or padded token reads as
+its value.  Decimal points are rejected outright -- there is no
+approximate path anywhere in the package.  No integer read or written,
+exponents included, may have more digits than the interpreter's int string
+limit (sys.get_int_max_str_digits()).
 Polynomials travel either as a JSON array of term records or as a
 "c*x^a*y^b + ..." text form; both list terms by total degree, then
 x-exponent, ascending, and both round-trip exactly.
@@ -21,7 +26,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .completion import BorderSpec, border_positions
+from .completion import BorderSpec, _border_walk
 from .errors import ParseError
 from .grid import RatMatrix
 from .poly import BiPoly
@@ -38,34 +43,44 @@ def _too_long(line=None, column=None):
     return ParseError(f"number longer than the limit of {limit} digits", line, column)
 
 
-def parse_rational(token, line=None, column=None):
-    """Fraction of one integer or "p/q" token; ParseError for anything else,
-    also for a number longer than the interpreter's int string limit."""
-    token = token.strip()
+def _read_pair(token, line=None, column=None):
+    """(num, den) of one stripped integer or "p/q" token, den > 0 and the
+    pair as written (not reduced); ParseError for anything else, also for a
+    zero denominator or a number longer than the interpreter's int string
+    limit.  The one token reader: every rational read from text, a CSV
+    entry or a polynomial coefficient, comes from here."""
     m = _TOKEN_RE.fullmatch(token)
     if not m:
         raise ParseError(f"malformed rational {token!r}", line, column)
+    num, den = m.groups()
     try:
-        num, den = int(m["num"]), int(m["den"] or 1)
+        num, den = int(num), int(den or 1)
     except ValueError:
         raise _too_long(line, column) from None
     if not den:
         raise ParseError(f"zero denominator in {token!r}", line, column)
-    return Fraction(num, den)
+    return num, den
+
+
+def parse_rational(token, line=None, column=None):
+    """Fraction of one integer or "p/q" token; ParseError for anything else,
+    also for a number longer than the interpreter's int string limit."""
+    return Fraction(*_read_pair(token.strip(), line, column))
 
 
 def _parse_rows(text, allow_holes):
+    """The square rows of CSV text, each entry the (num, den) pair of its
+    token (see _read_pair), or None for the token "?" when allow_holes.
+    Every token is read before the shape is checked."""
+    hole = "?" if allow_holes else None
     rows = []
     for ln, raw in enumerate(text.splitlines(), 1):
         if not raw.strip():
             continue
-        row = []
-        for col, token in enumerate(raw.split(","), 1):
-            token = token.strip()
-            if allow_holes and token == "?":
-                row.append(None)
-            else:
-                row.append(parse_rational(token, ln, col))
+        row = [
+            None if token == hole else _read_pair(token, ln, col)
+            for col, token in enumerate(map(str.strip, raw.split(",")), 1)
+        ]
         if rows and len(row) != len(rows[0][1]):
             raise ParseError(
                 f"row has {len(row)} entries, expected {len(rows[0][1])}", ln
@@ -80,30 +95,42 @@ def _parse_rows(text, allow_holes):
     return [row for _, row in rows]
 
 
+def _over_lcm(pairs):
+    """(D, ints): D the lcm of the pairs' denominators, ints each num/den
+    times D."""
+    D = math.lcm(*(den for _, den in pairs))
+    return D, [num * (D // den) for num, den in pairs]
+
+
 def parse_matrix(text):
-    """CSV text to a RatMatrix."""
+    """CSV text to a RatMatrix, built in integers over the lcm of the token
+    denominators; RatMatrix._from_ints reduces that to the canonical form."""
     rows = _parse_rows(text, allow_holes=False)
-    return RatMatrix(rows)
+    D, ints = _over_lcm([pair for row in rows for pair in row])
+    L = len(rows)
+    return RatMatrix._from_ints(D, [ints[k : k + L] for k in range(0, L * L, L)])
 
 
 def parse_bordered(text):
     """CSV text whose interior entries are all the literal token "?" to a
-    BorderSpec; border entries must all be values."""
+    BorderSpec; border entries must all be values.  The holes are checked a
+    row at a time, after every token is read; the first offending entry in
+    row-major order is reported."""
     rows = _parse_rows(text, allow_holes=True)
     L = len(rows)
     if L < 3:
         raise ParseError(f"bordered matrix must have size at least 3, got {L}")
-    for i in range(L):
-        for j in range(L):
-            on_border = i in (0, L - 1) or j in (0, L - 1)
-            if on_border and rows[i][j] is None:
-                raise ParseError(f"border entry at row {i + 1}, column {j + 1} is '?'", i + 1, j + 1)
-            if not on_border and rows[i][j] is not None:
-                raise ParseError(
-                    f"interior entry at row {i + 1}, column {j + 1} must be '?'", i + 1, j + 1
-                )
-    values = tuple(rows[i - 1][j - 1] for i, j in border_positions(L))
-    return BorderSpec(L, values)
+    for i, row in enumerate(rows, 1):
+        edge = i in (1, L)
+        if row.count(None) == (0 if edge else L - 2) and row[0] is not None and row[-1] is not None:
+            continue
+        for j, entry in enumerate(row, 1):
+            on_border = edge or j in (1, L)
+            if on_border and entry is None:
+                raise ParseError(f"border entry at row {i}, column {j} is '?'", i, j)
+            if not on_border and entry is not None:
+                raise ParseError(f"interior entry at row {i}, column {j} must be '?'", i, j)
+    return BorderSpec._from_ints(L, *_over_lcm(_border_walk(rows)))
 
 
 def _csv_line(values, den):

@@ -127,7 +127,9 @@ class ImpulseSet:
     (dataclasses.replace too): ``_step_table``, the step from size m to m+1
     in canonical coordinates, and ``_elements``, the canonical basis of
     degree <= 2m, which is the init-only ``_basis`` when given
-    (build_impulse_set's).
+    (build_impulse_set's).  The table's site rows are the init-only
+    ``_step_rows``, (lc, rows) at _step_sites(m), when given (the build has
+    read them already), else read here.
 
     A discrete harmonic polynomial of degree <= N is sum_i (u_i / c_i) h_i
     over the canonical elements h_i, u_i its coefficient at h_i's pivot and
@@ -142,10 +144,11 @@ class ImpulseSet:
     polys: tuple
     values: tuple
     _basis: InitVar[tuple] = None
+    _step_rows: InitVar[tuple] = None
     _step_table: tuple = field(init=False, compare=False, repr=False)
     _elements: tuple = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self, _basis):
+    def __post_init__(self, _basis, _step_rows):
         m = _count(self.size, 3, SizeError)
         if len(self.polys) != 4 or len(self.values) != 4:
             raise PreconditionError("an impulse set holds four polys and four values")
@@ -155,7 +158,10 @@ class ImpulseSet:
             if not g:
                 raise PreconditionError("impulse values must be nonzero")
         elements = generate_basis(2 * m).elements if _basis is None else _basis
-        lc, _, rows = _site_rows(elements[: 4 * m - 3], _step_sites(m))
+        if _step_rows is None:
+            lc, _, rows = _site_rows(elements[: 4 * m - 3], _step_sites(m))
+        else:
+            lc, rows = _step_rows
         coords = tuple(tuple(xi._num.get(p, 0) for p in _pivots(2 * m)) for xi in self.polys)
         divisors = tuple(g * xi._den for g, xi in zip(self.values, self.polys))
         object.__setattr__(self, "_step_table", (lc, rows, coords, divisors))
@@ -231,7 +237,9 @@ def build_impulse_set(L):
     (L, 0) and (L+1, L), one 5x5 _cardinal_solve; each is one _combine of
     the canonical elements of degree <= 2L, e_k weighted by its D_k and
     the low elements by minus the u_k, through the solution, and is scaled
-    by _primitive_poly.  Impulse 2 is impulse 0's x/y mirror.  A singular
+    by _primitive_poly.  Impulse 2 is impulse 0's x/y mirror.  The
+    _site_rows rows are read once, at these five sites and (L, L-1), and
+    five of them are the set's step-table rows (see ImpulseSet).  A singular
     system or an impulse failing its pattern check on the whole
     (L+1)-lattice raises InvariantError.
     """
@@ -240,7 +248,7 @@ def build_impulse_set(L):
     low = sets[-1]._elements if sets else _BASIS_4
     elements = (*low, *(BiPoly._from_ints(1, _basis_element(p)) for p in _pivots(2 * L)[-4:]))
     span = elements[-5:]
-    sites = ((L, 0), (L + 1, L), (0, L), (L, L), (L - 1, L))
+    sites = ((L, 0), (L + 1, L), (0, L), (L, L), (L - 1, L), (L, L - 1))
     lc, scales, rows = _site_rows(low, sites)
     dens, us = [], []
     for e in span:
@@ -249,7 +257,7 @@ def build_impulse_set(L):
         us.append(u)
     residuals = [
         [e._numerator_at(x, y) * D - sum(map(mul, u, row)) for e, D, u in zip(span, dens, us)]
-        for (x, y), row in zip(sites, rows)
+        for (x, y), row in zip(sites[:5], rows)
     ]
     d, C = _cardinal_solve(residuals, 3)
     maps = [e._num for e in elements]
@@ -263,7 +271,8 @@ def build_impulse_set(L):
     values = [_verify_impulse(xi, L, k) for k, xi in enumerate(polys)]
     if None in values:
         raise InvariantError(f"impulse {values.index(None)} of size {L} failed verification")
-    return ImpulseSet(L, tuple(polys), tuple(values), elements)
+    step_rows = tuple(rows[k] for k in (2, 3, 0, 4, 5))  # _step_sites(L) order
+    return ImpulseSet(L, tuple(polys), tuple(values), elements, (lc, step_rows))
 
 
 def extension_coefficients(chi, A, impulses):

@@ -2,6 +2,7 @@
 seeded random.Random so the suite is deterministic."""
 
 import math
+import re
 from fractions import Fraction
 
 from dhpoly import (
@@ -19,7 +20,8 @@ from dhpoly import (
     is_discrete_harmonic,
     is_inner_harmonic,
 )
-from dhpoly.errors import InvariantError, PreconditionError
+from dhpoly.errors import InvariantError, ParseError, PreconditionError
+from dhpoly.formats import _too_long
 from dhpoly.grid import _common_denominator, _count, _fraction
 from dhpoly.interpolate import (
     _BASE_BASIS,
@@ -101,6 +103,86 @@ def affine_complete(border):
     grid = [[value[(1, j)] for j in range(1, L + 1)]]
     grid += [[sum(c * v for c, v in zip(f, x)) for f in row] for row in reversed(rows)]
     return RatMatrix(grid)
+
+
+_FRACTION_TOKEN = re.compile(r"(?P<num>[+-]?\d+)(?:/(?P<den>\d+))?", re.ASCII)
+
+
+def fraction_token(token, line=None, column=None):
+    """Fraction of one integer or "p/q" token, read with its own pattern and
+    Fraction(num, den), with formats' ParseErrors."""
+    token = token.strip()
+    m = _FRACTION_TOKEN.fullmatch(token)
+    if not m:
+        raise ParseError(f"malformed rational {token!r}", line, column)
+    try:
+        num, den = int(m["num"]), int(m["den"] or 1)
+    except ValueError:
+        raise _too_long(line, column) from None
+    if not den:
+        raise ParseError(f"zero denominator in {token!r}", line, column)
+    return Fraction(num, den)
+
+
+def fraction_rows(text, allow_holes):
+    """The square rows of CSV text as Fractions (None for '?' when
+    allow_holes), one Fraction per token: the row reader formats used before
+    it read integer pairs, the reference its readers are checked against."""
+    rows = []
+    for ln, raw in enumerate(text.splitlines(), 1):
+        if not raw.strip():
+            continue
+        row = []
+        for col, token in enumerate(raw.split(","), 1):
+            token = token.strip()
+            if allow_holes and token == "?":
+                row.append(None)
+            else:
+                row.append(fraction_token(token, ln, col))
+        if rows and len(row) != len(rows[0][1]):
+            raise ParseError(f"row has {len(row)} entries, expected {len(rows[0][1])}", ln)
+        rows.append((ln, row))
+    if not rows:
+        raise ParseError("no matrix rows found")
+    if len(rows) != len(rows[0][1]):
+        raise ParseError(
+            f"matrix is {len(rows)} rows by {len(rows[0][1])} columns; it must be square"
+        )
+    return [row for _, row in rows]
+
+
+def fraction_parse_matrix(text):
+    """parse_matrix through fraction_rows and the RatMatrix constructor."""
+    return RatMatrix(fraction_rows(text, allow_holes=False))
+
+
+def walk_positions(L):
+    """Display positions of the border walk, side by side: the reference
+    that completion's one walk of square rows is checked against."""
+    top = [(1, j) for j in range(1, L + 1)]
+    right = [(i, L) for i in range(2, L)]
+    bottom = [(L, j) for j in range(L, 0, -1)]
+    left = [(i, 1) for i in range(L - 1, 1, -1)]
+    return tuple(top + right + bottom + left)
+
+
+def fraction_parse_bordered(text):
+    """parse_bordered through fraction_rows, every site's hole placement
+    checked in row-major order, and the BorderSpec constructor."""
+    rows = fraction_rows(text, allow_holes=True)
+    L = len(rows)
+    if L < 3:
+        raise ParseError(f"bordered matrix must have size at least 3, got {L}")
+    for i in range(L):
+        for j in range(L):
+            on_border = i in (0, L - 1) or j in (0, L - 1)
+            if on_border and rows[i][j] is None:
+                raise ParseError(f"border entry at row {i + 1}, column {j + 1} is '?'", i + 1, j + 1)
+            if not on_border and rows[i][j] is not None:
+                raise ParseError(
+                    f"interior entry at row {i + 1}, column {j + 1} must be '?'", i + 1, j + 1
+                )
+    return BorderSpec(L, tuple(rows[i - 1][j - 1] for i, j in walk_positions(L)))
 
 
 def solve_3x3(A):

@@ -38,7 +38,7 @@ from dhpoly.cli import (
 )
 from dhpoly.formats import format_matrix, parse_matrix, parse_poly, poly_from_json, poly_to_json
 
-from helpers import corrupt_dipole, naive_phi, naive_step, random_poly
+from helpers import corrupt_dipole, fraction_parse_bordered, naive_phi, naive_step, random_poly
 from reference_data import (
     BILINEAR_INTERPOLANT,
     FULL_INTERPOLANT,
@@ -143,6 +143,50 @@ class TestComplete:
         assert main(["complete", holes_csv]) == 0
         assert parse_matrix(capsys.readouterr().out) == SAMPLE_7X7
 
+    @pytest.mark.parametrize("L", [3, 9, 17])
+    def test_builds_no_fraction(self, L, tmp_path, capsys, monkeypatch):
+        """From the CSV text to the CSV text in integers, on a size's first
+        request too: a counting Fraction.__new__ (and _from_coprime_ints,
+        which builds the results of Fraction arithmetic from Python 3.12 on)
+        sees no call."""
+        from dhpoly import completion
+
+        rng = random.Random(344 + L)
+        text = "\n".join(
+            ",".join(
+                f"{rng.randint(-9, 9)}/{rng.randint(1, 6)}" if i in (0, L - 1) or j in (0, L - 1)
+                else "?"
+                for j in range(L)
+            )
+            for i in range(L)
+        )
+        path = tmp_path / "border.csv"
+        path.write_text(text)
+        want = format_matrix(complete(fraction_parse_bordered(text)))
+        completion._response_inverse.cache_clear()
+        built = []
+        real_new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            built.append(args)
+            return real_new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+        if hasattr(Fraction, "_from_coprime_ints"):
+            real_coprime = Fraction._from_coprime_ints.__func__
+
+            def counting_coprime(cls, *args):
+                built.append(args)
+                return real_coprime(cls, *args)
+
+            monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting_coprime))
+        Fraction(1, 2)
+        assert built == [(1, 2)]
+        built.clear()
+        assert main(["complete", str(path)]) == 0
+        assert built == []
+        assert capsys.readouterr().out == want
+
     def test_wrong_inverse_exits_three(self, holes_csv, capsys, monkeypatch):
         from dhpoly import completion
 
@@ -213,7 +257,10 @@ class TestInterpolate:
 
     def test_corrupted_dipole_exits_three(self, sample_csv, capsys, monkeypatch):
         # a step that finds its paired border mismatches not antisymmetric
-        # is an internal fault too
+        # is an internal fault too.  The real sets 3..6 are built first, so
+        # no build below reads the corrupted size 3 and fails its own check.
+        build_impulse_set.cache_clear()
+        build_impulse_set(SAMPLE_7X7.size - 1)
         real = build_impulse_set
         monkeypatch.setattr(
             "dhpoly.interpolate.build_impulse_set",

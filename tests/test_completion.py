@@ -1,6 +1,9 @@
+import copy
 import hashlib
 import math
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 from decimal import Decimal
 from fractions import Fraction
 
@@ -24,7 +27,14 @@ from dhpoly.completion import _response, _response_inverse, _tau
 from dhpoly.formats import format_matrix, parse_matrix
 from dhpoly.grid import _common_denominator
 
-from helpers import affine_march, random_border, random_inner_harmonic, random_rational, solve
+from helpers import (
+    affine_march,
+    random_border,
+    random_inner_harmonic,
+    random_rational,
+    solve,
+    walk_positions,
+)
 from reference_data import SAMPLE_7X7, WORKED_MINOR_3X3
 
 #: SHA-256 of the CSV text of complete() on seeded borders of sizes 3..40
@@ -67,6 +77,84 @@ class TestBorderSpec:
     def test_positions_count(self):
         for L in range(3, 9):
             assert len(border_positions(L)) == 4 * L - 4
+
+    def test_positions_match_side_by_side_walk(self):
+        for L in range(3, 12):
+            assert border_positions(L) == walk_positions(L)
+
+    def test_from_ints_equals_constructor(self):
+        # an unreduced integer form reduces to the constructor's canonical one
+        rng = random.Random(342)
+        for L in (3, 4, 9):
+            border = random_border(rng, L)
+            D, ints = border._integer
+            k = rng.randint(2, 7)
+            built = BorderSpec._from_ints(L, k * D, [k * v for v in ints])
+            assert built._integer == (D, ints)
+            assert built == border and hash(built) == hash(border)
+            assert built.values == border.values
+            assert all(type(v) is Fraction for v in built.values)
+        zero = BorderSpec._from_ints(3, 6, [0] * 8)
+        assert zero == BorderSpec(3, (0,) * 8) and zero._integer == (1, (0,) * 8)
+
+    def test_values_are_fractions(self):
+        border = BorderSpec(3, (1, Fraction(2, 4), -3, 0, 5, 6, 7, Fraction(8, 1)))
+        assert all(type(v) is Fraction for v in border.values)
+        assert border.values[1] == Fraction(1, 2)
+        assert border._integer == (2, (2, 1, -6, 0, 10, 12, 14, 16))
+        assert border != BorderSpec(3, (0,) * 8) and border != border._integer
+
+    def test_repr(self):
+        border = BorderSpec(3, (1, Fraction(-1, 2), 0, 0, 0, 0, 0, 0))
+        expected = (
+            "BorderSpec(size=3, values=(Fraction(1, 1), Fraction(-1, 2), "
+            + ", ".join(["Fraction(0, 1)"] * 6) + "))"
+        )
+        assert repr(border) == expected
+        assert repr(BorderSpec._from_ints(3, 2, [2, -1, 0, 0, 0, 0, 0, 0])) == expected
+
+    def test_arithmetic(self):
+        b1 = BorderSpec(3, tuple(range(8)))
+        b2 = BorderSpec._from_ints(3, 3, list(range(8, 16)))
+        assert 2 * b1 == b1 * 2 == BorderSpec(3, tuple(2 * v for v in range(8)))
+        assert b2 * Fraction(3, 2) == BorderSpec(3, tuple(Fraction(v, 2) for v in range(8, 16)))
+        assert b1 + b2 == BorderSpec(3, tuple(v + Fraction(v + 8, 3) for v in range(8)))
+        with pytest.raises(TypeError):
+            b1 * 0.5
+        with pytest.raises(TypeError):
+            b1 + 1
+        with pytest.raises(TypeError):
+            b1 + BorderSpec(4, (0,) * 12)
+
+    def test_immutable(self):
+        border = BorderSpec(3, tuple(range(8)))
+        for name in ("size", "values", "_integer", "other"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(border, name, 1)
+            with pytest.raises(FrozenInstanceError):
+                delattr(border, name)
+        assert border == BorderSpec(3, tuple(range(8)))
+
+    def test_copy_pickle_and_match(self):
+        border = BorderSpec._from_ints(3, 2, list(range(8)))
+        for twin in (copy.copy(border), copy.deepcopy(border), pickle.loads(pickle.dumps(border))):
+            assert twin == border and twin.values == border.values
+        match border:
+            case BorderSpec(3, values):
+                assert values == border.values
+            case _:
+                pytest.fail("BorderSpec did not match its size and values")
+
+    def test_extract_reads_the_integer_form(self):
+        # complete's result has no Fraction rows, and extracting builds none
+        rng = random.Random(343)
+        for L in (3, 6, 10):
+            H = random_inner_harmonic(rng, L)
+            border = extract_border(H)
+            assert H._rows is None
+            assert border.values == tuple(H.entry(i, j) for i, j in walk_positions(L))
+        with pytest.raises(SizeError):
+            extract_border(RatMatrix.zero(2))
 
     def test_extract_round_trip(self):
         border = extract_border(SAMPLE_7X7)

@@ -18,7 +18,12 @@ from dhpoly.formats import (
     poly_to_text,
 )
 
-from helpers import random_matrix, random_poly
+from helpers import (
+    fraction_parse_bordered,
+    fraction_parse_matrix,
+    random_matrix,
+    random_poly,
+)
 from reference_data import FULL_INTERPOLANT, SAMPLE_7X7
 
 #: The interpreter's int string limit: no integer with more digits is read,
@@ -143,6 +148,151 @@ class TestParseBordered:
     def test_too_small(self):
         with pytest.raises(ParseError):
             parse_bordered("1,2\n3,4")
+
+
+def _token(rng, value):
+    """A token for value as a CSV writer might spell it: unreduced, signed,
+    padded, or "n/1" for an integer."""
+    k = rng.choice((1, 1, 2, 3, 10))
+    num, den = value.numerator * k, value.denominator * k
+    token = str(num) if den == 1 and rng.random() < 0.5 else f"{num}/{den}"
+    if num >= 0 and rng.random() < 0.3:
+        token = rng.choice("+-" if num == 0 else "+") + token
+    return rng.choice(("", " ", "  ")) + token + rng.choice(("", " ", "\t"))
+
+
+#: Value makers for the seeded CSVs: general rationals, integers only,
+#: all zeros (spelt "0", "-0", "+0/q" and so on) and large numbers.
+KINDS = {
+    "rational": lambda rng: Fraction(rng.randint(-50, 50), rng.randint(1, 12)),
+    "integer": lambda rng: Fraction(rng.randint(-99, 99)),
+    "zero": lambda rng: Fraction(0),
+    "large": lambda rng: Fraction(rng.randint(-(10**40), 10**40), rng.randint(1, 10**25)),
+}
+
+
+def _csv(rng, L, kind, bordered=False):
+    rows = []
+    for i in range(L):
+        inner = bordered and 0 < i < L - 1
+        rows.append(",".join(
+            rng.choice(("?", " ? ")) if inner and 0 < j < L - 1 else _token(rng, KINDS[kind](rng))
+            for j in range(L)
+        ))
+    return "\n".join(rows) + rng.choice(("", "\n", "\n\n"))
+
+
+def _error(read, text):
+    """(message, line, column) of the ParseError read(text) raises."""
+    with pytest.raises(ParseError) as err:
+        read(text)
+    return str(err.value), err.value.line, err.value.column
+
+
+class TestIntegerReader:
+    """parse_matrix and parse_bordered read tokens as integer pairs; the
+    Fraction row reader in helpers is their reference."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_parse_matrix_matches_fraction_reader(self, kind):
+        rng = random.Random(f"matrix/{kind}")
+        for _ in range(40):
+            text = _csv(rng, rng.randint(1, 7), kind)
+            got, want = parse_matrix(text), fraction_parse_matrix(text)
+            assert got._integer == want._integer
+            assert got.rows == want.rows
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_parse_bordered_matches_fraction_reader(self, kind):
+        rng = random.Random(f"bordered/{kind}")
+        for _ in range(40):
+            text = _csv(rng, rng.randint(3, 9), kind, bordered=True)
+            got, want = parse_bordered(text), fraction_parse_bordered(text)
+            assert got == want and got._integer == want._integer
+            assert got.values == want.values
+            assert all(type(v) is Fraction for v in got.values)
+
+    def test_canonical_integer_form(self):
+        # the lcm of the token denominators, reduced by one gcd
+        assert parse_matrix("4/6,+5\n 7 ,-0/9")._integer == (3, ((2, 15), (21, 0)))
+        assert parse_bordered("2/4,2/4,2/4\n2/4,?,2/4\n2/4,2/4,6/4")._integer == (
+            2, (1, 1, 1, 1, 3, 1, 1, 1)
+        )
+        assert parse_bordered("0,-0,+0\n0/7,?,0\n0,0,0")._integer == (1, (0,) * 8)
+
+    MATRIX_ERRORS = [
+        "1,2\n3",
+        "1,2\n3,4\n5,6",
+        "1,2,3\n4,?,6\n7,8,9",
+        "1,2\n3,x",
+        "",
+        "\n  \n",
+        "1,2/0\n3,4",
+        "1,2\n3,4/-1",
+        "1.5,2\n3,4",
+        "1,\u0661\n3,4",
+        "1,2,\n3,4,5\n6,7,8",
+    ]
+
+    BORDERED_ERRORS = [
+        "1,2,3\n8,0,4\n7,6,5",
+        "1,?,3\n8,?,4\n7,6,5",
+        "1,2\n3,4",
+        "?",
+        # an interior value before a malformed token: every token is read
+        # before any hole is checked
+        "1,2,3\n8,0,4\n7,x,5",
+        "1,2,3\n8,?,4\n7,6",
+        "1,2,3,4\n?,?,0,5\n1,?,?,2\n1,2,3,4",
+        "1,2,3,4\n1,?,?,2\n?,5,?,6\n1,2,3,4",
+        "1,2,3,4\n1,?,?,2\n5,?,6,?\n1,2,3,4",
+        "1,2,3,4\n1,?,?,2\n1,?,?,2\n1,?,3,4",
+        "1,2,?,4\n1,0,?,2\n1,?,?,2\n1,2,3,4",
+        "1,2,3\n8,?,4/0\n7,6,5",
+    ]
+
+    @pytest.mark.parametrize("text", MATRIX_ERRORS)
+    def test_matrix_errors_match_fraction_reader(self, text):
+        assert _error(parse_matrix, text) == _error(fraction_parse_matrix, text)
+
+    @pytest.mark.parametrize("text", BORDERED_ERRORS + MATRIX_ERRORS[:2] + MATRIX_ERRORS[3:])
+    def test_bordered_errors_match_fraction_reader(self, text):
+        assert _error(parse_bordered, text) == _error(fraction_parse_bordered, text)
+
+    def test_interior_value_then_malformed_token_reports_the_token(self):
+        assert _error(parse_bordered, "1,2,3\n8,0,4\n7,x,5") == (
+            "malformed rational 'x' (line 3, column 2)", 3, 2
+        )
+
+    @pytest.mark.skipif(not INT_LIMIT, reason="no int string limit")
+    @pytest.mark.parametrize("token", [LONG, f"1/{LONG}", f"-{LONG}/3"])
+    def test_long_number_errors_match_fraction_reader(self, token):
+        text = f"1,2,3\n4,?,6\n7,8,{token}"
+        assert _error(parse_matrix, text) == _error(fraction_parse_matrix, text)
+        assert _error(parse_bordered, text) == _error(fraction_parse_bordered, text)
+        assert _error(parse_bordered, text)[1:] == (3, 3)
+
+    def test_moved_holes_match_fraction_reader(self):
+        # a valid bordered CSV with one to three sites flipped between a
+        # value and '?': the same BorderSpec or the same first error
+        rng = random.Random(65)
+        for _ in range(300):
+            L = rng.randint(3, 7)
+            rows = [
+                ["?" if 0 < i < L - 1 and 0 < j < L - 1 else str(rng.randint(-9, 9))
+                 for j in range(L)]
+                for i in range(L)
+            ]
+            for _ in range(rng.randint(1, 3)):
+                i, j = rng.randrange(L), rng.randrange(L)
+                rows[i][j] = "5/3" if rows[i][j] == "?" else "?"
+            text = "\n".join(map(",".join, rows))
+            try:
+                want = fraction_parse_bordered(text)
+            except ParseError:
+                assert _error(parse_bordered, text) == _error(fraction_parse_bordered, text)
+            else:
+                assert parse_bordered(text) == want
 
 
 class TestPolyText:
