@@ -22,6 +22,7 @@ from .errors import (
 )
 from .formats import (
     _csv_line,
+    _first_row_size,
     _term_records,
     format_matrix,
     parse_bordered,
@@ -109,6 +110,15 @@ def _at_most(flag, value, bound):
     return value
 
 
+def _read_matrix(path, parse, bound):
+    """The matrix CSV at path through parse, refused with SizeError before
+    any token is read when its first row holds more than ``bound`` entries:
+    the readers take square matrices only, so that is its size."""
+    text = _read(path)
+    _at_most("matrix size", _first_row_size(text), bound)
+    return parse(text)
+
+
 def _read_poly(path):
     P = parse_poly(_read(path))
     _at_most("polynomial degree", P.degree, MAX_POLY_DEGREE)
@@ -123,15 +133,13 @@ def cmd_check(args):
 
 
 def cmd_complete(args):
-    border = parse_bordered(_read(args.matrix))
-    _at_most("matrix size", border.size, MAX_COMPLETE_SIZE)
+    border = _read_matrix(args.matrix, parse_bordered, MAX_COMPLETE_SIZE)
     _write(args, [format_matrix(complete(border))])
     return EXIT_OK
 
 
 def cmd_interpolate(args):
-    H = parse_matrix(_read(args.matrix))
-    _at_most("matrix size", H.size, MAX_INTERPOLATE_SIZE)
+    H = _read_matrix(args.matrix, parse_matrix, MAX_INTERPOLATE_SIZE)
     if args.oracle == "bilinear":
         P = bilinear(H)
         if args.verify and not interpolates(P, H):

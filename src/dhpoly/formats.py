@@ -68,6 +68,19 @@ def parse_rational(token, line=None, column=None):
     return Fraction(*_read_pair(token.strip(), line, column))
 
 
+#: Leading whitespace, then the rest of the first nonblank line, which ends
+#: where str.splitlines ends a line.
+_FIRST_ROW_RE = re.compile(r"\s*([^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*)")
+
+
+def _first_row_size(text):
+    """The number of entries of the first nonblank line of CSV text, counted
+    from its commas without reading a token: the size of the square matrix
+    the readers below accept from that text, so a size limit can refuse the
+    text before it is tokenized."""
+    return _FIRST_ROW_RE.match(text)[1].count(",") + 1
+
+
 def _parse_rows(text, allow_holes):
     """The square rows of CSV text, each entry the (num, den) pair of its
     token (see _read_pair), or None for the token "?" when allow_holes.

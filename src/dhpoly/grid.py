@@ -14,7 +14,8 @@ denominator (_common_denominator), the stencil on the integer rows of a
 matrix (_stencil) and the two tests that a polynomial matches lattice
 values, both cross-multiplied integer comparisons.  _matches reads the
 whole restriction, row by row, from poly's BiPoly._lattice_rows; it serves
-interpolates, which takes any polynomial, and the impulse pattern check.
+interpolates, which takes any polynomial, and extend's check of an impulse
+set its caller passes.
 _matches_frame reads only the 4L - 4 sites of the rows y = 0 and 1 and the
 side columns, from BiPoly._frame_numerators; it serves telescopic's result
 and extend's input, where the polynomial has just been checked discrete

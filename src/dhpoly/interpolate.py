@@ -9,9 +9,12 @@ fourth), so they patch the entries the smaller interpolant cannot match
 without disturbing anything already fixed.  extend is one such step on
 polynomials; telescopic runs its stages in canonical-basis coordinates and
 forms the polynomial once, at the end.  Each size's impulses come from the
-same stages at the sizes below, read at the impulse sites in coordinates as
-well, so a build forms only its three new impulses as polynomials (see
-build_impulse_set).  A plain bilinear (tensor Lagrange) interpolator is
+same stages at the sizes below, in coordinates as well: a build forms no
+polynomial.  It reads the canonical elements on the lattice, and checks each
+new impulse on the whole enlarged lattice, by marching the stencil up from
+their rows y = 0 and 1 (poly._march), and the impulse polynomials are formed
+only when read (see build_impulse_set and ImpulseSet).  A plain bilinear
+(tensor Lagrange) interpolator is
 included as a contrast: it always interpolates but is generally not discrete
 harmonic.  The base case, each size's impulses and the bilinear factors are
 cardinal polynomials, each set of them from one square solve (see
@@ -21,14 +24,14 @@ _cardinal_solve).
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
 from . import linalg
 from .errors import InvariantError, PreconditionError, SizeError
-from .grid import _RATIONAL, _count, _matches, _matches_frame, is_inner_harmonic
+from .grid import _RATIONAL, _count, _matches_frame, is_inner_harmonic
 
 # Not called here: kept importable as dhpoly.interpolate.interpolates, a name
 # the benchmark's tracer tests read.
@@ -39,6 +42,7 @@ from .poly import (
     _basis_element,
     _combine,
     _linear_combination,
+    _march,
     _primitive_poly,
     generate_basis,
     is_discrete_harmonic,
@@ -110,7 +114,6 @@ def interpolate_3x3(A):
     return telescopic(A)
 
 
-@dataclass(frozen=True)
 class ImpulseSet:
     """Four discrete harmonic polynomials of degree <= 2*size that vanish on
     the whole (size+1)-lattice except designated border sites.
@@ -120,52 +123,131 @@ class ImpulseSet:
     each designated site ((m-1, m) for the pair); the pair's second value is
     its negation.
 
-    The size passes the count gate (at least 3); polys and values hold
-    four each, else PreconditionError; each value is an int or Fraction by
-    exact type, else TypeError, and nonzero, else PreconditionError.
-    __post_init__ derives the private fields however the set was built
-    (dataclasses.replace too): ``_step_table``, the step from size m to m+1
-    in canonical coordinates, and ``_elements``, the canonical basis of
-    degree <= 2m, which is the init-only ``_basis`` when given
-    (build_impulse_set's).  The table's site rows are the init-only
-    ``_step_rows``, (lc, rows) at _step_sites(m), when given (the build has
-    read them already), else read here.
-
     A discrete harmonic polynomial of degree <= N is sum_i (u_i / c_i) h_i
     over the canonical elements h_i, u_i its coefficient at h_i's pivot and
     c_i h_i's own (the poly docstring), so it is carried as (D, u): its
     y^0/y^1 numerators u over its denominator D.  Its value at a step site
     is u's dot product with that site's table row, h_i there times lc / c_i
-    (lc the lcm of the c_i, degree <= 2m-2), over D * lc.  The table also
-    holds each impulse's numerators and its value times its denominator.
+    (lc the lcm of the c_i, degree <= 2m-2), over D * lc.  The step from
+    size m to m+1 reads ``_step_table`` = (lc, rows, coords, divisors): the
+    rows at _step_sites(m), each impulse's u (D = 1) divided by its gcd and
+    signed so its first nonzero entry is positive, and each impulse's value
+    at its site at that scale.  Any scale gives the same step; this one is
+    the same however the set was made.  ``_elements`` (the canonical basis
+    of degree <= 2m) and ``_rows_y1`` (each element's row y = 1, its
+    numerators summed over the powers of y, as a coefficient list in x) are
+    read by the next size's build.
+
+    build_impulse_set makes a set from the table alone (_from_table), and
+    ``polys`` (coprime integer coefficients, first term positive) and
+    ``values`` are formed once, on first read.  ImpulseSet(size, polys,
+    values) makes one by hand and derives the table from the polys: the
+    size passes the count gate (at least 3); polys and values hold four
+    each, else PreconditionError; each value is an int or Fraction by exact
+    type, else TypeError, and nonzero, else PreconditionError.  Either way
+    the set is immutable, and ==, hash, repr and pickling read (size,
+    polys, values).
     """
 
-    size: int
-    polys: tuple
-    values: tuple
-    _basis: InitVar[tuple] = None
-    _step_rows: InitVar[tuple] = None
-    _step_table: tuple = field(init=False, compare=False, repr=False)
-    _elements: tuple = field(init=False, compare=False, repr=False)
+    __slots__ = ("size", "_polys", "_values", "_step_table", "_elements", "_rows_y1")
+    __match_args__ = ("size", "polys", "values")
 
-    def __post_init__(self, _basis, _step_rows):
-        m = _count(self.size, 3, SizeError)
-        if len(self.polys) != 4 or len(self.values) != 4:
+    def __init__(self, size, polys, values):
+        m = _count(size, 3, SizeError)
+        if len(polys) != 4 or len(values) != 4:
             raise PreconditionError("an impulse set holds four polys and four values")
-        for g in self.values:
+        for g in values:
             if type(g) not in _RATIONAL:
                 raise TypeError("impulse values must be int or Fraction")
             if not g:
                 raise PreconditionError("impulse values must be nonzero")
-        elements = generate_basis(2 * m).elements if _basis is None else _basis
-        if _step_rows is None:
-            lc, _, rows = _site_rows(elements[: 4 * m - 3], _step_sites(m))
-        else:
-            lc, rows = _step_rows
-        coords = tuple(tuple(xi._num.get(p, 0) for p in _pivots(2 * m)) for xi in self.polys)
-        divisors = tuple(g * xi._den for g, xi in zip(self.values, self.polys))
-        object.__setattr__(self, "_step_table", (lc, rows, coords, divisors))
-        object.__setattr__(self, "_elements", elements)
+        elements = generate_basis(2 * m).elements
+        lc, _, rows = _site_rows(elements[: 4 * m - 3], _step_sites(m))
+        coords, divisors = [], []
+        for xi, g in zip(polys, values):
+            u, scale = _canonical([xi._num.get(p, 0) for p in _pivots(2 * m)])
+            coords.append(u)
+            divisors.append(Fraction(g * xi._den) / scale)
+        table = (lc, rows, tuple(coords), tuple(divisors))
+        self._set(m, polys, values, table, elements, _rows_y1(elements))
+
+    @classmethod
+    def _from_table(cls, size, table, elements, rows_y1):
+        """The set of size m with step table ``table``, canonical elements
+        ``elements`` of degree <= 2m and their rows y = 1 ``rows_y1``; polys
+        and values are formed on first read."""
+        out = cls.__new__(cls)
+        out._set(size, None, None, table, elements, rows_y1)
+        return out
+
+    def _set(self, *fields):
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    @property
+    def polys(self):
+        if self._polys is None:
+            coords, elements = self._step_table[2], self._elements
+            polys = [_primitive_poly(_from_coordinates(1, coords[k], elements)) for k in (0, 1, 3)]
+            polys.insert(2, _primitive_poly(polys[0].swap_xy()))
+            object.__setattr__(self, "_polys", tuple(polys))
+        return self._polys
+
+    @property
+    def values(self):
+        if self._values is None:
+            sites = _step_sites(self.size)
+            object.__setattr__(
+                self, "_values", tuple(xi.evaluate(*s) for xi, s in zip(self.polys, sites))
+            )
+        return self._values
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _key(self):
+        return self.size, self.polys, self.values
+
+    def __eq__(self, other):
+        if not isinstance(other, ImpulseSet):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"ImpulseSet(size={self.size!r}, polys={self.polys!r}, values={self.values!r})"
+
+    def __reduce__(self):
+        return ImpulseSet, self._key()
+
+
+def _canonical(u):
+    """(u / g, g) for a list of ints u: g the gcd of the entries, signed so
+    the first nonzero entry of u / g is positive; g = 1 when all are 0."""
+    g = math.gcd(*u)
+    if not g:
+        return tuple(u), 1
+    if next(v for v in u if v) < 0:
+        g = -g
+    return tuple(v // g for v in u), g
+
+
+def _rows_y1(elements):
+    """Each polynomial's row y = 1 as a polynomial in x: the coefficient
+    list, lowest power first, of its numerators summed over the powers of
+    y, as a tuple per polynomial."""
+    out = []
+    for e in elements:
+        row = [0] * (e.degree + 1)
+        for (a, _), n in e._num.items():
+            row[a] += n
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def _pivots(N):
@@ -206,73 +288,135 @@ def _block_border_sites(L):
     return tuple((x, y) for x in range(L) for y in (range(L) if x in ends else ends))
 
 
+def _pattern_value(grid, m, k):
+    """The value n at impulse k's site if ``grid``, integer values h(x, y)
+    by rows y = 0..m over x = 0..m, is impulse k's pattern on the
+    (m+1)-lattice: n != 0 there, -n at (m, m-1) for the dipole (k = 3), and
+    0 everywhere else.  None otherwise."""
+    sites = _step_sites(m)
+    x, y = sites[k]
+    n = grid[y][x]
+    expected = [[0] * (m + 1) for _ in range(m + 1)]
+    expected[y][x] = n
+    if k == 3:
+        x, y = sites[4]
+        expected[y][x] = -n
+    return n if n and grid == expected else None
+
+
 def _verify_impulse(xi, m, k):
     """Value at the designated site if xi has the exact single-impulse (or
-    dipole, for k = 3) pattern on the whole (m+1)-lattice, else None."""
-    sites = _step_sites(m)
-    value = xi.evaluate(*sites[k])
-    if value == 0:
-        return None
-    n = value.numerator
-    pattern = {sites[k]: n, sites[4]: -n} if k == 3 else {sites[k]: n}
-    rows = [[pattern.get((x, y), 0) for x in range(m + 1)] for y in range(m, -1, -1)]
-    return value if _matches(xi, value.denominator, rows) else None
+    dipole, for k = 3) pattern on the whole (m+1)-lattice, else None: the
+    check of a caller's set (see extend), by Horner on the polynomial."""
+    n = _pattern_value(list(xi._lattice_rows(m + 1))[::-1], m, k)
+    return None if n is None else Fraction(n, xi._den)
+
+
+def _coordinate_rows(u, lc, scales, columns):
+    """The rows y = 0 and 1, as coefficient lists in x, of lc times the
+    polynomial with coordinates u over the canonical elements h_i of degree
+    <= N, sum_i (u_i / c_i) h_i (see ImpulseSet), given lc and scales as
+    _pivot_scales gives them and ``columns``, the elements' rows y = 1
+    transposed: columns[a][i] is h_i's coefficient of x^a there.  Row 0 is
+    the coordinates at the pivots x^n, and row 1 the combination of the
+    elements' rows y = 1."""
+    f = list(map(mul, u, scales))
+    # u[0] and u[2n-1] are the coordinates at 1 and x^n (see _pivots)
+    return [lc * v for v in (u[0], *u[1::2])], [sum(map(mul, f, column)) for column in columns]
+
+
+def _mirror(weights, elements, pivots):
+    """The coordinates of the x/y mirror of sum_j w_j e_j over the canonical
+    elements e_j with ``pivots``: its coefficients at x^n and x^(n-1) y are
+    the sum's at y^n and x y^(n-1), O(N^2) reads of the elements' x^0 and
+    x^1 columns."""
+    N = len(pivots) // 2
+    col0, col1 = [0] * (N + 1), [0] * (N + 1)
+    for w, e, (a, b) in zip(weights, elements, pivots):
+        if w:
+            # e_j's terms x^i y^k keep the parities of its pivot's exponents
+            i, col, num = a % 2, (col1 if a % 2 else col0), e._num
+            for k in range(b, a + b + 1 - i, 2):
+                col[k] += w * num.get((i, k), 0)
+    return [col1[a] if b else col0[a] for a, b in pivots]
 
 
 @lru_cache(maxsize=None)
 def build_impulse_set(L):
     """The four impulse polynomials of size L >= 3, memoized, built from the
-    sizes below (built first, ascending, so no build recurses deeper).
+    sizes below (built first, ascending, so no build recurses deeper) in
+    coordinates only: no polynomial is formed.
 
     The discrete harmonic polynomials of degree <= 2L vanishing on the
     L-lattice span 5 dimensions (the stencil leaves four free values on the
     (L+1)-lattice, plus one vanishing on all of it), spanned by the residuals
     r_k = e_k - I_k of the canonical elements e_k with pivots (2L-3, 1),
     (2L-1, 0), (2L-2, 1), (2L, 0) and (2L-1, 1), I_k e_k's _interpolant
-    from the sets 3..L-1.  No residual is formed: with I_k in (D_k, u_k)
-    form (see ImpulseSet) over the canonical elements of degree <= 2L-2,
-    D_k r_k at a site is e_k there times D_k minus u_k's dot product with
-    that site's _site_rows row, an integer.  Impulses 0, 1 and 3 are the
-    residuals' cardinals at (0, L), (L, L) and (L-1, L) that vanish at
-    (L, 0) and (L+1, L), one 5x5 _cardinal_solve; each is one _combine of
-    the canonical elements of degree <= 2L, e_k weighted by its D_k and
-    the low elements by minus the u_k, through the solution, and is scaled
-    by _primitive_poly.  Impulse 2 is impulse 0's x/y mirror.  The
-    _site_rows rows are read once, at these five sites and (L, L-1), and
-    five of them are the set's step-table rows (see ImpulseSet).  A singular
-    system or an impulse failing its pattern check on the whole
-    (L+1)-lattice raises InvariantError.
+    from the sets 3..L-1, which reads e_k by poly._march.  No residual is
+    formed: with I_k in (D_k, u_k) form (see ImpulseSet) over the canonical
+    elements of degree <= 2L-2, D_k r_k at a site is e_k there times D_k
+    minus u_k's dot product with that site's _site_rows row, an integer.
+    Impulses 0, 1 and 3 are the residuals' cardinals at (0, L), (L, L) and
+    (L-1, L) that vanish at (L, 0) and (L+1, L), one 5x5 _cardinal_solve
+    (d, C).  Through a column of C a cardinal is sum_j w_j e_j over the
+    canonical elements of degree <= 2L (e_k weighted by D_k, the low
+    elements by minus the u_k), so its coordinates are the w_j c_j and its
+    value at its own site is d; impulse 2, impulse 0's x/y mirror, has the
+    coordinates _mirror reads and the value d too.  Each impulse, scaled as
+    the step table keeps it, is checked on every site of the (L+1)-lattice
+    by the march from its rows y = 0 and 1: its pattern, with its value at
+    its site.  The march trusts the canonical elements to be discrete
+    harmonic, as they are by construction.  A singular system or a failed
+    check raises InvariantError.
     """
     _count(L, 3, SizeError)
     sets = [build_impulse_set(m) for m in range(3, L)]
-    low = sets[-1]._elements if sets else _BASIS_4
-    elements = (*low, *(BiPoly._from_ints(1, _basis_element(p)) for p in _pivots(2 * L)[-4:]))
-    span = elements[-5:]
+    if sets:
+        low, low_rows_y1 = sets[-1]._elements, sets[-1]._rows_y1
+    else:
+        low, low_rows_y1 = _BASIS_4, _rows_y1(_BASIS_4)
+    pivots = _pivots(2 * L)
+    new = tuple(BiPoly._from_ints(1, _basis_element(p)) for p in pivots[-4:])
+    elements, rows_y1 = (*low, *new), (*low_rows_y1, *_rows_y1(new))
+    cs = [e._num[p] for e, p in zip(elements, pivots)]
+    # The span elements' rows y = 0 are their pivot terms c x^a, or zero.
+    grids = [
+        _march([0] * a + [c] if not b else [], row, L + 2, L)
+        for c, (a, b), row in zip(cs[-5:], pivots[-5:], rows_y1[-5:])
+    ]
     sites = ((L, 0), (L + 1, L), (0, L), (L, L), (L - 1, L), (L, L - 1))
     lc, scales, rows = _site_rows(low, sites)
     dens, us = [], []
-    for e in span:
-        den, u = _interpolant(e._numerator_at, e._den, sets)
-        dens.append(den * lc // e._den)
+    for grid in grids:
+        den, u = _interpolant(lambda x, y: grid[y][x], 1, sets)
+        dens.append(den * lc)
         us.append(u)
     residuals = [
-        [e._numerator_at(x, y) * D - sum(map(mul, u, row)) for e, D, u in zip(span, dens, us)]
+        [grid[y][x] * D - sum(map(mul, u, row)) for grid, D, u in zip(grids, dens, us)]
         for (x, y), row in zip(sites[:5], rows)
     ]
     d, C = _cardinal_solve(residuals, 3)
-    maps = [e._num for e in elements]
-    polys = []
+    weights = []
     for column in zip(*C):
-        weights = [-sum(map(mul, column, ui)) * s for ui, s in zip(zip(*us), scales)]
-        weights[-1] += dens[0] * column[0]  # span[0] is low[-1]
-        weights += [D * c for D, c in zip(dens[1:], column[1:])]
-        polys.append(_primitive_poly(BiPoly._from_ints(1, _combine(weights, maps))))
-    polys.insert(2, _primitive_poly(polys[0].swap_xy()))
-    values = [_verify_impulse(xi, L, k) for k, xi in enumerate(polys)]
-    if None in values:
-        raise InvariantError(f"impulse {values.index(None)} of size {L} failed verification")
+        w = [-sum(map(mul, column, ui)) * s for ui, s in zip(zip(*us), scales)]
+        w[-1] += dens[0] * column[0]  # span[0] is low[-1]
+        weights.append(w + [D * c for D, c in zip(dens[1:], column[1:])])
+    raw = [[w * c for w, c in zip(ws, cs)] for ws in weights]
+    raw.insert(2, _mirror(weights[0], elements, pivots))
+    top, top_scales = _pivot_scales(elements)
+    columns = list(zip(*(row + (0,) * (2 * L + 1 - len(row)) for row in rows_y1)))
+    coords, divisors = [], []
+    for k, u in enumerate(raw):
+        u, scale = _canonical(u)
+        grid = _march(*_coordinate_rows(u, top, top_scales, columns), L + 1, L)
+        n = _pattern_value(grid, L, k)
+        if n is None or n * scale != top * d:
+            raise InvariantError(f"impulse {k} of size {L} failed verification")
+        coords.append(u)
+        divisors.append(Fraction(d, scale))
     step_rows = tuple(rows[k] for k in (2, 3, 0, 4, 5))  # _step_sites(L) order
-    return ImpulseSet(L, tuple(polys), tuple(values), elements, (lc, step_rows))
+    table = (lc, step_rows, tuple(coords), tuple(divisors))
+    return ImpulseSet._from_table(L, table, elements, rows_y1)
 
 
 def extension_coefficients(chi, A, impulses):

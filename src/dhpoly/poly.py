@@ -18,7 +18,10 @@ interpolate read as ints) and divides by D once; the restriction to the
 lattice, _lattice_rows, does the same in integers one lattice row at a time.
 The values on the lattice's frame (its rows y = 0 and 1 and its two side
 columns), which grid's frame check reads, come from one pass over the
-terms instead (_frame_numerators).  Every step is exact, so each value
+terms instead (_frame_numerators).  A discrete harmonic polynomial's values
+on a block of the lattice also follow from its rows y = 0 and 1 alone, by
+marching the stencil upward (_march); interpolate reads the canonical
+elements and the impulses that way.  Every step is exact, so each value
 equals the term-by-term sum.
 
 Numbers meet polynomials through grid's one gate, ``type(v) in _RATIONAL``:
@@ -74,6 +77,29 @@ def _horner(coeffs, points):
             acc = acc * p + c
         out.append(acc)
     return out
+
+
+def _march(row0, row1, W, Y):
+    """Values h(x, y) for 0 <= y <= Y and 0 <= x < W, Y >= 1, of a discrete
+    harmonic polynomial h from its rows y = 0 and 1, given as univariate
+    integer coefficient lists (lowest power first): a list of Y + 1 rows,
+    row y the values h(0, y) .. h(W-1, y).
+
+    h satisfies the stencil on all of Z^2, so h(x, y+1) = 4h(x, y) -
+    h(x, y-1) - h(x-1, y) - h(x+1, y): Horner gives the two rows over
+    x = -(Y-1) .. W+Y-2, and each row above follows from the two below,
+    one site narrower at each end.  O(1) integer work per site, where
+    Horner costs O(terms); exact, like every step here."""
+    lo = Y - 1
+    xs = range(-lo, W + lo)
+    prev, cur = _horner(row0, xs), _horner(row1, xs)
+    rows = [prev[lo : lo + W], cur[lo : lo + W]]
+    for y in range(1, Y):
+        prev, cur = cur[1:-1], [
+            4 * c - p - a - b for p, c, a, b in zip(prev[1:-1], cur[1:-1], cur, cur[2:])
+        ]
+        rows.append(cur[lo - y : lo - y + W])
+    return rows
 
 
 class BiPoly:

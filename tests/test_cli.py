@@ -234,6 +234,61 @@ class TestComplete:
         _assert_input_error(capsys)
 
 
+class TestOversizedInput:
+    """complete and interpolate count the entries of the first nonblank row,
+    which give a square matrix's size, and refuse an oversized text before
+    any token is read."""
+
+    LIMITS = [("complete", MAX_COMPLETE_SIZE, "?"), ("interpolate", MAX_INTERPOLATE_SIZE, "0")]
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        import dhpoly.formats as formats
+
+        calls, real = [], formats._read_pair
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(formats, "_read_pair", counting)
+        return calls
+
+    @staticmethod
+    def _write(path, L, hole, bad=None):
+        rows = [
+            ["0" if i in (0, L - 1) or j in (0, L - 1) else hole for j in range(L)]
+            for i in range(L)
+        ]
+        if bad is not None:
+            rows[-1][-1] = bad
+        path.write_text(" \n\n" + "\n".join(",".join(row) for row in rows) + "\n")
+        return str(path)
+
+    @pytest.mark.parametrize("command, bound, hole", LIMITS)
+    def test_refused_before_any_token_is_read(self, command, bound, hole, tmp_path, capsys, reads):
+        path = self._write(tmp_path / "big.csv", bound + 1, hole)
+        assert main([command, path]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["code"] == "input-error"
+        assert err["message"] == f"matrix size {bound + 1} exceeds the limit {bound}"
+        assert reads == []
+
+    @pytest.mark.parametrize("command, bound, hole", LIMITS)
+    def test_size_error_wins_over_a_malformed_token(self, command, bound, hole, tmp_path, capsys):
+        # the size is refused first, so a bad token further on is not reached
+        path = self._write(tmp_path / "big.csv", bound + 1, hole, bad="1.5")
+        assert main([command, path]) == 2
+        _assert_input_error(capsys)
+        small = self._write(tmp_path / "small.csv", 4, hole, bad="1.5")
+        assert main([command, small]) == 2
+        assert json.loads(capsys.readouterr().err)["code"] == "parse-error"
+
+    def test_a_matrix_within_the_limit_is_read(self, worked_csv, capsys, reads):
+        assert main(["interpolate", worked_csv]) == 0
+        assert len(reads) == 16
+
+
 class TestInterpolate:
     def test_verified_harmonic_interpolation(self, worked_csv, capsys):
         assert main(["interpolate", "--verify", worked_csv]) == 0
@@ -289,7 +344,7 @@ class TestInterpolate:
     def test_failed_impulse_construction_exits_three(self, worked_csv, capsys, monkeypatch):
         # the impulse cache must neither hide the failure nor keep its result
         build_impulse_set.cache_clear()
-        monkeypatch.setattr("dhpoly.interpolate._verify_impulse", lambda xi, m, k: None)
+        monkeypatch.setattr("dhpoly.interpolate._pattern_value", lambda grid, m, k: None)
         try:
             with pytest.raises(InvariantError):
                 build_impulse_set(3)

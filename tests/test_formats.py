@@ -7,6 +7,7 @@ import pytest
 from dhpoly import BiPoly, ParseError, RatMatrix, X, Y
 from dhpoly.formats import (
     _csv_line,
+    _first_row_size,
     format_matrix,
     parse_bordered,
     parse_matrix,
@@ -111,6 +112,29 @@ class TestParseMatrix:
         for _ in range(20):
             H = random_matrix(rng, rng.randint(1, 6), max_num=50, max_den=20)
             assert parse_matrix(format_matrix(H)) == H
+
+
+class TestFirstRowSize:
+    def test_counts_the_first_nonblank_line(self):
+        assert _first_row_size(format_matrix(SAMPLE_7X7)) == 7
+        assert _first_row_size(" \n\t\n 1, 2 ,3\n4\n") == 3
+        assert _first_row_size("") == _first_row_size("  \n ") == 1
+
+    def test_lines_end_where_the_readers_end_them(self):
+        # every str.splitlines line break, and whitespace that is none
+        alphabet = [",", "1", "?", " ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d",
+                    "\x1e", "\x1f", "\x85", "\xa0", "\u2028", "\u2029", "\u3000"]
+        rng = random.Random(11)
+        for _ in range(20000):
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+            lines = [line for line in text.splitlines() if line.strip()]
+            assert _first_row_size(text) == (len(lines[0].split(",")) if lines else 1), repr(text)
+
+    def test_is_the_size_the_readers_accept(self):
+        rng = random.Random(12)
+        for L in range(1, 8):
+            text = "\r\n" + format_matrix(random_matrix(rng, L)).replace("\n", "\r\n")
+            assert _first_row_size(text) == parse_matrix(text).size == L
 
 
 class TestCsvLine:

@@ -1,6 +1,8 @@
-import dataclasses
 import hashlib
+import math
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -308,14 +310,15 @@ class TestBuildImpulseSet:
         # reading the residuals at the cardinal sites from coordinates gives
         # the set the residual polynomials give, field by field
         built, oracle = build_impulse_set(L), residual_impulse_set(L)
-        for f in dataclasses.fields(ImpulseSet):
-            assert getattr(built, f.name) == getattr(oracle, f.name), f.name
+        for name in ImpulseSet.__match_args__:
+            assert getattr(built, name) == getattr(oracle, name), name
 
     @pytest.mark.parametrize("L", range(3, 11))
     def test_forms_three_polynomials_per_size(self, L, monkeypatch):
-        # with the smaller sizes built, a build forms impulses 0, 1 and 3 as
-        # one _combine each over the canonical elements of degree <= 2L, and
-        # no residual, interpolant or cardinal as a polynomial
+        # with the smaller sizes built, a build forms no polynomial: no
+        # impulse, residual, interpolant or cardinal.  The first read of the
+        # set's polys forms impulses 0, 1 and 3 as one _combine each over the
+        # canonical elements of degree <= 2L, and a second read none
         import dhpoly.interpolate as mod
         import dhpoly.poly as poly_mod
 
@@ -330,7 +333,10 @@ class TestBuildImpulseSet:
 
         monkeypatch.setattr(mod, "_combine", counting)
         monkeypatch.setattr(poly_mod, "_combine", counting)
-        build_impulse_set.__wrapped__(L)
+        built = build_impulse_set.__wrapped__(L)
+        assert calls == []
+        assert built.polys is built.polys
+        assert built.values == build_impulse_set(L).values
         assert calls == [4 * L + 1] * 3
 
     @pytest.mark.parametrize("L", range(3, 9))
@@ -414,10 +420,12 @@ class TestBuildImpulseSet:
         assert by_hand == built
         assert by_hand._step_table == built._step_table
         assert by_hand._elements == built._elements
-        replaced = dataclasses.replace(built, polys=tuple(-xi for xi in built.polys))
+        assert by_hand._rows_y1 == built._rows_y1
+        # the coordinates are kept primitive, first entry positive, so
+        # negated polys with the values kept negate only the divisors
+        replaced = ImpulseSet(built.size, tuple(-xi for xi in built.polys), built.values)
         lc, rows, coords, divisors = built._step_table
-        negated = tuple(tuple(-c for c in row) for row in coords)
-        assert replaced._step_table == (lc, rows, negated, divisors)
+        assert replaced._step_table == (lc, rows, coords, tuple(-g for g in divisors))
         assert replaced._elements == built._elements
 
     @pytest.mark.parametrize("L", range(4, 10))
@@ -458,6 +466,134 @@ class TestBuildImpulseSet:
     def test_too_small(self):
         with pytest.raises(SizeError):
             build_impulse_set(2)
+
+    @pytest.mark.parametrize("L", range(3, 17))
+    def test_formed_polys_pass_the_horner_check(self, L):
+        # the build checks its coordinates by the march; the polynomials
+        # formed from them on first read pass the Horner check of the whole
+        # (L+1)-lattice, with the values read at their sites
+        impulses = build_impulse_set(L)
+        checked = [_verify_impulse(xi, L, k) for k, xi in enumerate(impulses.polys)]
+        assert checked == list(impulses.values)
+
+    @pytest.mark.parametrize("L", range(4, 13))
+    def test_hand_built_sets_give_the_same_telescopic_results(self, L, monkeypatch):
+        # sets built by hand from the formed polys derive the same steps
+        rng = random.Random(950 + L)
+        matrices = [random_inner_harmonic(rng, L) for _ in range(2)]
+        want = [poly_to_json(telescopic(H)) for H in matrices]
+        real = build_impulse_set
+        monkeypatch.setattr(
+            "dhpoly.interpolate.build_impulse_set",
+            lambda m: ImpulseSet(m, real(m).polys, real(m).values),
+        )
+        assert [poly_to_json(telescopic(H)) for H in matrices] == want
+
+    @staticmethod
+    def _rows_zero_perturbation(L):
+        """(coordinates, Q): a discrete harmonic Q of degree <= 2L, zero on
+        the rows y = 0 and 1 of the (L+1)-lattice, and its integer
+        coordinates over the canonical elements of degree <= 2L.  Q is a
+        combination of the elements with pivots x^a y, whose rows y = 0 are
+        zero, with row y = 1 the polynomial x (x-1) ... (x-L)."""
+        elements = generate_basis(2 * L).elements
+        target = [Fraction(0)] * (2 * L + 1)
+        target[0] = Fraction(1)
+        for j in range(L + 1):  # multiply by (x - j)
+            target = [(target[a - 1] if a else 0) - j * target[a] for a in range(2 * L + 1)]
+        coords, Q = [Fraction(0)] * len(elements), BiPoly.zero()
+        for a in range(L + 1, -1, -1):
+            e = elements[2 * a + 2]  # the pivot x^a y
+            row = [Fraction(0)] * (2 * L + 1)
+            for (i, _), c in e.terms():
+                row[i] += c
+            t = target[a] / row[a]  # row[a] is e's pivot coefficient
+            coords[2 * a + 2] = target[a]
+            Q += t * e
+            target = [v - t * r for v, r in zip(target, row)]
+        assert not any(target)
+        scale = math.lcm(*(c.denominator for c in coords))
+        return [int(c * scale) for c in coords], scale * Q
+
+    @pytest.mark.parametrize("L", [3, 5, 8])
+    def test_corrupted_coordinates_raise_invariant_error(self, L, monkeypatch):
+        # a corrupted coordinate of any impulse fails the build's check: one
+        # coordinate off by one, or an error that is zero on the rows y = 0
+        # and 1 of the (L+1)-lattice, where the march starts, and shows only
+        # in the rows above
+        import dhpoly.interpolate as mod
+
+        perturbation, Q = self._rows_zero_perturbation(L)
+        values = [[Q.evaluate(x, y) for x in range(L + 1)] for y in range(L + 1)]
+        assert not any(values[0]) and not any(values[1]) and any(map(any, values[2:]))
+        for m in range(3, L):
+            build_impulse_set(m)
+        real = mod._canonical
+        bumps = [[int(i == j) for j in range(len(perturbation))] for i in (0, 2 * L - 1, 4 * L)]
+        for k in range(4):
+            for bump in (*bumps, perturbation):
+                calls = []
+
+                def corrupting(u, bump=bump, k=k, calls=calls):
+                    u, scale = real(u)
+                    if len(calls) == k:
+                        u = tuple(map(sum, zip(u, bump)))
+                    calls.append(k)
+                    return u, scale
+
+                monkeypatch.setattr(mod, "_canonical", corrupting)
+                with pytest.raises(InvariantError, match=f"impulse {k} of size {L} failed"):
+                    build_impulse_set.__wrapped__(L)
+        monkeypatch.undo()
+        assert build_impulse_set.__wrapped__(L) == build_impulse_set(L)
+
+    def test_cold_telescopic_forms_only_its_result(self, monkeypatch):
+        # building the sets 3..7 forms no polynomial and checks none by
+        # Horner; the one _combine is telescopic's result
+        import dhpoly.interpolate as mod
+        import dhpoly.poly as poly_mod
+
+        H = random_inner_harmonic(random.Random(86), 8)
+        _base_stage()
+        build_impulse_set.cache_clear()
+        calls = {"_primitive_poly": 0, "_combine": 0, "_verify_impulse": 0}
+
+        def counting(name, real):
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return counted
+
+        for name in calls:
+            wrapped = counting(name, getattr(mod, name))
+            monkeypatch.setattr(mod, name, wrapped)
+            if hasattr(poly_mod, name):
+                monkeypatch.setattr(poly_mod, name, wrapped)
+        telescopic(H)
+        assert calls == {"_primitive_poly": 0, "_combine": 1, "_verify_impulse": 0}
+        assert build_impulse_set.cache_info().currsize == 5
+
+    def test_keeps_the_public_surface(self):
+        # no longer a dataclass: ==, hash, repr, pickling, matching and
+        # immutability read (size, polys, values), however the set was made
+        built = build_impulse_set.__wrapped__(4)
+        by_hand = ImpulseSet(4, built.polys, built.values)
+        assert by_hand == built == build_impulse_set(4)
+        assert hash(by_hand) == hash(built)
+        assert built != build_impulse_set(5) and built != (4, built.polys, built.values)
+        assert repr(built) == f"ImpulseSet(size=4, polys={built.polys!r}, values={built.values!r})"
+        assert repr(by_hand) == repr(built)
+        copy = pickle.loads(pickle.dumps(built))
+        assert copy == built and copy._step_table == built._step_table
+        match built:
+            case ImpulseSet(size, polys, values):
+                assert (size, polys, values) == (4, built.polys, built.values)
+        for name in ("size", "polys", "values", "_step_table"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(built, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(built, name)
 
 
 class TestExtend:
